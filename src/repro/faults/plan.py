@@ -265,13 +265,19 @@ class FaultController(Component):
             next_events.append(window.next_boundary(now))
         window = plan.mshr_full
         if window is not None:
-            if not window.active(now):
-                # A window just closed (or is yet to open): banks whose
-                # forced-full stall was idempotent are asleep; re-arm
-                # them so the retry happens promptly.
+            boundary = window.next_boundary(now)
+            if window.active(now):
+                # Banks whose forced-full stall was idempotent sleep
+                # through the window; arm them for its closing cycle so
+                # the retry lands on the first cycle inserts can pass.
+                for bank in self.banks:
+                    engine.wake_at(bank, boundary)
+            else:
+                # A window just closed (or is yet to open): re-arm the
+                # banks so the retry happens promptly.
                 for bank in self.banks:
                     engine.wake(bank)
-            next_events.append(window.next_boundary(now))
+            next_events.append(boundary)
         for event in next_events:
             engine.wake_at(self, event)
 

@@ -12,7 +12,10 @@ from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.faults import FaultPlan
+from repro.faults.plan import FaultController, FaultState, Window
 from repro.graph import web_graph
+
+from tests.core.test_bank import BankHarness
 
 PLANS = {
     "dram": FaultPlan.dram_plan,
@@ -73,3 +76,25 @@ class TestFaultPlans:
         second = _system("bfs", fault_plan=FaultPlan.channel_plan()).run()
         assert first.cycles == second.cycles
         assert (first.values == second.values).all()
+
+
+class TestMshrWindowBoundary:
+    def test_traditional_bank_retries_on_the_closing_cycle(self):
+        """An associative bank sleeps through a forced-full window and
+        re-attempts its insert on the window's closing cycle itself,
+        the first cycle at which the insert can pass."""
+        harness = BankHarness(latency=10, associative_mshrs=True,
+                              n_mshrs=16, n_subentries=16 * 8,
+                              subentries_per_mshr=8)
+        engine, bank = harness.engine, harness.bank
+        window = Window(1000, 50, phase=0)
+        state = FaultState(FaultPlan(mshr_full=window), engine)
+        bank.mshrs._fault = state
+        engine.add_component(FaultController(state, [], [bank]))
+        harness.request(addr=0x40, req_id=1)
+        engine.run(done=lambda: bank.mshrs.stats.inserts > 0,
+                   max_cycles=200)
+        assert bank.mshrs.stats.insert_failures == 1  # stalled in-window
+        assert state.stats["mshr_forced_failures"] == 1
+        # The successful insert ran on cycle 50 = next_boundary(0).
+        assert engine.now - 1 == window.next_boundary(0) == 50
