@@ -1,37 +1,27 @@
 """Quick simulator benchmark suite -> BENCH_sim.json.
 
-Measures the wall-clock effect of the demand-driven engine, the
-columnar vector kernels, the hot-path kernelization (SoA channels,
-token pooling, batched stepping), and the parallel sweep runner on a
-fixed four-point suite (PageRank on the RV stand-in across the shared
-/ private / two-level / traditional organizations -- the same workload
-family as Fig. 1/11), as a three-way serial pass:
+Measures the shipping simulator (demand-driven engine, columnar
+kernels, token freelists, macro-tick fusion) and the parallel sweep
+runner on a fixed four-point suite (PageRank on the RV stand-in across
+the shared / private / two-level / traditional organizations -- the
+same workload family as Fig. 1/11):
 
-* **baseline**: the seed schedule -- all-tick legacy engine
-  (``REPRO_ENGINE=legacy``), scalar kernels, points run serially;
-* **optimized (serial, scalar)**: demand-driven engine with
-  ``REPRO_KERNELS=scalar`` -- isolates the engine effect;
-* **optimized (serial, vector)**: demand-driven engine with the
-  columnar vector kernels (the shipping default) -- the kernel win
-  rides on top of the engine win;
-* **optimized (parallel)**: demand engine + vector kernels, points run
-  through :func:`repro.experiments.common.run_points` with
-  ``REPRO_JOBS`` workers (defaults to the CPU count), so multi-core
-  hosts show the real combined speedup; single-worker hosts record the
+* **serial**: the points run one after another in this process;
+* **parallel**: the points run through
+  :func:`repro.experiments.common.run_points` with ``REPRO_JOBS``
+  workers (defaults to the CPU count); single-worker hosts record the
   skip (``{"skipped": ...}`` with the host core count) instead of null.
 
-``engine_speedup_serial`` is baseline over demand-scalar,
-``kernel_speedup_serial`` is demand-scalar over demand-vector, and
-``combined_speedup`` is the baseline wall over the best optimized wall.
-Cycle counts are asserted identical between every pass -- the speedup
-is free of model drift by construction, and the scalar/vector race is
-the bit-identity gate for the columnar engine.  Each point also
-reports steady-state token constructions per simulated cycle (near
-zero with the freelists circulating), and a dedicated micro-benchmark
-races the same point with pooling disabled (``REPRO_POOL=0``) to
-quantify the drop.  Micro-benchmarks of ``Channel.push_many`` and the
-disabled fault/telemetry/checkpoint gates (<3% budget each) round out
-the file.
+Cycle counts and GTEPS are asserted identical between the two passes
+(``cycles_identical``).  Each point also reports steady-state token
+constructions per simulated cycle (near zero with the freelists
+circulating).  A **deep-queue point** -- MSHR-starved, single PE,
+long-latency deep-queued DRAM, deeper cuckoo kick chains (see
+``_DEEP``), where most cycles are fused macro-tick retry runs -- records
+its wall time and fusion coverage; ``--scale`` moves its RMAT graph
+scale for exploration.  Micro-benchmarks of ``Channel.push_many`` and
+the disabled fault/telemetry/tracing/checkpoint gates (<3% budget
+each) round out the file.
 
 Usage::
 
@@ -40,17 +30,6 @@ Usage::
 
 ``--quick`` runs the same suite and gates on a smaller graph with a
 one-iteration budget (the CI perf-smoke configuration).
-
-A separate **deep-queue pass** races the scalar and vector kernels on
-an MSHR-starved single-PE point (long-latency, deep-queued DRAM,
-deeper cuckoo kick chains -- see ``_DEEP``) where most cycles are
-fused macro-tick retry runs; it records
-``kernel_speedup_serial_deep`` alongside the CI-scale figures.
-``--scale`` moves that pass's RMAT graph scale for exploration.
-
-Legacy-engine passes record ``tick_fraction: null``: the all-tick
-engine's fraction is 1.0 by definition, and recording the tautology
-would let it be mistaken for a demand-engine measurement.
 """
 
 import argparse
@@ -58,7 +37,6 @@ import json
 import os
 import pathlib
 import platform
-import subprocess
 import sys
 import tempfile
 import time
@@ -97,10 +75,9 @@ _SCALE = _FULL
 # MOMS starved at the MSHR file -- a tiny structure budget against a
 # long-latency, deep-queued DRAM channel, with deeper cuckoo kick
 # chains.  Most simulated cycles are full-table retry storms, which is
-# exactly the regime the fused macro-tick runs batch; the scalar /
-# vector race on this point is the honest measure of that batching
-# (``kernel_speedup_serial_deep``).  ``--scale`` moves the RMAT graph
-# scale for exploration; CI and the committed figure use the default.
+# exactly the regime the fused macro-tick runs batch.  ``--scale``
+# moves the RMAT graph scale for exploration; CI and the committed
+# figure use the default.
 _DEEP = {
     "rmat_scale": 10,
     "edge_factor": 16,
@@ -113,17 +90,8 @@ _DEEP = {
 }
 
 
-def _tick_fraction(activity):
-    """Demand-engine tick fraction, or None on the legacy engine.
-
-    The legacy all-tick engine executes every component every cycle by
-    construction, so its "fraction" is the definition, not a
-    measurement -- recording 1.0 would let it be mistaken for a
-    demand-engine result.  Legacy passes record null instead.
-    """
-    if os.environ.get("REPRO_ENGINE") == "legacy":
-        return None
-    return round(activity.tick_fraction, 4)
+#: Version of the BENCH_sim.json layout; bump it when a key changes.
+SCHEMA = 2
 
 
 def _point(label_org):
@@ -145,7 +113,7 @@ def _point(label_org):
         "cycles": result.cycles,
         "gteps": result.gteps,
         "wall_s": round(wall, 3),
-        "tick_fraction": _tick_fraction(activity),
+        "tick_fraction": round(activity.tick_fraction, 4),
         "fresh_tokens": fresh,
         "allocs_per_cycle": round(fresh / result.cycles, 5)
         if result.cycles else 0.0,
@@ -153,9 +121,7 @@ def _point(label_org):
     }
 
 
-def run_pass(engine_kind, jobs, kernels="vector"):
-    os.environ["REPRO_ENGINE"] = engine_kind
-    os.environ["REPRO_KERNELS"] = kernels
+def run_pass(jobs):
     start = time.perf_counter()
     rows = run_points(_point, list(SUITE), jobs=jobs)
     wall = time.perf_counter() - start
@@ -163,12 +129,10 @@ def run_pass(engine_kind, jobs, kernels="vector"):
     for row in rows:
         activity.merge(row.pop("activity"))
     return {
-        "engine": engine_kind,
-        "kernels": kernels,
         "jobs": jobs,
         "wall_s": round(wall, 3),
         "points": rows,
-        "tick_fraction": _tick_fraction(activity),
+        "tick_fraction": round(activity.tick_fraction, 4),
         "allocs_per_cycle": round(
             sum(row["fresh_tokens"] for row in rows)
             / max(1, sum(row["cycles"] for row in rows)), 5
@@ -191,51 +155,15 @@ def _deep_config():
     return config
 
 
-def _deep_leg(graph, kernels):
-    os.environ["REPRO_ENGINE"] = "demand"
-    os.environ["REPRO_KERNELS"] = kernels
+def run_deep_pass(rmat_scale):
+    """Wall time and fusion coverage of the deep-queue point."""
+    graph = rmat_graph(rmat_scale, edge_factor=_DEEP["edge_factor"],
+                       seed=_DEEP["seed"])
     system = AcceleratorSystem(graph, "pagerank", _deep_config())
     start = time.perf_counter()
     result = system.run(max_iterations=_DEEP["iterations"])
     wall = time.perf_counter() - start
     activity = EngineActivity.from_engine(system.engine)
-    return {
-        "kernels": kernels,
-        "cycles": result.cycles,
-        "gteps": result.gteps,
-        "wall_s": round(wall, 3),
-        "tick_fraction": _tick_fraction(activity),
-        "fused_runs": activity.fused_runs,
-        "fused_cycles": activity.fused_cycles,
-        "mean_run_len": round(activity.mean_run_len, 1),
-        "fused_cycle_fraction": round(
-            activity.fused_cycles / result.cycles, 4
-        ) if result.cycles else 0.0,
-        "fusion_abort_reasons": {
-            reason: activity.fusion_abort_reasons[reason]
-            for reason in sorted(activity.fusion_abort_reasons)
-        },
-    }
-
-
-def run_deep_pass(rmat_scale):
-    """Scalar-vs-vector race on the deep-queue point.
-
-    Both legs run the demand engine with fusion at its default, so the
-    race isolates what the batched ``step_n`` kernels (closed-form LCG
-    jumps, columnar retry batches) buy over the same fused runs
-    executed with the scalar reference loops.  Cycle counts and per-run
-    stats are asserted identical -- the speedup is free of model drift
-    by construction.
-    """
-    graph = rmat_graph(rmat_scale, edge_factor=_DEEP["edge_factor"],
-                       seed=_DEEP["seed"])
-    scalar = _deep_leg(graph, "scalar")
-    vector = _deep_leg(graph, "vector")
-    assert scalar["cycles"] == vector["cycles"], (scalar, vector)
-    assert scalar["gteps"] == vector["gteps"], (scalar, vector)
-    assert scalar["fused_cycles"] == vector["fused_cycles"], \
-        (scalar, vector)
     return {
         "point": (
             f"PageRank / rmat-{rmat_scale} ef{_DEEP['edge_factor']} / "
@@ -249,67 +177,20 @@ def run_deep_pass(rmat_scale):
         "n_nodes": graph.n_nodes,
         "n_edges": graph.n_edges,
         "iterations": _DEEP["iterations"],
-        "cycles": scalar["cycles"],
-        "scalar": scalar,
-        "vector": vector,
-        "cycles_identical": True,
-        "kernel_speedup_serial_deep": round(
-            scalar["wall_s"] / vector["wall_s"], 2
-        ),
-    }
-
-
-def bench_pooling_off(quick):
-    """Token constructions per cycle with pooling disabled vs enabled.
-
-    ``REPRO_POOL`` is read once at import, so the pooling-off leg runs
-    in a fresh interpreter; the pooling-on leg matches it in-process on
-    the same point for an apples-to-apples allocation rate.
-    """
-    scale = _QUICK if quick else _FULL
-    script = (
-        "import json\n"
-        "from repro.accel.config import ArchitectureConfig, "
-        "SCALED_DEFAULTS, _design\n"
-        "from repro.accel.system import AcceleratorSystem\n"
-        "from repro.core import messages\n"
-        "from repro.experiments.common import bench_graph\n"
-        "from repro.fabric.design import MOMS_TWO_LEVEL\n"
-        f"graph = bench_graph({scale['graph']!r}, True)\n"
-        "config = ArchitectureConfig(_design(4, 4, MOMS_TWO_LEVEL, "
-        "'pagerank', n_channels=2), **SCALED_DEFAULTS)\n"
-        "system = AcceleratorSystem(graph, 'pagerank', config)\n"
-        "messages.reset_pool_counters()\n"
-        f"result = system.run(max_iterations={scale['iterations']})\n"
-        "print(json.dumps({'fresh': messages.fresh_allocations(), "
-        "'cycles': result.cycles, "
-        "'pooling': messages.POOLING_ENABLED}))\n"
-    )
-
-    def leg(pool_env):
-        env = dict(os.environ)
-        env["REPRO_POOL"] = pool_env
-        env["REPRO_ENGINE"] = "demand"
-        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        output = subprocess.run(
-            [sys.executable, "-c", script], env=env, check=True,
-            capture_output=True, text=True,
-        ).stdout
-        return json.loads(output.strip().splitlines()[-1])
-
-    off = leg("0")
-    on = leg("1")
-    assert off["cycles"] == on["cycles"], (off, on)
-    assert not off["pooling"] and on["pooling"]
-    return {
-        "point": f"PageRank / {scale['graph']} / two-level 4x4",
-        "cycles": on["cycles"],
-        "allocs_per_cycle_unpooled": round(off["fresh"] / off["cycles"], 4),
-        "allocs_per_cycle_pooled": round(on["fresh"] / on["cycles"], 4),
-        "allocation_reduction": round(
-            off["fresh"] / max(1, on["fresh"]), 1
-        ),
+        "cycles": result.cycles,
+        "gteps": result.gteps,
+        "wall_s": round(wall, 3),
+        "tick_fraction": round(activity.tick_fraction, 4),
+        "fused_runs": activity.fused_runs,
+        "fused_cycles": activity.fused_cycles,
+        "mean_run_len": round(activity.mean_run_len, 1),
+        "fused_cycle_fraction": round(
+            activity.fused_cycles / result.cycles, 4
+        ) if result.cycles else 0.0,
+        "fusion_abort_reasons": {
+            reason: activity.fusion_abort_reasons[reason]
+            for reason in sorted(activity.fusion_abort_reasons)
+        },
     }
 
 
@@ -409,7 +290,6 @@ def bench_checks_overhead(repeats=3):
     cost stays visible in BENCH_sim.json, and cycle counts are asserted
     identical between the two runs -- checks observe, never perturb.
     """
-    os.environ["REPRO_ENGINE"] = "demand"
     graph = web_graph(600, 3000, seed=9)
     config = ArchitectureConfig(
         _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
@@ -477,7 +357,6 @@ def bench_telemetry_overhead(repeats=3):
     """
     from repro.telemetry import TelemetryConfig
 
-    os.environ["REPRO_ENGINE"] = "demand"
     graph = web_graph(600, 3000, seed=9)
     config = ArchitectureConfig(
         _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
@@ -551,7 +430,6 @@ def bench_checkpoint_overhead(repeats=3):
     -- and its wall clock plus the checkpointer's own write accounting
     record what periodic snapshots actually cost.
     """
-    os.environ["REPRO_ENGINE"] = "demand"
     graph = web_graph(600, 3000, seed=9)
     config = ArchitectureConfig(
         _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
@@ -626,7 +504,6 @@ def bench_tracing_overhead(repeats=3):
     """
     from repro.tracing import SpansConfig
 
-    os.environ["REPRO_ENGINE"] = "demand"
     graph = web_graph(600, 3000, seed=9)
     config = ArchitectureConfig(
         _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
@@ -725,59 +602,35 @@ def main(argv=None):
         cache_tmp = tempfile.mkdtemp(prefix="repro-graph-cache-")
         os.environ["REPRO_GRAPH_CACHE"] = cache_tmp
 
-    print(f"baseline pass: legacy engine, scalar kernels, serial "
-          f"({len(SUITE)} points)")
-    baseline = run_pass("legacy", jobs=1, kernels="scalar")
-    print(f"  wall {baseline['wall_s']:.2f}s")
-    print("optimized pass (serial, scalar kernels): demand engine, jobs=1")
-    demand_scalar = run_pass("demand", jobs=1, kernels="scalar")
-    print(f"  wall {demand_scalar['wall_s']:.2f}s")
-    print("optimized pass (serial, vector kernels): demand engine, jobs=1")
-    optimized_serial = run_pass("demand", jobs=1, kernels="vector")
-    print(f"  wall {optimized_serial['wall_s']:.2f}s")
-    print(f"  {optimized_serial['summary']}")
+    print(f"serial pass: {len(SUITE)} points, jobs=1")
+    serial = run_pass(jobs=1)
+    print(f"  wall {serial['wall_s']:.2f}s")
+    print(f"  {serial['summary']}")
     if jobs > 1:
-        print(f"optimized pass (parallel): demand engine, jobs={jobs}")
-        optimized_parallel = run_pass("demand", jobs=jobs, kernels="vector")
-        print(f"  wall {optimized_parallel['wall_s']:.2f}s")
+        print(f"parallel pass: jobs={jobs}")
+        parallel = run_pass(jobs=jobs)
+        print(f"  wall {parallel['wall_s']:.2f}s")
+        for before, after in zip(serial["points"], parallel["points"]):
+            assert before["cycles"] == after["cycles"], (before, after)
+            assert before["gteps"] == after["gteps"], (before, after)
     else:
         # Record the skip instead of null, so the report distinguishes
         # "host cannot parallelize" from "pass silently missing" (the
         # CI gate treats this as pass-with-note).
-        optimized_parallel = {
+        parallel = {
             "skipped": ("cpu_count=1" if os.cpu_count() == 1
                         else "jobs=1 (REPRO_JOBS)"),
             "cpu_count": os.cpu_count(),
             "jobs": jobs,
         }
-        print("optimized pass (parallel): skipped "
-              f"({optimized_parallel['skipped']}; set REPRO_JOBS to "
-              "override)")
+        print("parallel pass: skipped "
+              f"({parallel['skipped']}; set REPRO_JOBS to override)")
 
-    passes = [demand_scalar, optimized_serial]
-    if "skipped" not in optimized_parallel:
-        passes.append(optimized_parallel)
-    for optimized in passes:
-        for before, after in zip(baseline["points"], optimized["points"]):
-            assert before["cycles"] == after["cycles"], (before, after)
-            assert before["gteps"] == after["gteps"], (before, after)
-
-    print(f"deep-queue pass: rmat-{args.scale}, MSHR-starved shared "
-          "1x1, scalar vs vector kernels")
+    print(f"deep-queue point: rmat-{args.scale}, MSHR-starved shared 1x1")
     deep = run_deep_pass(args.scale)
-    print(f"  scalar {deep['scalar']['wall_s']:.2f}s, vector "
-          f"{deep['vector']['wall_s']:.2f}s -> "
-          f"{deep['kernel_speedup_serial_deep']:.2f}x over "
-          f"{deep['cycles']:,} cycles "
-          f"({100 * deep['vector']['fused_cycle_fraction']:.0f}% fused, "
-          f"{deep['vector']['fused_runs']} runs of mean "
-          f"{deep['vector']['mean_run_len']:.0f})")
-
-    print("pooling micro: allocations/cycle with freelists off vs on")
-    pooling = bench_pooling_off(args.quick)
-    print(f"  {pooling['allocs_per_cycle_unpooled']} -> "
-          f"{pooling['allocs_per_cycle_pooled']} allocations/cycle "
-          f"({pooling['allocation_reduction']}x fewer)")
+    print(f"  {deep['wall_s']:.2f}s over {deep['cycles']:,} cycles "
+          f"({100 * deep['fused_cycle_fraction']:.0f}% fused, "
+          f"{deep['fused_runs']} runs of mean {deep['mean_run_len']:.0f})")
 
     print("checks-overhead gate: implied checks-off cost vs 3% budget")
     checks = bench_checks_overhead()
@@ -814,12 +667,8 @@ def main(argv=None):
           f"{checkpoint['write_ms_each']}ms / "
           f"{checkpoint['snapshot_bytes']} bytes each")
 
-    vector_passes = [p for p in passes if p["kernels"] == "vector"]
-    best_wall = min(p["wall_s"] for p in vector_passes)
-    combined = baseline["wall_s"] / best_wall
-    engine_speedup = baseline["wall_s"] / demand_scalar["wall_s"]
-    kernel_speedup = demand_scalar["wall_s"] / optimized_serial["wall_s"]
     report = {
+        "schema": SCHEMA,
         "suite": f"PageRank/{_SCALE['graph']} quick suite "
                  "(shared, private, two-level, traditional)",
         "quick": args.quick,
@@ -828,17 +677,14 @@ def main(argv=None):
             "python": platform.python_version(),
             "jobs": jobs,
         },
-        "baseline_legacy_serial": baseline,
-        "optimized_demand_scalar_serial": demand_scalar,
-        "optimized_demand_serial": optimized_serial,
-        "optimized_demand_parallel": optimized_parallel,
-        "deep_pass": deep,
-        "engine_speedup_serial": round(engine_speedup, 2),
-        "kernel_speedup_serial": round(kernel_speedup, 2),
-        "kernel_speedup_serial_deep": deep["kernel_speedup_serial_deep"],
-        "combined_speedup": round(combined, 2),
+        "serial": serial,
+        "parallel": parallel,
+        "parallel_speedup": (
+            None if "skipped" in parallel
+            else round(serial["wall_s"] / parallel["wall_s"], 2)
+        ),
         "cycles_identical": True,
-        "pooling_micro": pooling,
+        "deep_pass": deep,
         "push_many_micro": bench_push_many(),
         "checks_overhead": checks,
         "telemetry_overhead": telemetry,
@@ -847,11 +693,6 @@ def main(argv=None):
     }
     with open(args.output, "w") as fh:
         json.dump(report, fh, indent=2)
-    print(f"engine speedup {engine_speedup:.2f}x serial; kernel speedup "
-          f"{kernel_speedup:.2f}x on top; deep-queue kernel speedup "
-          f"{deep['kernel_speedup_serial_deep']:.2f}x; combined "
-          f"{combined:.2f}x (best of serial/parallel, jobs={jobs} on "
-          f"{os.cpu_count()} cpus)")
     print(f"wrote {args.output}")
     return 0
 

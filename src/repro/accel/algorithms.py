@@ -67,7 +67,7 @@ def pagerank_spec():
         """Columnar apply+encode: same IEEE ops as apply(), elementwise.
 
         The expression keeps apply()'s association -- d * (base + v) / c
-        -- so float64 intermediates match the scalar path bit for bit;
+        -- so float64 intermediates match apply() bit for bit;
         the f32 cast then matches f32_to_bits exactly.  Sink lanes
         (OD = 0) are masked to 0.0 after the division, whose inf/nan
         lanes are discarded.

@@ -30,7 +30,6 @@ import numpy as np
 from repro.graph.encoding import EDGE_DST_BITS, EDGE_SRC_BITS, TERMINATOR_BIT
 from repro.mem.dram import LINE_BYTES, MemResponse, _acquire_request
 from repro.sim import Component
-from repro.sim.kernels import kernels_mode
 
 IDLE = "idle"
 INIT_CONST = "init_const"
@@ -105,18 +104,18 @@ class BurstRequester:
 
 
 class _EdgeColumns:
-    """Columnar decoded-edge backlog (``REPRO_KERNELS=vector``).
+    """Columnar decoded-edge backlog.
 
-    The scalar path queues one (src, dst, weight) tuple per edge; the
-    vector path decodes a whole DMA beat with numpy and lands the
-    results here as parallel columns, including two precomputed ones
-    the scalar path derives per edge at dispatch time: the BRAM-local
-    mask and the MOMS byte address of each source value.  Consumption
-    stays one edge per cycle (an architectural rate), so the head is an
-    index that advances and periodically compacts instead of a popleft.
+    A whole DMA beat is decoded with numpy and lands here as parallel
+    columns (source node, destination offset, weight), plus two
+    precomputed per edge so dispatch need not derive them: the
+    BRAM-local mask and the MOMS byte address of each source value.
+    Consumption stays one edge per cycle (an architectural rate), so
+    the head is an index that advances and periodically compacts
+    instead of a popleft.
 
-    ``len()``/truthiness report the undispatched count -- telemetry and
-    the stream bookkeeping use it exactly like the scalar deque's.
+    ``len()``/truthiness report the undispatched count (telemetry reads
+    it).
     """
 
     __slots__ = ("src", "dst", "w", "local", "addr", "head")
@@ -166,7 +165,6 @@ class PEStats:
 class ProcessingElement(Component):
     """One out-of-order multithreaded PE."""
 
-    demand_driven = True
     # Opt-in invariant ledger; class attribute so the unchecked path
     # pays one "is None" test per MOMS event (see repro.faults).
     _ledger = None
@@ -220,17 +218,7 @@ class ProcessingElement(Component):
         self._job = None
         self._engine = None
         self._pipeline = deque()  # (commit_cycle, dst_off, new, old)
-        # Columnar engine v2: resolved at construction (like the bank
-        # kernels and REPRO_ENGINE), so one process can race both modes.
-        self._vec = kernels_mode() == "vector"
-        if self._vec:
-            self._edge_queue = _EdgeColumns()
-        else:
-            self._edge_queue = deque()  # (src_node, dst_off, weight)
-        self._decode_step = (self._decode_edge_beats_vec if self._vec
-                             else self._decode_edge_beats)
-        self._dispatch_step = (self._process_edges_vec if self._vec
-                               else self._process_edges)
+        self._edge_queue = _EdgeColumns()
         # Mirror of len(self._edge_queue), maintained at the decode and
         # dispatch sites.  The stream loop and _arm() test the backlog
         # every tick; a plain int keeps that off the _EdgeColumns
@@ -264,10 +252,6 @@ class ProcessingElement(Component):
         if phase != IDLE:
             self.stats.busy_cycles += 1
             self.stats.note_phase(phase)
-            # A busy PE's state machine can always progress on a later
-            # cycle (e.g. phase transitions, rate budgets); never let the
-            # engine declare the system dead while a job is in flight.
-            engine.mark_active()
         self._arm(engine)
 
     def _arm(self, engine):
@@ -305,7 +289,7 @@ class ProcessingElement(Component):
             if (self.dma_resp._visible or self.moms_resp._visible
                     or self._can_stream_more()):
                 # Beats to decode, responses to serve (or spin on a RAW
-                # hazard, matching the all-tick stall cadence), or a
+                # hazard, one stall per cycle), or a
                 # burst slot worth retrying.
                 engine.wake(self)
                 return
@@ -313,13 +297,7 @@ class ProcessingElement(Component):
                 # Progress on the head edge is all that remains; wake
                 # only if it can move without an external event.
                 queue = self._edge_queue
-                if self._vec:
-                    local_head = queue.local[queue.head]
-                else:
-                    src_node = queue[0][0]
-                    local_head = (self.spec.use_local_src
-                                  and self._lo <= src_node < self._hi)
-                if local_head:
+                if queue.local[queue.head]:
                     engine.wake(self)  # local read, gated only on gather
                 elif self.spec.weighted and not self._free_ids:
                     pass  # IDs free only via responses -> moms_resp wake
@@ -412,7 +390,7 @@ class ProcessingElement(Component):
         # The per-cycle apply loop with an m-cycle budget: identical
         # word order and chunk trimming, one loop instead of m.
         budget_words = m * per
-        if self._apply_vec:
+        if self._apply_values:
             target = (self._const_bram if self._phase == INIT_CONST
                       else self._bram)
             while budget_words > 0 and backlog:
@@ -487,15 +465,10 @@ class ProcessingElement(Component):
                 m = h
         if m < 1:
             return 0
-        if self._vec:
-            cols = self._edge_queue
-            head = cols.head
-            local = cols.local[head]
-            dst_off = cols.dst[head]
-        else:
-            src_node, dst_off, _ = self._edge_queue[0]
-            local = (self.spec.use_local_src
-                     and self._lo <= src_node < self._hi)
+        cols = self._edge_queue
+        head = cols.head
+        local = cols.local[head]
+        dst_off = cols.dst[head]
         moms_full = False
         if local:
             if not self._raw_hazard(dst_off):
@@ -507,9 +480,8 @@ class ProcessingElement(Component):
             if not moms_full and not (self.spec.weighted
                                       and not self._free_ids):
                 return 0  # head would issue into the MOMS
-        decode = self._decode_step
         for _ in range(m):
-            decode()
+            self._decode_edge_beats()
         stats = self.stats
         if local:
             stats.raw_stalls += m
@@ -562,11 +534,11 @@ class ProcessingElement(Component):
         self._rd_burst_outstanding = 0
         self._apply_backlog = deque()  # (start_index, words array)
         self._applied = 0
-        # Vector mode lands each beat as ready-to-store float64 values
-        # (init already folded in), so the budgeted apply loop becomes
-        # a slice assignment.  INIT_VIN needs the spec's columnar init;
-        # a spec without one keeps the scalar per-word path.
-        self._apply_vec = self._vec and (
+        # Each beat lands as ready-to-store float64 values (init
+        # already folded in), so the budgeted apply loop becomes a
+        # slice assignment.  INIT_VIN needs the spec's columnar init;
+        # a spec without one keeps the per-word init path.
+        self._apply_values = (
             phase == INIT_CONST or self.spec.init_vec is not None
         )
 
@@ -593,7 +565,7 @@ class ProcessingElement(Component):
             base = self._rd_base
             n_local = self._n_local
             backlog = self._apply_backlog
-            if self._apply_vec:
+            if self._apply_values:
                 # One numpy pass per 16-word beat: widen (and for
                 # INIT_VIN, init) the whole beat now; the budget loop
                 # below only slices.  astype/init_vec copy, so the
@@ -612,9 +584,8 @@ class ProcessingElement(Component):
                             const_bram[start:start + count], words
                         )
                     backlog.append((start, vals))
-                    if pool is not None:
-                        beat.data = None
-                        pool.append(beat)
+                    beat.data = None
+                    pool.append(beat)
             else:
                 for beat in beats:
                     start = (beat.addr - base) // 4
@@ -622,16 +593,13 @@ class ProcessingElement(Component):
                     backlog.append(
                         (start, beat.data[:4 * count].view(np.uint32).tolist())
                     )
-                    if pool is not None:
-                        beat.data = None
-                        pool.append(beat)
+                    beat.data = None
+                    pool.append(beat)
             self._rd_burst_outstanding -= len(beats)
             self._rd_received += len(beats)
-        if self._apply_backlog:
-            engine.mark_active()  # BRAM writes advance without channel traffic
         # Apply at the BRAM port rate (4 node writes per cycle).
         budget = self.config.init_nodes_per_cycle
-        if self._apply_vec:
+        if self._apply_values:
             target = (self._const_bram if self._phase == INIT_CONST
                       else self._bram)
             while budget > 0 and self._apply_backlog:
@@ -699,10 +667,9 @@ class ProcessingElement(Component):
         if beats:
             self._ptr_beats_received += len(beats)
             pool = MemResponse._pool
-            if pool is not None:
-                for beat in beats:
-                    beat.data = None
-                    pool.append(beat)
+            for beat in beats:
+                beat.data = None
+                pool.append(beat)
         if self._ptr_beats_received < self._ptr_beats_expected:
             return
         # Parse the pointers (bit-identical to the transferred beats).
@@ -744,18 +711,16 @@ class ProcessingElement(Component):
                     bram[dst_off] = new
                     if always_active or new != old:
                         self._job_updated = True
-            if pipeline:
-                engine.mark_active()  # internal state is advancing
         if self._stream_cursor < len(self._shards):
             self._request_edge_bursts()
         if self.dma_resp._visible:
-            self._decode_step()
+            self._decode_edge_beats()
         if self.moms_resp._visible:
             gather_free = self._process_response()
         else:
             gather_free = True
         if self._edges_queued:
-            self._dispatch_step(gather_free)
+            self._process_edges(gather_free)
         if not (self._bursts_outstanding or self._edges_queued
                 or self._pipeline or self._outstanding_moms):
             if self._stream_done():
@@ -788,62 +753,14 @@ class ProcessingElement(Component):
             return  # one burst issued per cycle
 
     def _decode_edge_beats(self):
-        # Pull up to one beat per cycle from the DMA queue (512-bit
-        # port) -- an architectural rate, not a simulator artifact.
-        if not self.dma_resp._visible:
-            return
-        beat = self.dma_resp.pop()
-        tag = beat.tag
-        if tag[0] != "edges":
-            raise AssertionError(f"unexpected DMA beat {tag} in stream")
-        s = tag[1]
-        if beat.last:
-            self._bursts_outstanding -= 1
-        self._beats_outstanding -= 1
-        # Decode over plain Python ints (one bulk conversion) -- numpy
-        # scalar iteration costs ~10x per word on this hot path.  The
-        # conversion copies, so the beat recycles before the decode.
-        words = beat.data.view(np.uint32).tolist()
-        pool = MemResponse._pool
-        if pool is not None:
-            beat.data = None
-            pool.append(beat)
-        weighted = self.spec.weighted
-        src_base = s * self._ns
-        shard = self._shard_by_s[s]
-        if weighted:
-            edge_words = words[0::2]
-            weight_words = words[1::2]
-        else:
-            edge_words = words
-            weight_words = None
-        append = self._edge_queue.append
-        decoded = 0
-        for i, word in enumerate(edge_words):
-            if word & TERMINATOR_BIT:
-                break
-            append((
-                src_base + ((word >> EDGE_DST_BITS) & _SRC_MASK),
-                word & _DST_MASK,
-                weight_words[i] if weighted else 0,
-            ))
-            decoded += 1
-        self._edges_queued += decoded
-        shard["edges_decoded"] += decoded
-        if shard["edges_decoded"] > shard["count"]:
-            # Padding within the final line is cut by the
-            # terminator; exceeding the count means corruption.
-            raise AssertionError("decoded more edges than the shard has")
+        """Decode one DMA beat of compressed edges into the backlog.
 
-    def _decode_edge_beats_vec(self):
-        """Columnar beat decode (``REPRO_KERNELS=vector``).
-
-        Same one-beat-per-cycle rate as the scalar decoder, but the
-        terminator cut, src/dst field extraction, local-source mask,
-        and MOMS byte address are whole-beat numpy passes landing
-        straight into the :class:`_EdgeColumns` backlog -- the scalar
-        dispatcher's per-edge bound checks and address arithmetic are
-        precomputed here once.
+        One beat per cycle (512-bit port) -- an architectural rate, not
+        a simulator artifact.  The terminator cut, src/dst field
+        extraction, local-source mask, and MOMS byte address are
+        whole-beat numpy passes landing straight into the
+        :class:`_EdgeColumns` backlog, so the dispatcher's per-edge
+        bound checks and address arithmetic are done here once.
         """
         if not self.dma_resp._visible:
             return
@@ -883,10 +800,8 @@ class ProcessingElement(Component):
             else:
                 cols.local.extend([False] * n)
             cols.addr.extend((self.layout.v_in_addr + srcs * 4).tolist())
-        pool = MemResponse._pool
-        if pool is not None:
-            beat.data = None
-            pool.append(beat)
+        beat.data = None
+        MemResponse._pool.append(beat)
         self._edges_queued += n
         shard = self._shard_by_s[s]
         shard["edges_decoded"] += n
@@ -898,16 +813,6 @@ class ProcessingElement(Component):
             if entry_dst == dst_off:
                 return True
         return False
-
-    def _commit_pipeline(self, engine):
-        pipeline = self._pipeline
-        while pipeline and pipeline[0][0] <= engine.now:
-            _, dst_off, new, old = pipeline.popleft()
-            self._bram[dst_off] = new
-            if self.spec.always_active or new != old:
-                self._job_updated = True
-        if pipeline:
-            engine.mark_active()  # internal state is advancing
 
     def _enter_pipeline(self, engine, dst_off, u_value, weight):
         old = self._bram[dst_off]
@@ -955,57 +860,8 @@ class ProcessingElement(Component):
         return False
 
     def _process_edges(self, gather_free):
-        if not self._edges_queued:
-            return
-        src_node, dst_off, weight = self._edge_queue[0]
-        local = self.spec.use_local_src and self._lo <= src_node < self._hi
-        if local:
-            if not gather_free:
-                return
-            if self._raw_hazard(dst_off):
-                self.stats.raw_stalls += 1
-                return
-            self._edge_queue.popleft()
-            self._edges_queued -= 1
-            u_value = self._bram[src_node - self._lo]
-            self._enter_pipeline(self._engine, dst_off, u_value, weight)
-            self.stats.local_reads += 1
-            return
-        # Remote source: suspend the edge into the MOMS.
-        moms_req = self.moms_req
-        if moms_req._occ + moms_req._staged_n >= moms_req.capacity:
-            self.stats.moms_request_stalls += 1
-            moms_req.request_space_wake(self)
-            return
-        if self.spec.weighted:
-            if not self._free_ids:
-                self.stats.id_stalls += 1
-                return
-            req_id = self._free_ids.popleft()
-            self._id_state[req_id] = (dst_off, weight)
-        else:
-            req_id = dst_off
-        self._edge_queue.popleft()
-        self._edges_queued -= 1
-        addr = self.layout.v_in_addr + src_node * 4
-        moms_req.push_request(addr, 4, req_id, self.pe_index)
-        if self._ledger is not None:
-            self._ledger.issue(("pe", self.pe_index), req_id)
-        if self._tele is not None:
-            self._tele.moms_issue(self.pe_index, req_id, self._engine.now)
-        if self._trace is not None:
-            self._trace.moms_issue(self.pe_index, req_id, addr,
-                                   self._engine.now)
-        self._outstanding_moms += 1
-        self.stats.moms_reads += 1
-
-    def _process_edges_vec(self, gather_free):
-        """Dispatch the head edge from the columnar backlog.
-
-        Mirrors :meth:`_process_edges` decision-for-decision (same
-        stalls, same stats) but reads the precomputed local mask and
-        MOMS address columns instead of re-deriving them per edge.
-        """
+        """Dispatch the head edge: a local BRAM read into the gather
+        pipeline, or a MOMS request that suspends the edge."""
         if not self._edges_queued:
             return
         cols = self._edge_queue
@@ -1069,11 +925,12 @@ class ProcessingElement(Component):
         self._set_phase(WRITEBACK)
         n = self._n_local
         apply_enc_vec = self.spec.apply_enc_vec
-        if self._vec and apply_enc_vec is not None:
+        if apply_enc_vec is not None:
             # Whole-interval apply+encode in one columnar pass; the
-            # hooks keep the scalar operation order so the resulting
-            # words are bit-identical (float64 elementwise IEEE ops,
-            # then the same f32/u32 narrowing per lane).
+            # hooks keep the per-node operation order so the resulting
+            # words are bit-identical to the apply/encode fallback
+            # below (float64 elementwise IEEE ops, then the same
+            # f32/u32 narrowing per lane).
             words = apply_enc_vec(
                 self._bram[:n], self._const_bram[:n], self._base_const
             )
@@ -1100,12 +957,8 @@ class ProcessingElement(Component):
             for ack in acks:
                 if not ack.is_write_ack:
                     raise AssertionError("unexpected read beat in writeback")
-                if pool is not None:
-                    pool.append(ack)
+                pool.append(ack)
             self._wb_acks_received += len(acks)
-        total_bytes = self._n_local * 4
-        if self._wb_sent < total_bytes:
-            engine.mark_active()  # BRAM reads advance without channel traffic
         # The BRAM read port feeds 4 node values per cycle into the DMA.
         self._wb_ready_budget = min(
             self._wb_ready_budget + self.config.init_nodes_per_cycle * 4,

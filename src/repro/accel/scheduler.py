@@ -30,8 +30,6 @@ class Job:
 class Scheduler(Component):
     """Issues jobs to PEs and collects their completions."""
 
-    demand_driven = True
-
     def __init__(self, job_channel, done_channel, partitioning):
         self.job_channel = job_channel
         self.done_channel = done_channel

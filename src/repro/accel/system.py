@@ -27,7 +27,7 @@ from repro.graph.layout import GraphLayout
 from repro.graph.partition import partition_edges
 from repro.graph.reorder import compose, dbg_reorder, hash_cache_lines
 from repro.mem.system import MemorySystem
-from repro.sim import Channel, make_engine
+from repro.sim import Channel, Engine
 
 
 @dataclass
@@ -192,7 +192,7 @@ class AcceleratorSystem:
         config = self.config
         design = config.design
         spec = self.spec
-        self.engine = make_engine()
+        self.engine = Engine()
         self.partitioning = partition_edges(
             self.graph, config.nodes_per_src_interval,
             config.nodes_per_dst_interval,
@@ -427,6 +427,16 @@ class AcceleratorSystem:
         )
 
     def _collect_stats(self):
+        """The per-run stats dict (``RunResult.stats``).
+
+        ``moms_request_stalls`` and the ``stall_breakdown`` counters
+        count stalled *ticks*, not stalled cycles: a PE or bank that
+        sleeps through an idempotent stall until its wake fires is not
+        ticked and counts nothing for those cycles, so the numbers are
+        deterministic but smaller than a per-cycle count (DESIGN 6.1).
+        Exact per-cycle stall attribution is telemetry's
+        (``stats["telemetry"]``).
+        """
         design = self.config.design
         # Macro-tick bookkeeping (fused_runs & co.) describes how the
         # engine advanced time, and legitimately varies with hook

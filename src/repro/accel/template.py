@@ -48,10 +48,9 @@ class AlgorithmSpec:
     finalize: Callable = None      # (dram uint32 array, graph) -> host array
     global_const: Callable = None  # (graph) -> scalar passed to init
 
-    # Columnar kernels (``REPRO_KERNELS=vector``): whole-array forms of
-    # the scalar hooks, bit-identical element-for-element.  Optional --
-    # a spec that omits them runs the scalar hooks even under the
-    # vector engine.
+    # Columnar forms of the per-node hooks, bit-identical element for
+    # element.  Optional -- a PE runs the per-node hooks for a spec that
+    # omits them.
     init_vec: Optional[Callable] = None
     """(const float64 slice, dram uint32 words) -> float64 BRAM values."""
     apply_enc_vec: Optional[Callable] = None

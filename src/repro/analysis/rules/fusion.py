@@ -184,7 +184,7 @@ _SPACE_ATTRS = frozenset({"_space_subs", "_space_requests"})
 # the kernel-visible operations on them (push/pop/wake) are checked at
 # the call site by name.
 _SKIP_CLASSES = frozenset({
-    "Channel", "SoaChannel", "DelayLine", "Engine", "LegacyEngine",
+    "Channel", "SoaChannel", "DelayLine", "Engine",
 })
 
 

@@ -31,7 +31,7 @@ class DirectTokenConstructionRule(Rule):
     severity = "error"
     summary = "no direct pooled-token constructor calls on hot paths"
     rationale = (
-        "Steady-state allocation-free operation (REPRO_POOL, DESIGN.md "
+        "Steady-state allocation-free operation (token freelists, DESIGN.md "
         "6.4) holds only while every hot-path token comes from a "
         "freelist acquire; one direct constructor call re-introduces "
         "per-cycle allocation and garbage pressure, and the pool "

@@ -25,10 +25,10 @@ Deliberately *not* part of a snapshot (and why it is sound):
   refills its freelists from fresh allocations.
 * **Pool counters** (:func:`repro.core.messages.pool_stats`) --
   process-local allocation telemetry, not simulated state.
-* **Environment knobs** (``REPRO_ENGINE``, ``REPRO_KERNELS``,
-  ``REPRO_POOL``) -- resolved into instance flags at construction
-  time, so the snapshot inherently carries the modes it was built
-  under and the restoring process's environment cannot skew them.
+* **Environment knobs** (``REPRO_FUSION``) -- resolved into instance
+  state at construction time, so the snapshot inherently carries the
+  fusion cap it was built under and the restoring process's
+  environment cannot skew it.
 """
 
 import io
@@ -118,7 +118,7 @@ def _register_all():
     from repro.mem.interleave import AddressInterleaver
     from repro.mem.system import MemorySystem
     from repro.sim.channel import Channel, DelayLine, SoaChannel
-    from repro.sim.engine import Engine, LegacyEngine
+    from repro.sim.engine import Engine
     from repro.telemetry.collector import (
         LatencyHistogram,
         Telemetry,
@@ -131,7 +131,6 @@ def _register_all():
     for cls, note in (
         # simulation kernel
         (Engine, "now/counters, wake set, timer heap, channel list"),
-        (LegacyEngine, "as Engine (all-tick schedule)"),
         (Channel, "ring buffer, head/visible/staged cursors, waiters"),
         (SoaChannel, "as Channel plus struct-of-arrays field columns"),
         (DelayLine, "in-flight (ready_time, token) queue"),

@@ -7,12 +7,12 @@ steps, wrapped in a self-describing container::
     magic "RPSN" | u32 header length | JSON header | zlib(pickle(system))
 
 The JSON header carries the format version, the snapshot cycle, the
-engine kind and kernel mode the system was built under, the workload
-identity, and a sha256 of the compressed payload.  Readers verify the
-magic, reject *newer* format versions (older ones are accepted -- the
-compatibility policy is DESIGN.md Section 6.7), and verify the checksum
-before unpickling, so a torn or corrupted file fails loudly instead of
-resuming garbage.
+workload identity, and a sha256 of the compressed payload.  Readers
+verify the magic, reject *newer* format versions (older ones are
+accepted -- the compatibility policy is DESIGN.md Section 6.7), reject
+snapshots of execution strategies that no longer exist, and verify the
+checksum before unpickling, so a torn or corrupted file fails loudly
+instead of resuming garbage.
 
 Writes go to a temporary file in the destination directory, are
 fsynced, and are moved into place with ``os.replace`` -- readers
@@ -35,15 +35,16 @@ SNAPSHOT_FORMAT = 1
 _HEADER_LEN = struct.Struct(">I")
 
 
+#: Header keys older writers recorded, with the one value whose pickled
+#: state still exists.  Any other value means the payload holds an
+#: all-tick engine or scalar-kernel structures (deques, list-of-rows
+#: chains) that no longer exist, so the header is refused before the
+#: payload is unpickled.
+_RETIRED_HEADER_KEYS = {"engine": "demand", "kernels": "vector"}
+
+
 class SnapshotError(RuntimeError):
     """A snapshot could not be written, read, or trusted."""
-
-
-def _engine_kind(engine):
-    # Local import keeps module import order trivial.
-    from repro.sim.engine import LegacyEngine
-
-    return "legacy" if isinstance(engine, LegacyEngine) else "demand"
 
 
 def save_snapshot(system, path, meta=None):
@@ -64,8 +65,6 @@ def save_snapshot(system, path, meta=None):
     header = {
         "format": SNAPSHOT_FORMAT,
         "cycle": system.engine.now,
-        "engine": _engine_kind(system.engine),
-        "kernels": system.hierarchy.kernels,
         "algorithm": system.spec.name,
         "organization": system.config.design.organization,
         "iterations": getattr(system, "_run_iterations", 0),
@@ -124,6 +123,14 @@ def _read_header_from(fh, path):
             f"than this code understands (<= {SNAPSHOT_FORMAT}); "
             f"replay it with the code version that wrote it"
         )
+    for key, supported in _RETIRED_HEADER_KEYS.items():
+        if header.get(key, supported) != supported:
+            raise SnapshotError(
+                f"{path}: snapshot header {key}={header[key]!r} holds "
+                f"state of an execution strategy this code no longer has "
+                f"(only {key}={supported!r} snapshots can be restored); "
+                f"replay it with the code version that wrote it"
+            )
     return header
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.cache import CacheArray
-from repro.sim.kernels import kernels_mode
 from repro.core.mshr import AssociativeMshrFile, CuckooMshrFile
 from repro.core.subentry import SubentryStore
 from repro.sim import Component
@@ -105,7 +104,6 @@ class MomsBank(Component):
     to request missing lines.
     """
 
-    demand_driven = True
     # Opt-in hooks; class attributes so the unchecked path pays one
     # "is None" test per event (see repro.faults).
     _ledger = None
@@ -117,12 +115,8 @@ class MomsBank(Component):
     _trace = None
 
     def __init__(self, params, req_in, resp_out, line_in, downstream,
-                 store, name="bank", seed=1, kernels=None):
+                 store, name="bank", seed=1):
         self.params = params
-        # Kernel mode is resolved at construction (like the engine kind):
-        # 'vector' stores drains/subentries column-wise and batch-hashes
-        # queued lines; 'scalar' keeps the reference per-token loops.
-        self._vec = (kernels or kernels_mode()) == "vector"
         self.req_in = req_in
         self.resp_out = resp_out
         self.line_in = line_in
@@ -142,17 +136,7 @@ class MomsBank(Component):
         self._stateful_mshrs = not params.associative_mshrs
         self.subentries = SubentryStore(
             params.n_subentries, row_size=params.subentry_row_size,
-            columnar=self._vec,
         )
-        # Cuckoo slot priming only applies to the hashed file.
-        self._vec_prime = self._vec and not params.associative_mshrs
-        self._drain_step = self._drain_one_vec if self._vec \
-            else self._drain_one
-        # Bind the concrete append once: SubentryStore.append dispatches
-        # on self.columnar per call, and _handle_request appends on
-        # every secondary and primary miss.
-        self._sub_append = (self.subentries._append_columnar if self._vec
-                            else self.subentries.append)
         self.cache = CacheArray(
             params.cache_lines,
             assoc=params.cache_assoc,
@@ -160,7 +144,6 @@ class MomsBank(Component):
         )
         self.stats = BankStats()
         self._drain_chain = None
-        self._drain_items = None
         self._drain_addrs = None
         self._drain_index = 0
         self._drain_data = None
@@ -173,10 +156,10 @@ class MomsBank(Component):
         # overhead on the (frequent) idle cycles.
         if self._tele is not None:
             self._tele.bank_before_tick(self, engine.now)
-        if self._drain_items is not None:
-            self._drain_step()
+        if self._drain_chain is not None:
+            self._drain_one()
             self.stats.busy_cycles += 1
-            if self._drain_items is not None:
+            if self._drain_chain is not None:
                 # Mid-drain: keep stepping while the port has room; a
                 # port that is full (whether this cycle's push filled
                 # it or _drain_one stalled on it) hands the restart to
@@ -209,9 +192,9 @@ class MomsBank(Component):
                 # rolled back for a missing subentry row): the victim-way
                 # generator and possibly the table layout advanced, so
                 # the retry cadence is architecturally visible.  Retry
-                # every cycle, exactly like the all-tick engine, or a
-                # different attempt would succeed and change the cycle
-                # results.
+                # every cycle, exactly as a bank ticked every cycle
+                # would, or a different attempt would succeed and
+                # change the cycle results.
                 engine.wake(self)
             # else _SLEEP: the stall touched no architectural state, and
             # every event that can unblock it fires a wake -- line_in
@@ -233,7 +216,7 @@ class MomsBank(Component):
         if (self._tele is not None or self._trace is not None
                 or self._ledger is not None or self._fault is not None):
             return 0
-        if self._drain_items is not None or self.line_in._visible:
+        if self._drain_chain is not None or self.line_in._visible:
             return 0
         req_in = self.req_in
         if not req_in._visible or not self._stateful_mshrs:
@@ -247,7 +230,7 @@ class MomsBank(Component):
             return 0
         if not self.downstream.can_accept(line_addr):
             return 0
-        m = mshrs.failing_insert_run(line_addr, budget, vec=self._vec)
+        m = mshrs.failing_insert_run(line_addr, budget)
         if not m:
             return 0
         # Bulk form of m identical retry ticks: probe miss (counted
@@ -262,7 +245,7 @@ class MomsBank(Component):
 
     def is_idle(self):
         return (
-            self._drain_items is None
+            self._drain_chain is None
             and self.mshrs.occupancy == 0
             and not self.req_in.pending
             and not self.line_in.pending
@@ -291,64 +274,23 @@ class MomsBank(Component):
                                    entry.subentry_count, self._engine.now)
         chain = entry.subentry_head
         self._drain_chain = chain
-        if self._vec:
-            # Columnar drain: the chain's field columns are served in
-            # place, and the per-response addresses fall out of one
-            # numpy add over the offset column (worth it for the long
-            # coalesced chains that are the paper's whole point; tiny
-            # chains stay on the list comprehension).
-            offsets = chain.offset
-            if len(offsets) >= 16:
-                addrs = (addr + np.asarray(offsets, dtype=np.int64)).tolist()
-            else:
-                addrs = [addr + offset for offset in offsets]
-            self._drain_addrs = addrs
-            self._drain_items = chain.req_id
+        # The per-response addresses fall out of one numpy add over the
+        # offset column for the long coalesced chains that are the
+        # paper's whole point; below ~16 subentries a list
+        # comprehension is cheaper.
+        offsets = chain.offset
+        if len(offsets) >= 16:
+            addrs = (addr + np.asarray(offsets, dtype=np.int64)).tolist()
         else:
-            self._drain_items = [
-                item for row in chain for item in row
-            ]
+            addrs = [addr + offset for offset in offsets]
+        self._drain_addrs = addrs
         self._drain_index = 0
         self._drain_data = data
         self._drain_base = addr
 
     def _drain_one(self):
-        resp_out = self.resp_out
-        if not resp_out.can_push():
-            self.stats.stall_response_port += 1
-            resp_out.request_space_wake(self)
-            return
-        items = self._drain_items
-        index = self._drain_index
-        req_id, port, offset, size = items[index]
-        if self._trace is not None:
-            # Pre-corruption id: the span keeps matching what the PE
-            # issued even under the mutation-smoke fault.
-            self._trace.bank_replay(
-                self.name, req_id, port,
-                self._drain_base // self.params.line_bytes,
-                self._engine.now,
-            )
-        if self._fault is not None:
-            # Mutation smoke: deterministically corrupt one response ID
-            # so tests can prove the PE-side ledger catches it.
-            req_id = self._fault.corrupt_moms_token(req_id)
-        data = self._drain_data
-        resp_out.push_response(
-            req_id, self._drain_base + offset, data[offset:offset + size],
-            port,
-        )
-        self.stats.responses += 1
-        self._drain_index = index + 1
-        if self._drain_index == len(items):
-            self.subentries.free_chain(self._drain_chain)
-            self._drain_chain = None
-            self._drain_items = None
-            self._drain_data = None
-
-    def _drain_one_vec(self):
-        """Columnar :meth:`_drain_one`: serve one subentry per cycle
-        straight from the chain's field columns."""
+        """Serve one subentry per cycle straight from the chain's field
+        columns."""
         resp_out = self.resp_out
         if not resp_out.can_push():
             self.stats.stall_response_port += 1
@@ -358,8 +300,8 @@ class MomsBank(Component):
         index = self._drain_index
         req_id = chain.req_id[index]
         if self._trace is not None:
-            # Pre-corruption id, same subentry order as _drain_one, so
-            # vector and scalar kernels emit identical span events.
+            # Pre-corruption id: the span keeps matching what the PE
+            # issued even under the mutation-smoke fault.
             self._trace.bank_replay(
                 self.name, req_id, chain.port[index],
                 self._drain_base // self.params.line_bytes,
@@ -380,14 +322,13 @@ class MomsBank(Component):
         if self._drain_index == len(chain.req_id):
             self.subentries.free_chain(chain)
             self._drain_chain = None
-            self._drain_items = None
             self._drain_addrs = None
             self._drain_data = None
 
     # -- request path -----------------------------------------------------
 
     def _prime_queue_slots(self):
-        """Batch-hash every queued request's line (vector kernel).
+        """Batch-hash every queued request's line.
 
         When the head request's line has no memoized cuckoo slots yet,
         the lines of *all* visible queued requests are hashed in one
@@ -421,8 +362,8 @@ class MomsBank(Component):
         same answer, so the bank may sleep until the stalled channel's
         one-shot wake (or a line return) fires.  ``_RETRY`` stalls ran
         a cuckoo insert first and must be retried every cycle to keep
-        the victim-way generator sequence identical to the all-tick
-        engine.
+        the victim-way generator sequence that of a bank ticked every
+        cycle.
         """
         stats = self.stats
         req_in = self.req_in
@@ -453,7 +394,7 @@ class MomsBank(Component):
         # splitmix64 batch then covers many future memo hits, while a
         # shallow queue would pay the ring walk for one or two lines
         # that the per-line memo hashes just as fast.
-        if self._vec_prime and req_in._visible >= 16 \
+        if self._stateful_mshrs and req_in._visible >= 16 \
                 and line_addr not in self.mshrs._slot_cache:
             self._prime_queue_slots()
         subentry = (req_id, port, offset, size)
@@ -463,7 +404,7 @@ class MomsBank(Component):
             if limit and entry.subentry_count >= limit:
                 stats.stall_subentry += 1
                 return _SLEEP
-            if not self._sub_append(entry.subentry_head, subentry):
+            if not self.subentries.append(entry.subentry_head, subentry):
                 stats.stall_subentry += 1
                 return _SLEEP
             entry.subentry_count += 1
@@ -487,7 +428,7 @@ class MomsBank(Component):
             stats.stall_mshr += 1
             return _RETRY if self._stateful_mshrs else _SLEEP
         chain = self.subentries.new_chain()
-        if not self._sub_append(chain, subentry):
+        if not self.subentries.append(chain, subentry):
             self.mshrs.remove(line_addr)
             stats.stall_subentry += 1
             return _RETRY if self._stateful_mshrs else _SLEEP

@@ -3,11 +3,11 @@ plus the freelists that let steady-state simulation reuse them.
 
 Every pooled class carries two class attributes:
 
-* ``_pool`` -- its freelist (a plain list used as a LIFO), or ``None``
-  when pooling is disabled (``REPRO_POOL=0``).  Consumers recycle a
-  token with ``type(token)._pool.append(token)`` -- no imports needed,
-  which is also how :meth:`repro.sim.channel.Channel.pop_line` can
-  recycle whichever line-fill type it received.
+* ``_pool`` -- its freelist (a plain list used as a LIFO).  Consumers
+  recycle a token with ``type(token)._pool.append(token)`` -- no
+  imports needed, which is also how
+  :meth:`repro.sim.channel.Channel.pop_line` can recycle whichever
+  line-fill type it received.
 * ``_fresh`` -- how many objects were constructed because the freelist
   was empty.  In steady state this stops growing: the in-flight
   population circulates through the pools and per-cycle allocations
@@ -26,11 +26,7 @@ This module also binds the token classes and freelists into
 cycle: ``repro.core.bank`` imports ``repro.sim``).
 """
 
-import os
 from dataclasses import dataclass
-
-POOLING_ENABLED = os.environ.get("REPRO_POOL", "1").lower() \
-    not in ("0", "off", "false", "no")
 
 
 @dataclass(slots=True)
@@ -63,12 +59,12 @@ _REGISTERED = []
 
 
 def register_pool(cls):
-    """Give *cls* a freelist (honouring REPRO_POOL) and track it.
+    """Give *cls* a freelist and track it.
 
     Used by this module for the MOMS tokens and by
     :mod:`repro.mem.dram` for its request/response beats.
     """
-    cls._pool = [] if POOLING_ENABLED else None
+    cls._pool = []
     cls._fresh = 0
     _REGISTERED.append(cls)
     return cls
@@ -83,7 +79,7 @@ def pool_stats():
     return {
         cls.__name__: {
             "fresh": cls._fresh,
-            "pooled": len(cls._pool) if cls._pool is not None else 0,
+            "pooled": len(cls._pool),
         }
         for cls in _REGISTERED
     }

@@ -109,12 +109,12 @@ class CuckooMshrFile:
         return self._slots(line_addr)[way]
 
     def prime_slots(self, line_addrs):
-        """Batch-fill the slot memo for *line_addrs* (vector kernel).
+        """Batch-fill the slot memo for *line_addrs*.
 
         One numpy splitmix64 pass computes the candidate slots of every
         yet-unhashed line at once; subsequent ``_slots`` calls are memo
         hits.  Purely a precomputation -- no stats, no table state --
-        so scalar and vector runs stay state-identical.
+        so a primed file evolves exactly like an unprimed one.
         """
         cache = self._slot_cache
         fresh = [la for la in line_addrs if la not in cache]
@@ -203,7 +203,7 @@ class CuckooMshrFile:
                 return True
         return False
 
-    def failing_insert_run(self, line_addr, budget, vec=False):
+    def failing_insert_run(self, line_addr, budget):
         """Commit up to *budget* consecutive failing inserts of *line_addr*.
 
         The fused-retry kernel behind ``MomsBank.step_n``: a bank
@@ -219,14 +219,14 @@ class CuckooMshrFile:
         touched until the attempt's verdict is known).  The run stops
         before the first attempt that would succeed and commits the k
         failing attempts in bulk: ``_victim_state`` jumped
-        ``k * (max_kicks + 1)`` draws (one numpy ``lcg_batch`` pass
-        when *vec*), ``insert_failures += k``.  Returns k; the caller
-        replays the next, possibly succeeding, attempt on a real tick.
+        ``k * (max_kicks + 1)`` draws (precomputed by numpy
+        ``lcg_batch`` passes), ``insert_failures += k``.  Returns k; the
+        caller replays the next, possibly succeeding, attempt on a real
+        tick.
         """
         steps = self.max_kicks + 1
         tables = self._tables
         n_ways = self.n_ways
-        mask = (1 << 64) - 1
         failures = 0
         state = self._victim_state
         committed = state
@@ -237,38 +237,24 @@ class CuckooMshrFile:
             # happen on real drain ticks), so every attempt fails by
             # construction -- the kick chain just shuffles residents
             # and unwinds.  The whole run collapses to the PRNG
-            # advance: budget * steps draws, jumped in O(log n) for
-            # the vector kernels or replayed as the reference scalar
-            # chain.
+            # advance: budget * steps draws, jumped in O(log n).
             failures = budget
-            if vec:
-                committed = lcg_jump(state, budget * steps)
-            else:
-                for _ in range(budget * steps):
-                    state = (
-                        state * 6364136223846793005
-                        + 1442695040888963407
-                    ) & mask
-                committed = state
+            committed = lcg_jump(state, budget * steps)
             self._victim_state = committed
             self.stats.insert_failures += failures
             return failures
         chunk = 4
         while failures < budget and not placed:
-            if vec:
-                # Chunked so a short run doesn't pay for budget*steps
-                # draws up front; geometric growth keeps the numpy
-                # setup cost proportional to the run actually found,
-                # and each chunk reseeds from the last committed
-                # state, so the draw sequence is identical.
-                n_attempts = min(budget - failures, chunk)
-                chunk = min(chunk * 2, 64)
-                ways_seq, states = victim_ways_batch(
-                    state, n_attempts * steps, n_ways
-                )
-            else:
-                n_attempts = budget - failures
-                ways_seq = None
+            # Chunked so a short run doesn't pay for budget*steps draws
+            # up front; geometric growth keeps the numpy setup cost
+            # proportional to the run actually found, and each chunk
+            # reseeds from the last committed state, so the draw
+            # sequence is identical.
+            n_attempts = min(budget - failures, chunk)
+            chunk = min(chunk * 2, 64)
+            ways_seq, states = victim_ways_batch(
+                state, n_attempts * steps, n_ways
+            )
             for attempt in range(n_attempts):
                 carried_addr = line_addr
                 view = {}
@@ -282,14 +268,7 @@ class CuckooMshrFile:
                             break
                     if placed:
                         break
-                    if ways_seq is not None:
-                        way = ways_seq[base + kick]
-                    else:
-                        state = (
-                            state * 6364136223846793005
-                            + 1442695040888963407
-                        ) & mask
-                        way = (state >> 33) % n_ways
+                    way = ways_seq[base + kick]
                     slot = slots[way]
                     occupant = view.get((way, slot))
                     if occupant is None:
@@ -299,10 +278,7 @@ class CuckooMshrFile:
                 if placed:
                     break
                 failures += 1
-                if ways_seq is not None:
-                    committed = int(states[base + steps - 1])
-                else:
-                    committed = state
+                committed = int(states[base + steps - 1])
             state = committed
         if failures:
             self._victim_state = committed

@@ -34,14 +34,13 @@ class SubentryStats:
 class ColumnarChain:
     """One MSHR's pending subentries as parallel field columns.
 
-    The vector-kernel representation of a chain: the same (req_id,
-    port, offset, size) subentries, but stored as four flat lists so a
-    drain reads them column-wise (and can turn the offsets into a
+    The (req_id, port, offset, size) subentries live in four flat lists
+    so a drain reads them column-wise (and can turn the offsets into a
     response-address array with one numpy add) instead of unpacking one
     tuple per cycle.  Row accounting -- the architectural free-pool
     resource -- is a single counter: a chain of ``n`` subentries holds
-    exactly ``ceil(n / row_size)`` rows, the same number the linked
-    list-of-rows layout allocates.
+    exactly ``ceil(n / row_size)`` rows of the linked-row hardware
+    layout.
     """
 
     __slots__ = ("req_id", "port", "offset", "size", "rows")
@@ -58,15 +57,9 @@ class ColumnarChain:
 
 
 class SubentryStore:
-    """A pool of linked rows of subentries.
+    """A pool of linked rows of subentries."""
 
-    ``columnar=True`` (the vector kernel mode) swaps the chain layout
-    from lists-of-row-lists of tuples to :class:`ColumnarChain` field
-    columns; allocation accounting, overflow behaviour, and statistics
-    are identical either way.
-    """
-
-    def __init__(self, total_subentries, row_size=4, columnar=False):
+    def __init__(self, total_subentries, row_size=4):
         if row_size < 1:
             raise ValueError("row size must be >= 1")
         if total_subentries < row_size:
@@ -74,43 +67,20 @@ class SubentryStore:
         self.row_size = row_size
         self.n_rows = total_subentries // row_size
         self.capacity = self.n_rows * row_size
-        self.columnar = columnar
         self._free_rows = self.n_rows
         self._entries_live = 0
         self.stats = SubentryStats()
 
     def new_chain(self):
         """Start an empty chain (no rows allocated yet)."""
-        return ColumnarChain() if self.columnar else []
+        return ColumnarChain()
 
     def append(self, chain, item):
         """Add *item* to *chain*; False if a new row is needed but none free.
 
-        A failed append leaves the chain unchanged; the bank stalls and
-        retries.
+        *item* is a ``(req_id, port, offset, size)`` subentry.  A failed
+        append leaves the chain unchanged; the bank stalls and retries.
         """
-        if self.columnar:
-            return self._append_columnar(chain, item)
-        if chain and len(chain[-1]) < self.row_size:
-            chain[-1].append(item)
-        else:
-            if self._free_rows == 0:
-                self.stats.overflows += 1
-                return False
-            self._free_rows -= 1
-            self.stats.rows_allocated += 1
-            chain.append([item])
-            rows_in_use = self.n_rows - self._free_rows
-            if rows_in_use > self.stats.peak_rows:
-                self.stats.peak_rows = rows_in_use
-        self._entries_live += 1
-        self.stats.appends += 1
-        if self._entries_live > self.stats.peak_entries:
-            self.stats.peak_entries = self._entries_live
-        return True
-
-    def _append_columnar(self, chain, item):
-        """Columnar :meth:`append`: same accounting, field columns."""
         if len(chain.req_id) == chain.rows * self.row_size:
             # The current row (if any) is full: a new one is needed.
             if self._free_rows == 0:
@@ -135,34 +105,19 @@ class SubentryStore:
 
     def free_chain(self, chain):
         """Return all of *chain*'s rows to the pool after draining."""
-        if self.columnar:
-            self._free_rows += chain.rows
-            self._entries_live -= len(chain.req_id)
-            chain.req_id.clear()
-            chain.port.clear()
-            chain.offset.clear()
-            chain.size.clear()
-            chain.rows = 0
-            return
-        self._free_rows += len(chain)
-        self._entries_live -= sum(len(row) for row in chain)
-        chain.clear()
+        self._free_rows += chain.rows
+        self._entries_live -= len(chain.req_id)
+        chain.req_id.clear()
+        chain.port.clear()
+        chain.offset.clear()
+        chain.size.clear()
+        chain.rows = 0
 
     @staticmethod
     def chain_items(chain):
-        """Flat iteration over a chain's subentries, oldest first."""
-        if isinstance(chain, ColumnarChain):
-            yield from zip(chain.req_id, chain.port, chain.offset,
-                           chain.size)
-            return
-        for row in chain:
-            yield from row
-
-    @staticmethod
-    def chain_length(chain):
-        if isinstance(chain, ColumnarChain):
-            return len(chain.req_id)
-        return sum(len(row) for row in chain)
+        """A chain's subentries as ``(req_id, port, offset, size)``
+        tuples, oldest first."""
+        return zip(chain.req_id, chain.port, chain.offset, chain.size)
 
     @property
     def free_rows(self):

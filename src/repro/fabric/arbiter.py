@@ -11,8 +11,6 @@ class RoundRobinArbiter(Component):
     fair arbiters used throughout the paper's interconnect (Fig. 7).
     """
 
-    demand_driven = True
-
     def __init__(self, inputs, output, name="arbiter"):
         if not inputs:
             raise ValueError("arbiter needs at least one input")

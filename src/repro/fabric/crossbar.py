@@ -18,7 +18,6 @@ class Crossbar(Component):
     most one token, using per-output round-robin pointers.
     """
 
-    demand_driven = True
     # Opt-in span tracer (repro.tracing); class attribute so the
     # untraced path pays one "is None" test per transfer.
     _trace = None

@@ -23,8 +23,6 @@ class DieCrossing(Component):
     drops or stalls mid-flight.
     """
 
-    demand_driven = True
-
     def __init__(self, engine, inp, out, hops=1, name="crossing"):
         if hops < 1:
             raise ValueError("a die crossing spans at least one boundary")

@@ -168,7 +168,7 @@ def check_drained(system, context=""):
                 f"bank {bank.name}: {bank.subentries.entries_live} live "
                 f"subentries after drain"
             )
-        if bank._drain_items is not None:
+        if bank._drain_chain is not None:
             problems.append(f"bank {bank.name}: drain still in progress")
     for channel in system.mem.channels:
         if channel.pending:

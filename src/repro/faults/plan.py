@@ -229,8 +229,6 @@ class FaultController(Component):
     own blackout and latency state.
     """
 
-    demand_driven = True
-
     def __init__(self, state, throttled, banks):
         self.state = state
         self.throttled = throttled  # channels selected for backpressure

@@ -17,7 +17,7 @@ is exactly the situation the paper's PEs are designed to tolerate.
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.sim.kernels import fifo_service_starts, vector_enabled
+from repro.sim.kernels import fifo_service_starts
 from repro.sim import Channel, Component
 
 LINE_BYTES = 64
@@ -26,7 +26,7 @@ LINE_BYTES = 64
 class _Segment:
     """A read burst's response beats as one arithmetic-progression record.
 
-    The vector-kernel form of the response schedule: beat *i* of the
+    The unfaulted form of the response schedule: beat *i* of the
     segment matures at ``t_next + i * step`` with address ``addr + i *
     64`` and beat index ``beat + i`` -- so delivery pops whole due runs
     with integer arithmetic instead of one (ready, response, requester)
@@ -234,7 +234,6 @@ class DramStats:
 class DramChannel(Component):
     """One DDR4 channel: request queue, data bus, fixed-latency responses."""
 
-    demand_driven = True
     # Opt-in hooks; class attributes so the unfaulted/unchecked path
     # pays a single "is None" test (see repro.faults).
     _fault = None
@@ -252,11 +251,11 @@ class DramChannel(Component):
         self.name = name
         self.req = Channel(timings.request_queue_depth, name=f"{name}.req")
         # Mixed deque of per-beat (ready_time, MemResponse, respond_to)
-        # tuples and _Segment records (vector mode, unfaulted reads).
+        # tuples (writes, faulted reads) and _Segment records
+        # (unfaulted reads).
         self._scheduled = deque()
         self._sched_beats = 0  # total undelivered beats across entries
         self._next_free = 0
-        self._vec = vector_enabled()
         self.stats = DramStats()
 
     def attach(self, engine):
@@ -335,7 +334,6 @@ class DramChannel(Component):
         ledger = self._ledger
         tele = self._tele
         trace = self._trace
-        response_pool = MemResponse._pool
         while delivered < limit and scheduled:
             head = scheduled[0]
             if type(head) is not tuple:
@@ -410,8 +408,7 @@ class DramChannel(Component):
                 self._sched_beats -= 1
                 if ledger is not None:
                     ledger.retire(("dram", self.name), response.addr)
-                if response_pool is not None:
-                    response_pool.append(response)
+                MemResponse._pool.append(response)
                 delivered += 1
                 continue
             space = respond_to.free_slots()
@@ -489,7 +486,7 @@ class DramChannel(Component):
         else:
             cpb = timings.cycles_per_beat(request.kind)
             ready_base = start + timings.latency + extra_latency
-            if self._vec and self._fault is None:
+            if self._fault is None:
                 self._schedule_segment(ready_base, cpb, beats, addr, tag,
                                        respond_to, now)
             else:
@@ -516,12 +513,10 @@ class DramChannel(Component):
         # The channel is a request's single consumer; recycle it (the
         # write payload reference is dropped so pooled tokens never pin
         # a node-value array).
-        pool = MemRequest._pool
-        if pool is not None:
-            request.data = None
-            request.tag = None
-            request.respond_to = None
-            pool.append(request)
+        request.data = None
+        request.tag = None
+        request.respond_to = None
+        MemRequest._pool.append(request)
 
     def step_n(self, engine, budget):
         """Fused-tick protocol (see ``repro.sim.Component.step_n``).
@@ -583,15 +578,17 @@ class DramChannel(Component):
             k += 1
         if k < 1:
             return 0
-        if self._vec and k >= 16 and self._next_free >= now + k:
-            self._accept_batch_vec(k, now)
+        # Deep backlogs take the batch kernel; below ~16 requests its
+        # numpy setup costs more than the per-request loop.
+        if k >= 16 and self._next_free >= now + k:
+            self._accept_batch(k, now)
         else:
             for j in range(k):
                 self._accept_one(now + j)
         return k
 
-    def _accept_batch_vec(self, k, now):
-        """Vector accept kernel: *k* queued reads on a backlogged bus.
+    def _accept_batch(self, k, now):
+        """Batch accept kernel: *k* queued reads on a backlogged bus.
 
         Only valid when ``_next_free`` stays at or ahead of every
         accept cycle (caller-checked), so each request's start time is
@@ -631,11 +628,10 @@ class DramChannel(Component):
             if request.kind == "single":
                 singles += 1
                 lines_single += n
-            if pool is not None:
-                request.data = None
-                request.tag = None
-                request.respond_to = None
-                pool.append(request)
+            request.data = None
+            request.tag = None
+            request.respond_to = None
+            pool.append(request)
         total_beats = sum(beats)
         total_service = sum(services)
         self._next_free = int(starts[-1]) + services[-1]
@@ -670,10 +666,10 @@ class DramChannel(Component):
                           respond_to, now):
         """Schedule a read burst's beats as one :class:`_Segment`.
 
-        The vector-kernel counterpart of the per-beat ``_schedule``
-        loop: beat *i* matures at ``ready_base + (i + 1) * cpb`` with
-        address ``addr + i * 64``, exactly the tuples the scalar path
-        appends.  Only reachable while unfaulted (the fault hooks
+        The arithmetic form of the per-beat ``_schedule`` loop: beat
+        *i* matures at ``ready_base + (i + 1) * cpb`` with address
+        ``addr + i * 64``, exactly the tuples a faulted read appends.
+        Only reachable while unfaulted (the fault hooks
         rewrite individual beats), so the monotonicity violation is
         always an error here.
         """

@@ -35,16 +35,6 @@ def add_profile_arguments(parser):
         help="memory-system organization to profile (default two-level)",
     )
     parser.add_argument(
-        "--engine", default=None, choices=("demand", "legacy"),
-        help="simulation engine for profile/trace/spans "
-             "(default: REPRO_ENGINE env, else demand)",
-    )
-    parser.add_argument(
-        "--kernels", default=None, choices=("vector", "scalar"),
-        help="hot-loop kernel mode for profile/trace/spans "
-             "(default: REPRO_KERNELS env, else vector)",
-    )
-    parser.add_argument(
         "--top", type=int, default=20, metavar="N",
         help="rows in the top-functions table (default 20)",
     )
@@ -108,11 +98,6 @@ def run_profile(args, log=print):
     """Profile one quick point; prints the tables, returns an exit code."""
     # Imported here: the CLI parser must stay importable without the
     # simulation stack (same convention as the trace subcommand).
-    if args.engine is not None:
-        os.environ["REPRO_ENGINE"] = args.engine
-    if args.kernels is not None:
-        os.environ["REPRO_KERNELS"] = args.kernels
-
     from repro.accel.config import (
         ArchitectureConfig,
         SCALED_DEFAULTS,
@@ -147,10 +132,7 @@ def run_profile(args, log=print):
         stats.dump_stats(args.pstats_out)
     modules, functions = _collect_rows(stats)
 
-    engine_name = os.environ.get("REPRO_ENGINE", "demand") or "demand"
-    kernels_name = os.environ.get("REPRO_KERNELS", "vector") or "vector"
-    log(f"profiled: {args.algorithm} on {graph.name} / {args.org} 4x4, "
-        f"engine={engine_name}, kernels={kernels_name}")
+    log(f"profiled: {args.algorithm} on {graph.name} / {args.org} 4x4")
     log(f"  {result.cycles:,} cycles in {wall:.3f}s wall "
         f"({result.cycles / wall:,.0f} cycles/s), "
         f"{result.edges_processed:,} edges")

@@ -1,12 +1,12 @@
 """Cycle-level simulation kernel.
 
-The kernel models synchronous hardware: components are ticked once per
-clock cycle and exchange tokens over capacity-limited :class:`Channel`
-objects whose pushes become visible on the *next* cycle (registered-FIFO
-semantics), which makes results independent of component tick order.
-:class:`DelayLine` models fixed-latency pipes (e.g. DRAM access latency)
-and drives the engine's idle fast-forward so cycles in which every
-component is stalled on a pending latency are skipped in O(1).
+The kernel models synchronous hardware: components are ticked on the
+cycles they are woken and exchange tokens over capacity-limited
+:class:`Channel` objects whose pushes become visible on the *next*
+cycle (registered-FIFO semantics), which makes results independent of
+component tick order.  :class:`DelayLine` models fixed-latency pipes
+(e.g. DRAM access latency) and arms timers so cycles in which every
+component is stalled on a pending latency are skipped in O(log timers).
 """
 
 from repro.sim.channel import Channel, DelayLine, SoaChannel
@@ -15,8 +15,6 @@ from repro.sim.engine import (
     CycleLimitError,
     DeadlockError,
     Engine,
-    LegacyEngine,
-    make_engine,
 )
 
 __all__ = [
@@ -26,7 +24,5 @@ __all__ = [
     "DeadlockError",
     "DelayLine",
     "Engine",
-    "LegacyEngine",
     "SoaChannel",
-    "make_engine",
 ]

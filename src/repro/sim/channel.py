@@ -225,11 +225,9 @@ class Channel:
         self._staged_n = staged + 1
         self.total_pushed += 1
         engine = self._engine
-        if engine is not None:
-            engine._active = True
-            if not self._dirty:
-                self._dirty = True
-                engine._dirty_channels.append(self)
+        if engine is not None and not self._dirty:
+            self._dirty = True
+            engine._dirty_channels.append(self)
 
     def push_many(self, items):
         """Stage several tokens in one call (one capacity check).
@@ -258,11 +256,9 @@ class Channel:
         self._staged_n = staged + n
         self.total_pushed += n
         engine = self._engine
-        if engine is not None:
-            engine._active = True
-            if not self._dirty:
-                self._dirty = True
-                engine._dirty_channels.append(self)
+        if engine is not None and not self._dirty:
+            self._dirty = True
+            engine._dirty_channels.append(self)
 
     # -- consumer side ------------------------------------------------------
 
@@ -287,11 +283,9 @@ class Channel:
         self._visible = visible - 1
         self.total_popped += 1
         engine = self._engine
-        if engine is not None:
-            engine._active = True
-            if not self._dirty:
-                self._dirty = True
-                engine._dirty_channels.append(self)
+        if engine is not None and not self._dirty:
+            self._dirty = True
+            engine._dirty_channels.append(self)
         return item
 
     def pop_many(self, limit=None):
@@ -317,11 +311,9 @@ class Channel:
         self._visible -= n
         self.total_popped += n
         engine = self._engine
-        if engine is not None:
-            engine._active = True
-            if not self._dirty:
-                self._dirty = True
-                engine._dirty_channels.append(self)
+        if engine is not None and not self._dirty:
+            self._dirty = True
+            engine._dirty_channels.append(self)
         return items
 
     def pop_all(self):
@@ -336,9 +328,7 @@ class Channel:
         the token returns to its pool without another field round trip.
         """
         item = self.pop()
-        pool = getattr(type(item), "_pool", None)
-        if pool is not None:
-            pool.append(item)
+        type(item)._pool.append(item)
 
     # -- fields API (see module docstring) ----------------------------------
 
@@ -364,9 +354,7 @@ class Channel:
         """Consume the head request; returns its field tuple."""
         token = self.pop()
         fields = (token.addr, token.size, token.req_id, token.port)
-        pool = _request_pool
-        if pool is not None:
-            pool.append(token)
+        _request_pool.append(token)
         return fields
 
     def push_response(self, req_id, addr, data, port):
@@ -391,9 +379,7 @@ class Channel:
         """Consume the head response; returns its field tuple."""
         token = self.pop()
         fields = (token.req_id, token.addr, token.data, token.port)
-        pool = _response_pool
-        if pool is not None:
-            pool.append(token)
+        _response_pool.append(token)
         return fields
 
     def pop_line(self):
@@ -406,31 +392,22 @@ class Channel:
         """
         token = self.pop()
         fields = (token.addr, token.data)
-        pool = getattr(type(token), "_pool", None)
-        if pool is not None:
-            pool.append(token)
+        type(token)._pool.append(token)
         return fields
 
     # -- end of cycle -------------------------------------------------------
 
     def commit(self):
         """End-of-cycle update; called by the engine on dirty channels."""
-        engine = self._engine
         staged = self._staged_n
         if staged:
             self._visible += staged
             self._staged_n = 0
-            if engine is not None:
-                # Newly visible tokens enable progress next cycle even if
-                # nothing else happened; don't let the engine fast-forward
-                # or declare deadlock past them.
-                engine._active = True
         occupancy = self._visible
         self._occ = occupancy
         self._dirty = False
-        # The all-tick legacy engine never reads the wake set, so the
-        # whole wake loop is demand-engine-only work.
-        if engine is None or not engine._demand_enabled:
+        engine = self._engine
+        if engine is None:
             return
         # Engine.wake() inlined: this loop runs for every token movement
         # in the system, so the call and dedup cost is worth flattening.
@@ -547,11 +524,9 @@ class SoaChannel(Channel):
         self._staged_n = staged + 1
         self.total_pushed += 1
         engine = self._engine
-        if engine is not None:
-            engine._active = True
-            if not self._dirty:
-                self._dirty = True
-                engine._dirty_channels.append(self)
+        if engine is not None and not self._dirty:
+            self._dirty = True
+            engine._dirty_channels.append(self)
         return (self._head + self._visible + staged) & self._mask
 
     def _advance(self):
@@ -563,11 +538,9 @@ class SoaChannel(Channel):
         self._visible = visible - 1
         self.total_popped += 1
         engine = self._engine
-        if engine is not None:
-            engine._active = True
-            if not self._dirty:
-                self._dirty = True
-                engine._dirty_channels.append(self)
+        if engine is not None and not self._dirty:
+            self._dirty = True
+            engine._dirty_channels.append(self)
         return head
 
     def push_request(self, addr, size, req_id, port):
@@ -692,7 +665,6 @@ class DelayLine:
         self._in_flight.append((ready, item))
         self.total_pushed += 1
         if engine is not None:
-            engine.mark_active()
             if self._consumer is not None:
                 engine.wake_at(self._consumer, ready)
             else:
@@ -711,8 +683,6 @@ class DelayLine:
         if not self.can_pop():
             raise IndexError(f"pop from not-ready delay line {self.name!r}")
         _, item = self._in_flight.popleft()
-        if self._engine is not None:
-            self._engine.mark_active()
         return item
 
     def next_event_time(self):

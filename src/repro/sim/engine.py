@@ -1,28 +1,19 @@
 """The cycle engine: demand-driven ticking, channel commits, idle skip.
 
-Two scheduling modes share one code base:
+A component is ticked only on cycles where it was *woken* -- by a
+channel delivering tokens or freeing space, by a delay-line token
+maturing (a timer), or by itself (``engine.wake(self)``) because it
+holds in-progress work.  Wall-clock cost is proportional to *work*,
+not cycles x components.  When no component is runnable the engine
+jumps straight to the earliest scheduled timer, so idle latency
+windows cost O(log timers).
 
-* **Demand-driven** (production): a component is ticked only on cycles
-  where it was *woken* -- by a channel delivering tokens or freeing
-  space, by a delay-line token maturing (a timer), or by itself
-  (``engine.wake(self)``) because it holds in-progress work.  Wall-clock
-  cost is proportional to *work*, not cycles x components.  When no
-  component is runnable the engine jumps straight to the earliest
-  scheduled timer, so idle latency windows cost O(log timers).
-* **Legacy** (compatibility): any component that does not declare
-  ``demand_driven = True`` forces the seed behaviour -- every component
-  is ticked every cycle and idle fast-forward happens only on globally
-  inactive cycles.  Simple test harness components keep working
-  unmodified, and :class:`LegacyEngine` forces this mode everywhere so
-  the two kernels can be compared cycle-for-cycle.
-
-Cycle *results* are identical in both modes: demand scheduling only
-skips ticks that are provably no-ops (no visible input tokens, no
-freed space, no matured timer, no declared internal work), so the
-state trajectory over ``engine.now`` -- and therefore every cycle
-count and GTEPS figure -- is bit-identical.  Only the activity
-counters (``cycles_simulated``, ``component_ticks``) differ; they are
-the measure of the saved work.
+Demand scheduling only skips ticks that are provably no-ops (no
+visible input tokens, no freed space, no matured timer, no declared
+internal work), so the state trajectory over ``engine.now`` is that of
+ticking every component every cycle; the golden corpus
+(``tests/golden``) pins it.  The activity counters
+(``cycles_simulated``, ``component_ticks``) measure the saved work.
 
 On top of demand scheduling sits **macro-tick fusion**
 (``REPRO_FUSION``, DESIGN 6.9): when exactly one component is woken
@@ -98,15 +89,13 @@ class CycleLimitError(RuntimeError):
 class Component:
     """Base class for everything ticked by the engine.
 
-    Subclasses override :meth:`tick`.  Components that set
-    ``demand_driven = True`` are ticked only when woken and must wire
-    their wake conditions (channel subscriptions, timers, or
-    ``engine.wake(self)`` re-arms).  Components that keep the default
-    ``False`` are ticked every cycle, which preserves the seed engine's
-    contract for simple harness components.
+    Subclasses override :meth:`tick`.  A component is ticked only when
+    woken, so it must wire its wake conditions: channel subscriptions,
+    timers (``engine.wake_at``), or ``engine.wake(self)`` re-arms while
+    it holds work.  :meth:`Engine.run` wakes every component once on
+    entry.
     """
 
-    demand_driven = False
     # Activity counters (class attributes double as zero defaults; the
     # first increment creates the instance attribute).
     ticks = 0
@@ -159,7 +148,6 @@ class Engine:
     deterministic.
     """
 
-    _demand_enabled = True
     # Optional no-progress monitor (repro.faults.watchdog.Watchdog);
     # the run loop pays a single "is None" test per step when unset.
     watchdog = None
@@ -201,18 +189,14 @@ class Engine:
         self.fused_runs = 0
         self.fused_cycles = 0
         self.fusion_abort_reasons = {}
-        # Read at construction (like REPRO_KERNELS) so one process can
-        # race fused vs unfused systems; snapshots carry the cap, so a
-        # resumed run replays with the original's fusion decisions.
-        self._fusion_cap = fusion_cap_from_env() if self._demand_enabled \
-            else 0
+        # Read at construction so one process can race fused vs unfused
+        # systems; snapshots carry the cap, so a resumed run replays
+        # with the original's fusion decisions.
+        self._fusion_cap = fusion_cap_from_env()
         self._components = []
-        self._demand_components = []
-        self._always = []  # legacy components, ticked every cycle
         self._channels = []
         self._time_sources = []
         self._dirty_channels = []
-        self._active = False
         self._wake_next = {}  # order -> component, armed for the next step
         self._timers = []  # heap of (time, order); order -1 = bare event
 
@@ -222,10 +206,6 @@ class Engine:
         component._engine_order = len(self._components)
         component._engine = self
         self._components.append(component)
-        if self._demand_enabled and getattr(component, "demand_driven", False):
-            self._demand_components.append(component)
-        else:
-            self._always.append(component)
         return component
 
     def add_channel(self, channel):
@@ -241,9 +221,8 @@ class Engine:
     def add_time_source(self, source):
         """Register any object exposing next_event_time() and .pending.
 
-        Time sources steer the legacy idle fast-forward and the
-        deadlock diagnosis; demand-driven components additionally
-        schedule their own timers via :meth:`wake_at`.
+        Time sources feed the deadlock diagnosis; the components they
+        feed schedule their own timers via :meth:`wake_at`.
         """
         self._time_sources.append(source)
         return source
@@ -276,14 +255,6 @@ class Engine:
         if time > self.now:
             heapq.heappush(self._timers, (time, -1))
 
-    def mark_active(self):
-        """Called by channels on push/pop; marks the cycle as productive.
-
-        Steers the legacy idle fast-forward only; the demand-driven
-        path derives activity from the wake set instead.
-        """
-        self._active = True
-
     # -- stepping -----------------------------------------------------------
 
     def _merge_due_timers(self):
@@ -298,17 +269,12 @@ class Engine:
                 wake[order] = components[order]
 
     def _step(self):
-        self._active = False
         timers = self._timers
         if timers and timers[0][0] <= self.now:
             self._merge_due_timers()
         wake = self._wake_next
         self._wake_next = {}
-        if self._always:
-            # Legacy mode: at least one component relies on being
-            # ticked every cycle, so everything is (seed semantics).
-            run_list = self._components
-        elif wake:
+        if wake:
             if len(wake) == 1:
                 run_list = wake.values()
             else:
@@ -416,21 +382,13 @@ class Engine:
             return True
         return False
 
-    def _scan_next_event_time(self):
-        """Earliest next event across registered time sources (legacy)."""
-        next_time = None
-        for line in self._time_sources:
-            t = line.next_event_time()
-            if t is not None and (next_time is None or t < next_time):
-                next_time = t
-        return next_time
-
     def _raise_idle(self, done):
-        """Idle with no scheduled events: finish or diagnose a deadlock."""
-        if done is None:
-            return True  # globally idle: nothing will ever happen
-        if done():
-            return True
+        """Idle with no scheduled events: finish or diagnose a deadlock.
+
+        ``done=None`` means run to global idle, which this is.
+        """
+        if done is None or done():
+            return
         if self._pending_work():
             raise self._deadlock(
                 f"no progress at cycle {self.now} with work pending"
@@ -505,10 +463,9 @@ class Engine:
         if not resume:
             # Callers mutate component state between run() calls
             # (queueing jobs, rewriting memory images); give every
-            # demand-driven component one cycle to notice.
-            for component in self._demand_components:
+            # component one cycle to notice.
+            for component in self._components:
                 self.wake(component)
-        legacy = bool(self._always)
         watchdog = self.watchdog
         if watchdog is not None and not resume:
             watchdog.begin(self)
@@ -523,23 +480,22 @@ class Engine:
                 if raise_on_limit:
                     raise self._cycle_limit(max_cycles, start)
                 break
-            if not legacy:
+            self._merge_due_timers()
+            if not self._wake_next:
+                timers = self._timers
+                if not timers:
+                    self._raise_idle(done)
+                    break
+                target = timers[0][0]
+                if target > self.now:
+                    self.cycles_skipped += target - self.now
+                    self.now = target
                 self._merge_due_timers()
-                if not self._wake_next:
-                    timers = self._timers
-                    if not timers:
-                        self._raise_idle(done)
-                        break
-                    target = timers[0][0]
-                    if target > self.now:
-                        self.cycles_skipped += target - self.now
-                        self.now = target
-                    self._merge_due_timers()
-                    # Re-check done()/max_cycles at the new time before
-                    # stepping; a bare event may have woken nobody.
-                    continue
-                if fusion_cap and len(self._wake_next) == 1:
-                    self._try_fuse(stable, start, max_cycles)
+                # Re-check done()/max_cycles at the new time before
+                # stepping; a bare event may have woken nobody.
+                continue
+            if fusion_cap and len(self._wake_next) == 1:
+                self._try_fuse(stable, start, max_cycles)
             self._step()
             if watchdog is not None and self.now >= watchdog.next_check:
                 watchdog.check(self)
@@ -548,14 +504,6 @@ class Engine:
             if checkpointer is not None \
                     and self.now >= checkpointer.next_checkpoint:
                 checkpointer.poll(self)
-            if legacy and not self._active:
-                next_time = self._scan_next_event_time()
-                if next_time is not None and next_time > self.now:
-                    self.cycles_skipped += next_time - self.now
-                    self.now = next_time
-                elif next_time is None:
-                    if self._raise_idle(done):
-                        break
         return self.now - start
 
     # -- statistics ---------------------------------------------------------
@@ -579,8 +527,7 @@ class Engine:
         win; ``fused_runs``/``fused_cycles`` are the macro-tick win
         (cycles advanced through ``step_n`` batches instead of
         per-cycle ticks).  The fusion keys are always present --
-        explicit zeros when ``REPRO_FUSION=off`` or under the legacy
-        engine.  See :mod:`repro.core.stats` for aggregation helpers.
+        explicit zeros when ``REPRO_FUSION=off``.  See :mod:`repro.core.stats` for aggregation helpers.
         """
         fused_runs = self.fused_runs
         fused_cycles = self.fused_cycles
@@ -601,28 +548,3 @@ class Engine:
             },
         }
 
-
-class LegacyEngine(Engine):
-    """The seed engine's schedule: every component, every cycle.
-
-    Kept as the reference for cycle-accuracy regression tests and
-    selectable with ``REPRO_ENGINE=legacy``; demand-driven wake wiring
-    becomes inert no-ops under this engine.
-    """
-
-    _demand_enabled = False
-
-
-def make_engine(kind=None):
-    """Engine factory honouring the ``REPRO_ENGINE`` environment knob.
-
-    ``demand`` (default) builds the demand-driven engine; ``legacy``
-    (or ``seed``) builds the reference all-tick engine.
-    """
-    if kind is None:
-        kind = os.environ.get("REPRO_ENGINE", "demand")
-    if kind in ("", "demand", "event"):
-        return Engine()
-    if kind in ("legacy", "seed"):
-        return LegacyEngine()
-    raise ValueError(f"unknown engine kind {kind!r}")

@@ -1,36 +1,26 @@
-"""Columnar engine v2: kernel-mode selection and shared numpy kernels.
+"""Shared numpy batch kernels for the simulator's hot structures.
 
-The hot structures of the simulator (MSHR files, subentry stores, the
-DRAM response schedule, the PE's decoded-edge backlog) exist in two
-implementations:
+The MSHR files, subentry stores, the DRAM response schedule and the
+PE's decoded-edge backlog hold their state as parallel columns (plain
+lists or numpy arrays) and advance it with the batch kernels below
+where a whole cycle's -- or a whole fused run's -- worth of work is
+available at once.  Each kernel is an elementwise transliteration of
+the per-element step it batches (integer arithmetic wraps identically
+mod 2**64, IEEE float64/float32 elementwise ops are bit-exact either
+way); ``tests/core/test_kernels_diff.py`` checks each against that
+step, and the golden corpus (``tests/golden``) pins the whole path.
 
-* ``scalar`` -- the original per-token Python loops, kept as the
-  reference semantics path (the ``REPRO_ENGINE=legacy`` precedent);
-* ``vector`` -- the same state held as parallel columns (plain lists
-  or numpy arrays) and advanced by batch kernels where a whole cycle's
-  worth of work is available at once.
-
-Both paths are cycle-identical by construction: every vector kernel is
-an elementwise transliteration of its scalar loop (integer arithmetic
-wraps identically mod 2**64, IEEE float64/float32 elementwise ops are
-bit-exact either way), and the differential tests in
-``tests/core/test_kernels_diff.py`` assert state-for-state equality
-over long randomized sequences.
-
-The knob mirrors ``REPRO_ENGINE``: ``REPRO_KERNELS=scalar|vector``
-(default ``vector``), read at *construction* time by each component,
-so one process can build and compare systems in both modes (the bench
-harness does exactly that).
+numpy pays only for batches of roughly 16 elements or more, so the
+components that call these kernels dispatch on batch size themselves
+(DRAM accept batches, bank drain addresses, MSHR slot priming); there
+is no user-visible kernel mode.
 """
-
-import os
 
 _NUMPY_HELP = (
     "numpy is required by the repro core simulator: the functional "
-    "memory store is a numpy byte buffer and the columnar engine's "
-    "MOMS/DRAM/PE kernels operate on numpy arrays.  There is no "
-    "numpy-free fallback (REPRO_KERNELS=scalar only changes the inner "
-    "loops, not the storage).  Install it with `pip install numpy`."
+    "memory store is a numpy byte buffer and the MOMS/DRAM/PE batch "
+    "kernels operate on numpy arrays.  There is no numpy-free "
+    "fallback.  Install it with `pip install numpy`."
 )
 
 try:
@@ -38,34 +28,12 @@ try:
 except ImportError as exc:  # pragma: no cover - exercised only sans numpy
     raise ImportError(_NUMPY_HELP) from exc
 
-VALID_KERNEL_MODES = ("scalar", "vector")
-
-#: splitmix64 finalizer constants (match repro.core.mshr's scalar chain).
+#: splitmix64 finalizer constants (match CuckooMshrFile._slots).
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _S30 = np.uint64(30)
 _S27 = np.uint64(27)
 _S31 = np.uint64(31)
-
-
-def kernels_mode():
-    """The selected kernel mode: ``'scalar'`` or ``'vector'``.
-
-    Read dynamically from ``REPRO_KERNELS`` (default ``vector``) so a
-    harness can switch modes between system builds, exactly like
-    ``repro.sim.engine.make_engine`` reads ``REPRO_ENGINE``.
-    """
-    mode = os.environ.get("REPRO_KERNELS", "vector").strip().lower()
-    if mode not in VALID_KERNEL_MODES:
-        raise ValueError(
-            f"REPRO_KERNELS={mode!r}: expected one of {VALID_KERNEL_MODES}"
-        )
-    return mode
-
-
-def vector_enabled():
-    """True when components built now should use the vector kernels."""
-    return kernels_mode() == "vector"
 
 
 def splitmix64_slots(line_addrs, multipliers, way_size):
@@ -74,8 +42,8 @@ def splitmix64_slots(line_addrs, multipliers, way_size):
     Returns an ``(n_addrs, n_ways)`` uint64 array where row *i*, column
     *w* is the slot of ``line_addrs[i]`` in way *w* -- the batch form
     of ``CuckooMshrFile._slots``.  uint64 arithmetic wraps mod 2**64,
-    which is exactly the scalar chain's ``& ((1 << 64) - 1)`` masking,
-    so the results are bit-identical.
+    which is exactly the per-line chain's ``& ((1 << 64) - 1)``
+    masking, so the results are bit-identical.
     """
     addrs = np.asarray(line_addrs, dtype=np.uint64)
     mults = np.asarray(multipliers, dtype=np.uint64)
@@ -86,15 +54,15 @@ def splitmix64_slots(line_addrs, multipliers, way_size):
     return h % np.uint64(way_size)
 
 
-#: Victim-way LCG constants (match CuckooMshrFile's scalar chain).
+#: Victim-way LCG constants (match CuckooMshrFile.insert).
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
 # Cached closed-form coefficients: state_i = A**i * seed + off_i where
 # off_i = C * (A**(i-1) + ... + A + 1), everything mod 2**64.  They are
-# seed-independent, so one incremental growth pass (scalar, amortized
-# over the process lifetime) serves every lcg_batch call.
+# seed-independent, so one incremental growth pass (amortized over the
+# process lifetime) serves every lcg_batch call.
 _lcg_pows = [_LCG_A]
 _lcg_offs = [_LCG_C]
 _lcg_pows_np = None
@@ -107,7 +75,7 @@ def lcg_batch(seed, n):
     The batch form of ``CuckooMshrFile``'s per-kick advance
     ``state = state * A + C mod 2**64``: two elementwise uint64 ops
     over cached coefficient arrays (numpy uint64 wraps mod 2**64
-    exactly like the scalar chain's masking), so a fused retry run can
+    exactly like the per-kick masking), so a fused retry run can
     precompute every victim-way draw it might need in one pass.
     """
     global _lcg_pows_np, _lcg_offs_np
@@ -134,7 +102,7 @@ def lcg_jump(seed, n):
     Binary jump-ahead (Brown's algorithm): composing the affine map
     ``x -> A*x + C`` with itself squares ``A`` and folds the offset as
     ``C -> C * (A + 1)``, so any draw count is a walk over the bits of
-    *n*.  Bit-identical to *n* scalar advances -- this is how a fused
+    *n*.  Bit-identical to *n* single advances -- this is how a fused
     retry run on a *full* MSHR table commits thousands of guaranteed
     failing draws without generating any of them.
     """
@@ -156,7 +124,7 @@ def victim_ways_batch(seed, n, n_ways):
 
     Returns ``(ways, states)``: a Python list of way indices
     (``(state >> 33) % n_ways`` per draw, matching
-    ``CuckooMshrFile.insert``'s scalar selection) and the underlying
+    ``CuckooMshrFile.insert``'s per-kick selection) and the underlying
     uint64 state array -- ``states[k-1]`` is the committed PRNG state
     after k draws, which a fused retry run writes back in one step.
     """
@@ -171,7 +139,7 @@ def fifo_service_starts(next_free, services):
     Valid exactly when the pipe stays busy across the whole accept
     window (``next_free >= last accept cycle``): request *j* then
     starts at ``next_free + sum(services[:j])`` independent of its
-    accept cycle, which is the scalar chain
+    accept cycle, which is the per-request step
     ``start = max(now, next_free); next_free = start + service``
     collapsed into one cumulative sum.  Returns an int64 array.
     """
@@ -192,7 +160,3 @@ def channels_of_batch(addrs, granule, n_channels):
     a = np.asarray(addrs, dtype=np.int64)
     return (a // granule) % n_channels
 
-
-def line_addrs_of_batch(addrs, line_bytes):
-    """Cache-line index for each byte address in *addrs* (int64 array)."""
-    return np.asarray(addrs, dtype=np.int64) // line_bytes

@@ -255,11 +255,11 @@ def _bank_snapshot(bank):
 
 
 def _bank_wait_reason(bank):
-    if bank._drain_items is not None:
+    if bank._drain_chain is not None:
         # A mid-drain bank only sleeps when the response port is full
         # (with room it re-wakes itself every cycle), so a gap in this
-        # state is backpressure, matching the all-tick engine's
-        # per-cycle stall_response_port accounting.
+        # state is backpressure, as a bank ticked every cycle would
+        # count it in stall_response_port.
         return BACKPRESSURE
     if bank.mshrs.occupancy:
         return WAIT_MEM

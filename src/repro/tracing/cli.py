@@ -12,10 +12,6 @@ https://ui.perfetto.dev), and ``out/rv_bfs.spansummary.json``
 (exact per-stage percentiles + merge fan-in distributions).  Every
 export is re-read and schema-validated before the command reports
 success, so the CI spans-smoke job is just this command.
-
-``--engine`` / ``--kernels`` (shared with the profile/trace groups)
-select the simulation mode; the span stream is byte-identical across
-all four combinations.
 """
 
 import os
@@ -39,12 +35,6 @@ def add_spans_arguments(parser):
 
 def run_spans(args, log=print):
     """Run the traced point, export, validate; returns an exit code."""
-    # Mode knobs must land in the environment before the simulation
-    # stack is imported (engine/kernel selection happens at build).
-    if getattr(args, "engine", None):
-        os.environ["REPRO_ENGINE"] = args.engine
-    if getattr(args, "kernels", None):
-        os.environ["REPRO_KERNELS"] = args.kernels
     from repro.accel.config import (
         ArchitectureConfig,
         SCALED_DEFAULTS,

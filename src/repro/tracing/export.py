@@ -6,7 +6,7 @@ Two artifacts, both self-validated by the CLI before it exits:
   JSON object per sampled span.  The encoding is byte-deterministic:
   spans are sorted by ``(issue, pe, seq)``, keys are sorted, and the
   separators are fixed, so the determinism tests can literally
-  ``bytes``-compare exports from the demand and legacy engines.
+  ``bytes``-compare exports and pin them by SHA-256.
 * **Chrome trace flow events** -- the ``trace_event`` format with
   ``ph: "s"/"t"/"f"`` flow arrows binding each span's PE slice to its
   bank and DRAM slices.  Open in https://ui.perfetto.dev: one track

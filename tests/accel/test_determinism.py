@@ -4,12 +4,15 @@ Two guarantees the performance work must never break:
 
 * the simulator is a deterministic function of its inputs -- two
   identical runs produce identical cycle counts and GTEPS;
-* the demand-driven engine is a *wall-clock* optimization only -- on
-  the same workload it reports bit-identical cycles, throughput, and
-  DRAM traffic as the all-tick legacy engine (``REPRO_ENGINE=legacy``),
-  for both the cuckoo-MSHR (stateful retry) and associative
-  (traditional) bank variants.
+* demand scheduling is a *wall-clock* optimization only -- on the same
+  workload it reports the cycles, throughput, DRAM traffic and values
+  the all-tick reference engine (every component ticked every cycle)
+  recorded before it was retired, for both the cuckoo-MSHR (stateful
+  retry) and associative (traditional) bank variants.
 """
+
+import hashlib
+import json
 
 import pytest
 
@@ -20,9 +23,19 @@ from repro.graph import web_graph
 
 GRAPH = web_graph(1200, 6000, seed=7)
 
+#: (cycles, SHA-256 of the JSON fingerprint) recorded from the all-tick
+#: reference engine before it was retired.
+ALL_TICK = {
+    MOMS_TWO_LEVEL: (
+        16770,
+        "8e2dcfb367190f5f437fabb91ac13ee89b603417ed0d88a03a9dcf755c197b9f"),
+    MOMS_TRADITIONAL: (
+        22555,
+        "4345f8cce5654f0cd12d89bd206413f7e38d5feccf08b107ff547abbe3126034"),
+}
 
-def _run(organization, engine_env, monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", engine_env)
+
+def _run(organization):
     config = ArchitectureConfig(
         _design(4, 4, organization, "pagerank", n_channels=2),
         **SCALED_DEFAULTS,
@@ -44,10 +57,17 @@ def _fingerprint(system, result):
     }
 
 
+def _digest(fingerprint):
+    fingerprint = dict(fingerprint,
+                       values=hashlib.sha256(fingerprint["values"]).hexdigest())
+    return hashlib.sha256(
+        json.dumps(fingerprint, sort_keys=True).encode()).hexdigest()
+
+
 class TestDeterminism:
-    def test_identical_runs_identical_results(self, monkeypatch):
+    def test_identical_runs_identical_results(self):
         prints = [
-            _fingerprint(*_run(MOMS_TWO_LEVEL, "demand", monkeypatch))
+            _fingerprint(*_run(MOMS_TWO_LEVEL))
             for _ in range(2)
         ]
         assert prints[0] == prints[1]
@@ -55,12 +75,13 @@ class TestDeterminism:
     @pytest.mark.parametrize("organization", [
         MOMS_TWO_LEVEL, MOMS_TRADITIONAL,
     ])
-    def test_demand_engine_matches_legacy(self, organization, monkeypatch):
-        demand_sys, demand_res = _run(organization, "demand", monkeypatch)
-        legacy_sys, legacy_res = _run(organization, "legacy", monkeypatch)
-        assert _fingerprint(demand_sys, demand_res) == \
-            _fingerprint(legacy_sys, legacy_res)
+    def test_demand_engine_matches_legacy(self, organization):
+        system, result = _run(organization)
+        cycles, digest = ALL_TICK[organization]
+        assert result.cycles == cycles
+        assert _digest(_fingerprint(system, result)) == digest
         # The equivalence is not vacuous: the demand engine must have
-        # actually skipped ticks the legacy engine executed.
-        assert demand_sys.engine.component_ticks < \
-            legacy_sys.engine.component_ticks
+        # actually skipped ticks the all-tick engine executed.
+        engine = system.engine
+        assert engine.component_ticks < \
+            engine.cycles_simulated * len(engine._components)

@@ -3,8 +3,8 @@
 The contract (DESIGN.md Section 6.7): restoring a mid-run snapshot and
 resuming must produce *exactly* the result the uninterrupted run
 produces -- same final cycle count, same iteration count, same stats
-dict, same output values -- across engines, kernel modes, algorithms,
-organizations, and with a fault plan actively injecting mid-window.
+dict, same output values -- across algorithms, organizations, and with
+a fault plan actively injecting mid-window.
 """
 
 import numpy as np
@@ -56,23 +56,10 @@ def _assert_replay_identical(algorithm, organization, tmp_path,
     return header
 
 
-class TestEnginesAndKernels:
-    @pytest.mark.parametrize("engine", ["demand", "legacy"])
-    @pytest.mark.parametrize("kernels", ["vector", "scalar"])
-    def test_replay_identity(self, engine, kernels, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", engine)
-        monkeypatch.setenv("REPRO_KERNELS", kernels)
-        header = _assert_replay_identical("pagerank", "shared", tmp_path)
-        # The snapshot records the modes it was built under.
-        assert header["engine"] == engine
-        assert header["kernels"] == kernels
-
-
 class TestAlgorithms:
     @pytest.mark.parametrize("algorithm",
                              ["pagerank", "bfs", "sssp", "scc"])
-    def test_replay_identity(self, algorithm, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "demand")
+    def test_replay_identity(self, algorithm, tmp_path):
         _assert_replay_identical(algorithm, "two-level", tmp_path)
 
 
@@ -80,19 +67,16 @@ class TestOrganizations:
     @pytest.mark.parametrize("organization",
                              ["shared", "private", "two-level",
                               "traditional"])
-    def test_replay_identity(self, organization, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "demand")
+    def test_replay_identity(self, organization, tmp_path):
         _assert_replay_identical("pagerank", organization, tmp_path)
 
 
 class TestUnderFaultPlan:
     @pytest.mark.parametrize("plan_name", sorted(NAMED_PLANS))
-    def test_replay_identity_with_active_faults(self, plan_name, tmp_path,
-                                                monkeypatch):
+    def test_replay_identity_with_active_faults(self, plan_name, tmp_path):
         """The snapshot lands mid-run with fault windows armed (and the
         splitmix chain mid-stream); replay must re-attach the plan state
         and keep injecting identically."""
-        monkeypatch.setenv("REPRO_ENGINE", "demand")
         _assert_replay_identical(
             "pagerank", "two-level", tmp_path,
             fault_plan=NAMED_PLANS[plan_name],

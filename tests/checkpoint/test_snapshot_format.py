@@ -49,7 +49,6 @@ class TestContainerFormat:
         assert header["cycle"] == 0
         assert header["algorithm"] == "bfs"
         assert header["organization"] == "shared"
-        assert header["engine"] in ("demand", "legacy")
         assert header["payload_bytes"] > 0
 
     def test_roundtrip_load(self, system, tmp_path):
@@ -119,6 +118,43 @@ class TestContainerFormat:
         with open(path, "wb") as fh:
             fh.write(bytes(data))
         assert read_header(path)["algorithm"] == "bfs"
+
+
+def _crafted(tmp_path, **header):
+    """A snapshot file with *header* merged into a minimal header and a
+    payload that is not even zlib, so only a header check can reject it
+    with a meaningful message."""
+    path = str(tmp_path / "crafted.snap")
+    payload = b"not a pickle"
+    blob = json.dumps(dict({"format": 1, "cycle": 5, "algorithm": "bfs",
+                            "organization": "shared",
+                            "payload_bytes": len(payload)}, **header),
+                      sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(SNAPSHOT_MAGIC + struct.pack(">I", len(blob)) + blob
+                 + payload)
+    return path
+
+
+class TestRetiredStrategies:
+    @pytest.mark.parametrize("key, value", [
+        ("engine", "legacy"), ("kernels", "scalar"),
+    ])
+    def test_retired_header_rejected_before_unpickling(self, tmp_path,
+                                                       key, value):
+        path = _crafted(tmp_path, **{key: value})
+        for reader in (read_header, load_snapshot):
+            with pytest.raises(SnapshotError,
+                               match=f"header {key}='{value}'"):
+                reader(path)
+
+    def test_supported_old_header_still_reads(self, tmp_path):
+        path = _crafted(tmp_path, engine="demand", kernels="vector")
+        assert read_header(path)["cycle"] == 5
+
+    def test_new_snapshots_omit_the_keys(self, system, tmp_path):
+        header = read_header(_snap(system, tmp_path))
+        assert "engine" not in header and "kernels" not in header
 
 
 class TestAtomicity:

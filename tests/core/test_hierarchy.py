@@ -25,6 +25,8 @@ class RequestDriver(Component):
         self.resp_port = resp_port
         self.to_send = list(enumerate(addrs))
         self.responses = []
+        req_port.subscribe_space(self)
+        resp_port.subscribe_data(self)
 
     def tick(self, engine):
         if self.to_send and self.req_port.can_push():

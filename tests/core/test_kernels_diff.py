@@ -1,16 +1,18 @@
-"""Differential tests: REPRO_KERNELS=vector vs the scalar reference.
+"""Differential tests: batch kernels vs the per-element steps they batch.
 
-Columnar engine v2 keeps every vectorized structure bit-identical to
-its scalar twin by construction (DESIGN.md 6.6).  These tests enforce
-the contract the hard way: seeded random operation sequences (>=10k
-ops per structure) drive both implementations and assert equal state
+Every columnar structure is bit-identical to the one-element-at-a-time
+model it replaces (DESIGN.md 6.6).  These tests enforce that the hard
+way: seeded random operation sequences (>=10k ops per structure) drive
+a batch kernel and its per-element reference and assert equal state
 after every step -- same tables, same stats, same delivered beats on
-the same cycles -- then whole systems race end to end, including under
-fault plans (MSHR-full windows, DRAM blackouts) with the vector
-kernels active.
+the same cycles -- and whole systems reproduce the state the
+per-element (scalar) kernels recorded before they were retired,
+including under fault plans (MSHR-full windows, DRAM blackouts).
 """
 
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -21,12 +23,41 @@ from repro.core.mshr import CuckooMshrFile
 from repro.core.subentry import SubentryStore
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.faults import FaultPlan
+from repro.faults.plan import FaultState
 from repro.graph import web_graph
 from repro.mem import LINE_BYTES, DramTimings, MemRequest, MemorySystem
 from repro.sim import Channel, Component, Engine
 from repro.sim.kernels import splitmix64_slots
 
 SEED = 20210614  # ISCA'21 -- any fixed seed works, this one is ours
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+#: (cycles, SHA-256 of the JSON end state) of whole-system runs,
+#: recorded from the per-element scalar kernels before they were
+#: retired.
+SCALAR_STATE = {
+    "pagerank": (
+        19393,
+        "d1a05d0e3c225b385e17a5ec257eee0823eaa2af286678487e33f747f10f83c1"),
+    "bfs": (
+        15735,
+        "9b7539f392de7da8118c21b15d3aa541bc352bc431bb44f757bbb2c589c9f3dc"),
+}
+
+#: (cycles, SHA-256 of the JSON value list) of faulted BFS runs under
+#: the scalar kernels.
+SCALAR_FAULTED = {
+    "mshr": (
+        37034,
+        "ab66905160a5450b1431411d4e25515490d635a4292072f20f36a0ac683c1493"),
+    "dram": (
+        41931,
+        "ab66905160a5450b1431411d4e25515490d635a4292072f20f36a0ac683c1493"),
+}
 
 
 # -- MSHR: batch splitmix64 slots vs the scalar chain ----------------------
@@ -49,8 +80,8 @@ class TestMshrKernels:
     def test_primed_file_evolves_identically(self):
         """Random lookup/insert/remove sequence, primed vs lazy memo.
 
-        ``prime_slots`` is the vector path's only MSHR-side addition;
-        it must be a pure precomputation -- the primed file's tables,
+        ``prime_slots`` (the bank's deep-backlog batch hash) must be a
+        pure precomputation -- the primed file's tables,
         occupancy, stats, and PRNG state stay equal to the lazy file's
         after every operation.
         """
@@ -92,38 +123,62 @@ class TestMshrKernels:
 # -- Subentry store: columnar chains vs linked rows ------------------------
 
 
+class _LinkedRows:
+    """The hardware layout: a shared pool of fixed-size rows, each
+    chain a list of row lists.  The reference for the columnar store's
+    row accounting."""
+
+    def __init__(self, total, row_size):
+        self.row_size = row_size
+        self.free_rows = total // row_size
+
+    def append(self, chain, item):
+        if chain and len(chain[-1]) < self.row_size:
+            chain[-1].append(item)
+            return True
+        if not self.free_rows:
+            return False
+        self.free_rows -= 1
+        chain.append([item])
+        return True
+
+    def free_chain(self, chain):
+        self.free_rows += len(chain)
+        chain.clear()
+
+
 class TestSubentryKernels:
     def test_random_append_free_sequences_match(self):
-        """12k append/free ops on paired stores, state equal throughout."""
-        scalar = SubentryStore(48, row_size=4, columnar=False)
-        columnar = SubentryStore(48, row_size=4, columnar=True)
+        """12k append/free ops against the linked-row reference, row
+        accounting and chain contents equal throughout."""
+        rows = _LinkedRows(48, row_size=4)
+        columnar = SubentryStore(48, row_size=4)
         rng = np.random.default_rng(SEED + 2)
-        chains = []  # (scalar chain, columnar chain)
+        chains = []  # (linked-row chain, columnar chain)
         for op in range(12_000):
             roll = rng.random()
             if not chains or roll < 0.8:
                 if not chains or roll < 0.1:
-                    chains.append((scalar.new_chain(), columnar.new_chain()))
-                s_chain, c_chain = chains[rng.integers(0, len(chains))]
+                    chains.append(([], columnar.new_chain()))
+                r_chain, c_chain = chains[rng.integers(0, len(chains))]
                 item = (int(rng.integers(0, 1 << 16)),
                         int(rng.integers(0, 8)),
                         int(rng.integers(0, 16)) * 4, 4)
-                assert (scalar.append(s_chain, item)
+                assert (rows.append(r_chain, item)
                         == columnar.append(c_chain, item))
             else:
-                s_chain, c_chain = chains.pop(rng.integers(0, len(chains)))
-                assert (list(SubentryStore.chain_items(s_chain))
+                r_chain, c_chain = chains.pop(rng.integers(0, len(chains)))
+                assert ([item for row in r_chain for item in row]
                         == list(SubentryStore.chain_items(c_chain)))
-                scalar.free_chain(s_chain)
+                rows.free_chain(r_chain)
                 columnar.free_chain(c_chain)
-            assert scalar.free_rows == columnar.free_rows
-            assert scalar.entries_live == columnar.entries_live
-            assert scalar.stats.as_dict() == columnar.stats.as_dict()
-        assert scalar.stats.overflows > 0  # the overflow path was hit
-        for s_chain, c_chain in chains:
-            assert (SubentryStore.chain_length(s_chain)
-                    == SubentryStore.chain_length(c_chain))
-            assert (list(SubentryStore.chain_items(s_chain))
+            assert rows.free_rows == columnar.free_rows
+            assert columnar.entries_live == sum(
+                len(c_chain) for _, c_chain in chains)
+        assert columnar.stats.overflows > 0  # the overflow path was hit
+        for r_chain, c_chain in chains:
+            assert len(r_chain) == c_chain.rows
+            assert ([item for row in r_chain for item in row]
                     == list(SubentryStore.chain_items(c_chain)))
 
 
@@ -132,8 +187,6 @@ class TestSubentryKernels:
 
 class _ScriptedProducer(Component):
     """Pushes a fixed (cycle, request-factory) script into a channel."""
-
-    demand_driven = True
 
     def __init__(self, engine, req, script):
         self.req = req
@@ -161,8 +214,6 @@ class _ScriptedProducer(Component):
 class _PatternedConsumer(Component):
     """Drains 0..3 beats per cycle following a fixed seeded pattern."""
 
-    demand_driven = True
-
     def __init__(self, engine, resp, pattern):
         self.resp = resp
         self.pattern = pattern
@@ -184,13 +235,18 @@ class _PatternedConsumer(Component):
             engine.wake(self)  # throttled this cycle, not starved
 
 
-def _dram_service_trace(monkeypatch, kernels):
-    """Drive one DRAM channel with a seeded random request mix."""
-    monkeypatch.setenv("REPRO_KERNELS", kernels)
-    monkeypatch.setenv("REPRO_ENGINE", "demand")
+def _dram_service_trace(per_beat):
+    """Drive one DRAM channel with a seeded random request mix.
+
+    *per_beat* attaches an empty fault plan: it injects nothing, but a
+    faulted channel schedules every read beat as its own tuple instead
+    of one arithmetic segment.
+    """
     engine = Engine()
     mem = MemorySystem(engine, 1 << 20, n_channels=1,
                        timings=DramTimings(latency=12))
+    if per_beat:
+        mem.channels[0]._fault = FaultState(FaultPlan(), engine)
     mem.view_u32(0, (1 << 20) // 4)[:] = np.arange(
         (1 << 20) // 4, dtype=np.uint32)
     resp = engine.add_channel(Channel(8))
@@ -232,16 +288,16 @@ def _dram_service_trace(monkeypatch, kernels):
 
 
 class TestDramKernels:
-    def test_segment_service_matches_per_beat(self, monkeypatch):
+    def test_segment_service_matches_per_beat(self):
         """~3.6k beats delivered cycle-for-cycle, byte-for-byte equal."""
-        scalar = _dram_service_trace(monkeypatch, "scalar")
-        vector = _dram_service_trace(monkeypatch, "vector")
-        assert scalar == vector
-        assert len(scalar[0]) > 3000
-        assert scalar[2]["peak_queue"] > 8  # backpressure was exercised
+        per_beat = _dram_service_trace(per_beat=True)
+        segments = _dram_service_trace(per_beat=False)
+        assert per_beat == segments
+        assert len(per_beat[0]) > 3000
+        assert per_beat[2]["peak_queue"] > 8  # backpressure was exercised
 
 
-# -- End-to-end: whole systems race scalar vs vector -----------------------
+# -- Fault plans -------------------------------------------------------------
 
 
 def _small_system(algorithm, **kwargs):
@@ -253,44 +309,33 @@ def _small_system(algorithm, **kwargs):
     return AcceleratorSystem(graph, algorithm, config, **kwargs)
 
 
-def _run_mode(monkeypatch, algorithm, kernels, **kwargs):
-    monkeypatch.setenv("REPRO_KERNELS", kernels)
-    monkeypatch.setenv("REPRO_ENGINE", "demand")
-    system = _small_system(algorithm, **kwargs)
-    result = system.run(max_iterations=3)
-    hierarchy = system.hierarchy
-    banks = list(hierarchy.private_banks) + list(hierarchy.shared_banks)
-    return result, {
-        "cycles": result.cycles,
-        "values": result.values.tolist(),
-        "mshr": [bank.mshrs.stats.as_dict() for bank in banks],
-        "subentries": [bank.subentries.stats.as_dict() for bank in banks],
-        "banks": [dataclasses.asdict(bank.stats) for bank in banks],
-        "dram": [ch.stats.as_dict() for ch in system.mem.channels],
-    }
-
 class TestEndToEndIdentity:
     @pytest.mark.parametrize("algorithm", ["pagerank", "bfs"])
-    def test_cycles_and_state_identical(self, monkeypatch, algorithm):
-        _, scalar = _run_mode(monkeypatch, algorithm, "scalar")
-        _, vector = _run_mode(monkeypatch, algorithm, "vector")
-        assert scalar == vector
-
-
-# -- Fault plans under the vector kernels ----------------------------------
+    def test_cycles_and_state_identical(self, algorithm):
+        system = _small_system(algorithm)
+        result = system.run(max_iterations=3)
+        hierarchy = system.hierarchy
+        banks = list(hierarchy.private_banks) + list(hierarchy.shared_banks)
+        state = {
+            "cycles": result.cycles,
+            "values": result.values.tolist(),
+            "mshr": [bank.mshrs.stats.as_dict() for bank in banks],
+            "subentries": [bank.subentries.stats.as_dict()
+                           for bank in banks],
+            "banks": [dataclasses.asdict(bank.stats) for bank in banks],
+            "dram": [ch.stats.as_dict() for ch in system.mem.channels],
+        }
+        assert (result.cycles, _sha(state)) == SCALAR_STATE[algorithm]
 
 
 class TestFaultPlansUnderVector:
-    """MSHR-full windows and DRAM blackouts with REPRO_KERNELS=vector."""
+    """MSHR-full windows and DRAM blackouts through the batch kernels."""
 
     @pytest.mark.parametrize("plan_name, engagement", [
         ("mshr", "mshr_forced_failures"),
         ("dram", "blackout_cycles_entered"),
     ])
-    def test_vector_recovers_bit_identically(self, monkeypatch, plan_name,
-                                             engagement):
-        monkeypatch.setenv("REPRO_KERNELS", "vector")
-        monkeypatch.setenv("REPRO_ENGINE", "demand")
+    def test_vector_recovers_bit_identically(self, plan_name, engagement):
         baseline = _small_system("bfs").run()
         plan = getattr(FaultPlan, f"{plan_name}_plan")()
         system = _small_system("bfs", checks=True, fault_plan=plan)
@@ -299,13 +344,9 @@ class TestFaultPlansUnderVector:
         assert (result.values == baseline.values).all()
 
     @pytest.mark.parametrize("plan_name", ["mshr", "dram"])
-    def test_faulted_cycles_match_scalar(self, monkeypatch, plan_name):
-        """Faulted runs are cycle-identical across kernel modes too."""
-        plan_maker = getattr(FaultPlan, f"{plan_name}_plan")
-        results = {}
-        for kernels in ("scalar", "vector"):
-            monkeypatch.setenv("REPRO_KERNELS", kernels)
-            monkeypatch.setenv("REPRO_ENGINE", "demand")
-            run = _small_system("bfs", fault_plan=plan_maker()).run()
-            results[kernels] = (run.cycles, run.values.tolist())
-        assert results["scalar"] == results["vector"]
+    def test_faulted_cycles_match_scalar(self, plan_name):
+        """Faulted runs land on the scalar kernels' cycles too."""
+        plan = getattr(FaultPlan, f"{plan_name}_plan")()
+        run = _small_system("bfs", fault_plan=plan).run()
+        assert (run.cycles, _sha(run.values.tolist())) \
+            == SCALAR_FAULTED[plan_name]

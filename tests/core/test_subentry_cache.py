@@ -7,38 +7,43 @@ from hypothesis import strategies as st
 from repro.core import CacheArray, SubentryStore
 
 
+def sub(req_id):
+    """A 4-byte subentry for *req_id* on port 0."""
+    return (req_id, 0, 0, 4)
+
+
 class TestSubentryStore:
     def test_append_and_iterate(self):
         store = SubentryStore(16, row_size=4)
         chain = store.new_chain()
         for i in range(6):
-            assert store.append(chain, i)
-        assert list(store.chain_items(chain)) == list(range(6))
-        assert store.chain_length(chain) == 6
-        assert len(chain) == 2  # two rows of four
+            assert store.append(chain, sub(i))
+        assert list(store.chain_items(chain)) == [sub(i) for i in range(6)]
+        assert len(chain) == 6
+        assert chain.rows == 2  # two rows of four
 
     def test_rows_allocated_lazily(self):
         store = SubentryStore(16, row_size=4)
         chain = store.new_chain()
         assert store.free_rows == 4
-        store.append(chain, "x")
+        store.append(chain, sub("x"))
         assert store.free_rows == 3
 
     def test_overflow_when_no_rows(self):
         store = SubentryStore(8, row_size=4)  # 2 rows
         a, b, c = store.new_chain(), store.new_chain(), store.new_chain()
-        store.append(a, 1)
-        store.append(b, 2)
-        assert not store.append(c, 3)
+        store.append(a, sub(1))
+        store.append(b, sub(2))
+        assert not store.append(c, sub(3))
         assert store.stats.overflows == 1
         # The failed chain is unchanged.
-        assert store.chain_length(c) == 0
+        assert len(c) == 0
 
     def test_free_chain_recycles_rows(self):
         store = SubentryStore(8, row_size=4)
         a = store.new_chain()
         for i in range(8):
-            assert store.append(a, i)
+            assert store.append(a, sub(i))
         assert store.free_rows == 0
         store.free_chain(a)
         assert store.free_rows == 2
@@ -49,9 +54,9 @@ class TestSubentryStore:
         store = SubentryStore(32, row_size=4)
         hot = store.new_chain()
         for i in range(28):
-            assert store.append(hot, i)
+            assert store.append(hot, sub(i))
         cold = store.new_chain()
-        assert store.append(cold, "c")  # one row left
+        assert store.append(cold, sub("c"))  # one row left
 
     @given(st.lists(st.integers(min_value=0, max_value=7), max_size=100))
     @settings(max_examples=50, deadline=None)
@@ -60,10 +65,10 @@ class TestSubentryStore:
         store = SubentryStore(64, row_size=4)
         chains = [store.new_chain() for _ in range(8)]
         for pick in chain_picks:
-            store.append(chains[pick], pick)
-        total = sum(store.chain_length(c) for c in chains)
+            store.append(chains[pick], sub(pick))
+        total = sum(len(c) for c in chains)
         assert store.entries_live == total
-        rows_used = sum(len(c) for c in chains)
+        rows_used = sum(c.rows for c in chains)
         assert store.free_rows == store.n_rows - rows_used
         for chain in chains:
             store.free_chain(chain)

@@ -223,7 +223,6 @@ class TestCheckpointedSweep:
 
     def test_sigkill_mid_point_resumes_identical(self, tmp_path,
                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "demand")
         # Uninterrupted reference rows (fast path, in-process).
         expected = [_sim_algorithm(a) for a in self.ALGORITHMS]
 

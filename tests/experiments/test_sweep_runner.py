@@ -100,8 +100,6 @@ class TestComponentBreakdown:
         engine = Engine()
 
         class Noop(Component):
-            demand_driven = True
-
             def tick(self, eng):
                 pass
 

@@ -10,8 +10,6 @@ from repro.sim import Channel, Component, DeadlockError, Engine
 class Spinner(Component):
     """Livelocks: ticks forever without ever moving a token."""
 
-    demand_driven = True
-
     def __init__(self, peer_channel):
         self.peer_channel = peer_channel
 
@@ -67,7 +65,6 @@ class TestWatchdog:
         channel = engine.add_channel(Channel(2, name="flow"))
 
         class Pump(Component):
-            demand_driven = True
             moved = 0
 
             def tick(self, engine):
@@ -88,7 +85,6 @@ class TestWatchdog:
         engine = Engine()
 
         class Sleeper(Component):
-            demand_driven = True
             fired = False
 
             def tick(self, engine):
@@ -108,7 +104,6 @@ class TestWatchdog:
         channel = engine.add_channel(Channel(1, name="orphan"))
 
         class OneShot(Component):
-            demand_driven = True
             done = False
 
             def tick(self, engine):

@@ -25,6 +25,7 @@ model change::
     PYTHONPATH=src python -m tests.golden.test_corpus tests/golden/corpus.json
 """
 
+import functools
 import hashlib
 import json
 import sys
@@ -51,14 +52,10 @@ CONFIGS = ("scaled", "starved")
 STRATEGY_KEYS = ("engine", "cycles_skipped", "moms_request_stalls",
                  "stall_breakdown")
 
-_GRAPH = None
 
-
+@functools.cache
 def _graph():
-    global _GRAPH
-    if _GRAPH is None:
-        _GRAPH = web_graph(400, 2000, seed=7)
-    return _GRAPH
+    return web_graph(400, 2000, seed=7)
 
 
 def _config(organization, algorithm, kind):

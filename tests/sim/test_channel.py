@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.sim import Channel, DelayLine, Engine
 
 
-def make_engine_with_channel(capacity):
+def engine_with_channel(capacity):
     engine = Engine()
     channel = engine.add_channel(Channel(capacity, name="t"))
     return engine, channel
@@ -19,12 +19,12 @@ class TestChannel:
             Channel(0)
 
     def test_push_not_visible_same_cycle(self):
-        _, ch = make_engine_with_channel(4)
+        _, ch = engine_with_channel(4)
         ch.push("a")
         assert not ch.can_pop()
 
     def test_push_visible_after_commit(self):
-        _, ch = make_engine_with_channel(4)
+        _, ch = engine_with_channel(4)
         ch.push("a")
         ch.commit()
         assert ch.can_pop()
@@ -32,14 +32,14 @@ class TestChannel:
         assert ch.pop() == "a"
 
     def test_fifo_order(self):
-        _, ch = make_engine_with_channel(8)
+        _, ch = engine_with_channel(8)
         for i in range(5):
             ch.push(i)
         ch.commit()
         assert [ch.pop() for _ in range(5)] == [0, 1, 2, 3, 4]
 
     def test_capacity_blocks_push(self):
-        _, ch = make_engine_with_channel(2)
+        _, ch = engine_with_channel(2)
         ch.push(1)
         ch.push(2)
         assert not ch.can_push()
@@ -48,7 +48,7 @@ class TestChannel:
 
     def test_pop_frees_slot_only_next_cycle(self):
         """Registered capacity: a pop in cycle t frees the slot at t+1."""
-        _, ch = make_engine_with_channel(1)
+        _, ch = engine_with_channel(1)
         ch.push(1)
         ch.commit()
         assert ch.pop() == 1
@@ -58,7 +58,7 @@ class TestChannel:
         assert ch.can_push()
 
     def test_pending_counts_staged_and_ready(self):
-        _, ch = make_engine_with_channel(4)
+        _, ch = engine_with_channel(4)
         ch.push(1)
         assert ch.pending == 1
         assert len(ch) == 0
@@ -66,17 +66,17 @@ class TestChannel:
         assert ch.pending == 1
         assert len(ch) == 1
 
-    def test_push_marks_engine_active(self):
-        engine, ch = make_engine_with_channel(4)
-        engine._active = False
+    def test_push_registers_channel_for_commit(self):
+        engine, ch = engine_with_channel(4)
         ch.push(1)
-        assert engine._active
+        ch.push(2)
+        assert engine._dirty_channels == [ch]
 
     @given(st.lists(st.integers(), max_size=64))
     @settings(max_examples=50, deadline=None)
     def test_everything_pushed_is_popped_in_order(self, items):
         """Property: channel is a lossless FIFO across arbitrary cycles."""
-        _, ch = make_engine_with_channel(max(len(items), 1))
+        _, ch = engine_with_channel(max(len(items), 1))
         for item in items:
             ch.push(item)
         ch.commit()
@@ -88,7 +88,7 @@ class TestChannel:
 
 class TestPushManyBoundaries:
     def test_exactly_full_is_accepted(self):
-        _, ch = make_engine_with_channel(4)
+        _, ch = engine_with_channel(4)
         assert ch.can_push_n(4)
         ch.push_many([1, 2, 3, 4])
         assert ch.pending == 4
@@ -96,7 +96,7 @@ class TestPushManyBoundaries:
         assert ch.free_slots() == 0
 
     def test_zero_count_is_a_noop_even_when_full(self):
-        _, ch = make_engine_with_channel(2)
+        _, ch = engine_with_channel(2)
         ch.push_many([1, 2])
         assert ch.can_push_n(0)
         ch.push_many([])  # must not raise on a full channel
@@ -104,7 +104,7 @@ class TestPushManyBoundaries:
         assert ch.total_pushed == 2
 
     def test_over_capacity_raises_and_leaves_channel_unchanged(self):
-        _, ch = make_engine_with_channel(3)
+        _, ch = engine_with_channel(3)
         ch.push(1)
         assert not ch.can_push_n(3)
         with pytest.raises(OverflowError):
@@ -113,7 +113,7 @@ class TestPushManyBoundaries:
         assert ch.total_pushed == 1
 
     def test_boundary_counts_one_around_capacity(self):
-        _, ch = make_engine_with_channel(5)
+        _, ch = engine_with_channel(5)
         assert ch.can_push_n(5)
         assert not ch.can_push_n(6)
         ch.push_many([0] * 4)
@@ -123,7 +123,7 @@ class TestPushManyBoundaries:
     def test_staged_plus_visible_count_against_capacity(self):
         """Registered occupancy: visible tokens and staged pushes share
         the capacity budget within a cycle."""
-        _, ch = make_engine_with_channel(4)
+        _, ch = engine_with_channel(4)
         ch.push_many([1, 2])
         ch.commit()
         ch.push_many([3, 4])  # 2 visible + 2 staged = exactly full
@@ -134,7 +134,7 @@ class TestPushManyBoundaries:
 
 class TestThrottle:
     def test_throttle_blocks_pushes_and_restore_reopens(self):
-        _, ch = make_engine_with_channel(4)
+        _, ch = engine_with_channel(4)
         ch.push(1)
         ch.throttle(0)
         assert not ch.can_push()
@@ -146,7 +146,7 @@ class TestThrottle:
         assert ch.can_push()
 
     def test_tokens_in_flight_survive_a_throttle_window(self):
-        _, ch = make_engine_with_channel(2)
+        _, ch = engine_with_channel(2)
         ch.push_many([1, 2])
         ch.commit()
         ch.throttle(0)
@@ -156,7 +156,7 @@ class TestThrottle:
         ch.validate()
 
     def test_restore_is_idempotent(self):
-        _, ch = make_engine_with_channel(3)
+        _, ch = engine_with_channel(3)
         ch.restore()  # never throttled: no-op
         assert ch.capacity == 3
         ch.throttle(0)
@@ -166,7 +166,7 @@ class TestThrottle:
         assert ch.capacity == 3
 
     def test_validate_flags_overfull_channel(self):
-        _, ch = make_engine_with_channel(2)
+        _, ch = engine_with_channel(2)
         ch.validate()
         ch._visible = 3  # corrupt the ring accounting deliberately
         with pytest.raises(AssertionError):

@@ -1,20 +1,18 @@
-"""Demand-driven engine: wake semantics, batched pushes, legacy parity.
+"""Demand-driven engine: wake semantics and batched pushes.
 
-The demand-driven engine must (a) skip ticks that are provably no-ops,
-(b) never skip a tick that could make progress, and (c) produce the
-same cycle trajectory as the all-tick :class:`LegacyEngine`.
+The engine must (a) skip ticks that are provably no-ops, (b) never
+skip a tick that could make progress, and (c) therefore produce the
+cycle trajectory of ticking every component every cycle.
 """
 
 import pytest
 
 from repro.sim import Channel, Component, DelayLine
-from repro.sim.engine import Engine, LegacyEngine, make_engine
+from repro.sim.engine import Engine
 
 
 class CountingProducer(Component):
     """Pushes *total* tokens, one per cycle, whenever there is room."""
-
-    demand_driven = True
 
     def __init__(self, engine, channel, total):
         self.channel = channel
@@ -32,8 +30,6 @@ class CountingProducer(Component):
 
 
 class CountingConsumer(Component):
-    demand_driven = True
-
     def __init__(self, engine, channel):
         self.channel = channel
         self.received = []
@@ -61,13 +57,15 @@ class TestDemandWakes:
         assert consumer.received == list(range(20, 0, -1))
 
     def test_matches_legacy_cycle_for_cycle(self):
-        outcomes = []
-        for engine in (Engine(), LegacyEngine()):
-            producer, consumer = build_pipeline(engine, total=20)
-            engine.run(done=lambda: len(consumer.received) == 20,
-                       max_cycles=500)
-            outcomes.append((engine.now, tuple(consumer.received)))
-        assert outcomes[0] == outcomes[1]
+        """The all-tick reference engine (both components ticked every
+        cycle) delivered the 20th token on cycle 20; demand scheduling
+        must land on the same cycle."""
+        engine = Engine()
+        producer, consumer = build_pipeline(engine, total=20)
+        engine.run(done=lambda: len(consumer.received) == 20,
+                   max_cycles=500)
+        assert engine.now == 21
+        assert engine.component_ticks == 42  # both busy every cycle
 
     def test_demand_engine_skips_ticks(self):
         # A consumer blocked on an empty channel must not be ticked
@@ -78,8 +76,6 @@ class TestDemandWakes:
         consumer = CountingConsumer(engine, channel)
 
         class Refiller(Component):
-            demand_driven = True
-
             def __init__(self):
                 self.sent = 0
                 engine.add_component(self)
@@ -110,8 +106,6 @@ class TestDemandWakes:
         ticked = []
 
         class Probe(Component):
-            demand_driven = True
-
             def tick(self, eng):
                 ticked.append(eng.now)
 
@@ -127,8 +121,6 @@ class TestDemandWakes:
         ticked = []
 
         class Probe(Component):
-            demand_driven = True
-
             def tick(self, eng):
                 ticked.append(eng.now)
 
@@ -188,16 +180,3 @@ class TestPushMany:
             assert len(channel) == 3
             assert channel.free_slots() == 5
 
-
-class TestMakeEngine:
-    def test_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "legacy")
-        assert isinstance(make_engine(), LegacyEngine)
-        monkeypatch.setenv("REPRO_ENGINE", "demand")
-        engine = make_engine()
-        assert isinstance(engine, Engine)
-        assert not isinstance(engine, LegacyEngine)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            make_engine("turbo")

@@ -6,12 +6,13 @@ from repro.sim import Channel, Component, DeadlockError, DelayLine, Engine
 
 
 class Producer(Component):
-    """Pushes ``count`` integers, one per cycle."""
+    """Pushes ``count`` integers, one per cycle while there is room."""
 
     def __init__(self, out, count):
         self.out = out
         self.count = count
         self.sent = 0
+        out.subscribe_space(self)
 
     def tick(self, engine):
         if self.sent < self.count and self.out.can_push():
@@ -28,6 +29,7 @@ class Consumer(Component):
     def __init__(self, inp):
         self.inp = inp
         self.received = []
+        inp.subscribe_data(self)
 
     def tick(self, engine):
         if self.inp.can_pop():
@@ -41,6 +43,9 @@ class LatencyRelay(Component):
         self.inp = inp
         self.line = line
         self.out = out
+        inp.subscribe_data(self)
+        line.subscribe_data(self)
+        out.subscribe_space(self)
 
     def tick(self, engine):
         if self.inp.can_pop():

@@ -8,8 +8,6 @@ from repro.sim import Channel, Component, CycleLimitError, Engine
 class Forever(Component):
     """Always busy, never finishes: exercises the budget path."""
 
-    demand_driven = True
-
     def __init__(self, channel):
         self.channel = channel
 

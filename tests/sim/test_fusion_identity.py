@@ -4,7 +4,7 @@ The contract (DESIGN.md Section 6.9): ``REPRO_FUSION=on`` may only
 change *how* the engine advances time, never what the model computes
 -- same final cycle count, same iteration count, same stats dict,
 same output values, and the same byte-identical span stream -- across
-algorithms, organizations, kernel modes, active fault plans, and a
+algorithms, organizations, active fault plans, and a
 checkpoint/restore boundary landing where a fused run would otherwise
 be in flight.
 
@@ -45,10 +45,7 @@ def _starved_config(organization, algorithm):
     return config
 
 
-def _run(fusion, algorithm, organization, kernels, monkeypatch,
-         **system_kwargs):
-    monkeypatch.setenv("REPRO_ENGINE", "demand")
-    monkeypatch.setenv("REPRO_KERNELS", kernels)
+def _run(fusion, algorithm, organization, monkeypatch, **system_kwargs):
     monkeypatch.setenv("REPRO_FUSION", fusion)
     system = AcceleratorSystem(
         GRAPH, algorithm, _starved_config(organization, algorithm),
@@ -70,23 +67,20 @@ class TestAlgorithmOrganizationMatrix:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_fused_matches_unfused(self, algorithm, organization,
                                    monkeypatch):
-        for kernels in ("vector", "scalar"):
-            fused_system, fused = _run(
-                "on", algorithm, organization, kernels, monkeypatch)
-            assert fused_system.engine.fused_runs > 0, \
-                "starved point stopped producing fused runs"
-            _, unfused = _run(
-                "off", algorithm, organization, kernels, monkeypatch)
-            _assert_identical(fused, unfused)
+        fused_system, fused = _run(
+            "on", algorithm, organization, monkeypatch)
+        assert fused_system.engine.fused_runs > 0, \
+            "starved point stopped producing fused runs"
+        _, unfused = _run("off", algorithm, organization, monkeypatch)
+        _assert_identical(fused, unfused)
 
     def test_integer_cap_matches_too(self, monkeypatch):
         """A small REPRO_FUSION=K cap splits runs differently but must
         not change the model either."""
-        capped_system, capped = _run(
-            "8", "pagerank", "two-level", "vector", monkeypatch)
+        capped_system, capped = _run("8", "pagerank", "two-level",
+                                     monkeypatch)
         assert capped_system.engine.fused_runs > 0
-        _, unfused = _run(
-            "off", "pagerank", "two-level", "vector", monkeypatch)
+        _, unfused = _run("off", "pagerank", "two-level", monkeypatch)
         _assert_identical(capped, unfused)
 
 
@@ -98,10 +92,10 @@ class TestUnderFaultPlan:
         the engine still fuses elsewhere and the model must not
         move."""
         factory = NAMED_PLANS[plan_name]
-        _, fused = _run("on", "pagerank", "two-level", "vector",
-                        monkeypatch, fault_plan=factory())
-        _, unfused = _run("off", "pagerank", "two-level", "vector",
-                          monkeypatch, fault_plan=factory())
+        _, fused = _run("on", "pagerank", "two-level", monkeypatch,
+                        fault_plan=factory())
+        _, unfused = _run("off", "pagerank", "two-level", monkeypatch,
+                          fault_plan=factory())
         _assert_identical(fused, unfused)
 
 
@@ -113,16 +107,14 @@ class TestCheckpointAcrossFusedRun:
         each run at the hook point, the snapshot is written on the
         real tick, and the resumed engine must re-enter fusion and
         finish bit-identical to the unfused straight run."""
-        _, unfused = _run("off", "pagerank", "shared", "vector",
-                          monkeypatch)
-        fused_system, fused = _run("on", "pagerank", "shared", "vector",
-                                   monkeypatch)
+        _, unfused = _run("off", "pagerank", "shared", monkeypatch)
+        fused_system, fused = _run("on", "pagerank", "shared", monkeypatch)
         assert fused_system.engine.fused_runs > 0
         _assert_identical(fused, unfused)
 
         snap = str(tmp_path / "mid.snap")
         ck_system, checkpointed = _run(
-            "on", "pagerank", "shared", "vector", monkeypatch,
+            "on", "pagerank", "shared", monkeypatch,
             checkpoint=f"{snap}:2000",
         )
         assert ck_system.engine.fused_runs > 0
@@ -147,7 +139,7 @@ class TestSpanStream:
 
         def leg(fusion):
             system, result = _run(
-                fusion, "pagerank", "two-level", "vector", monkeypatch,
+                fusion, "pagerank", "two-level", monkeypatch,
                 spans=SpansConfig(sample_rate=8),
             )
             sha = hashlib.sha256(

@@ -16,8 +16,6 @@ def make_soa(capacity, kind="request"):
 class Waker(Component):
     """Records its ticks; demand-driven so commits can wake it."""
 
-    demand_driven = True
-
     def __init__(self):
         self.ticked = 0
 

@@ -94,9 +94,10 @@ class TestRunPointWiring:
 
 
 class TestCliParser:
-    def test_engine_and_kernels_flags_parse_once(self, capsys):
-        """The shared parser must accept the mode flags exactly once
-        (a duplicate add_argument would crash at parser build)."""
+    def test_shared_parser_builds(self, capsys):
+        """Every subcommand's option group registers on the one shared
+        parser (a duplicate add_argument would crash at parser
+        build)."""
         from repro.__main__ import main
 
         assert main(["list"]) == 0
