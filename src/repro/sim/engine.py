@@ -527,7 +527,8 @@ class Engine:
         win; ``fused_runs``/``fused_cycles`` are the macro-tick win
         (cycles advanced through ``step_n`` batches instead of
         per-cycle ticks).  The fusion keys are always present --
-        explicit zeros when ``REPRO_FUSION=off``.  See :mod:`repro.core.stats` for aggregation helpers.
+        explicit zeros when ``REPRO_FUSION=off``.  See
+        :mod:`repro.core.stats` for aggregation helpers.
         """
         fused_runs = self.fused_runs
         fused_cycles = self.fused_cycles

@@ -58,8 +58,8 @@ def _fingerprint(system, result):
 
 
 def _digest(fingerprint):
-    fingerprint = dict(fingerprint,
-                       values=hashlib.sha256(fingerprint["values"]).hexdigest())
+    values = hashlib.sha256(fingerprint["values"]).hexdigest()
+    fingerprint = dict(fingerprint, values=values)
     return hashlib.sha256(
         json.dumps(fingerprint, sort_keys=True).encode()).hexdigest()
 

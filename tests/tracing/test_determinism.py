@@ -29,9 +29,12 @@ GRAPH = web_graph(900, 4500, seed=11)
 #: demand and all-tick engines under the vector and scalar kernels all
 #: produced these streams before the latter three were retired.
 PINNED_SHA = {
-    "pagerank": "ed47b4fd8316f502ac9b7b68a154f21db224311e0fcbb8ab900ed078808171ca",
-    "bfs": "9678e8f1f549a262049d53f6ca4e74f6b012fa7ae8dc7f269d2c34dca0a24080",
-    "pagerank+dram": "5cf0b6fca5d35ce184ad86c2eb82eb5d8880944118df7ad644d7026c8e266cd7",
+    "pagerank":
+        "ed47b4fd8316f502ac9b7b68a154f21db224311e0fcbb8ab900ed078808171ca",
+    "bfs":
+        "9678e8f1f549a262049d53f6ca4e74f6b012fa7ae8dc7f269d2c34dca0a24080",
+    "pagerank+dram":
+        "5cf0b6fca5d35ce184ad86c2eb82eb5d8880944118df7ad644d7026c8e266cd7",
 }
 
 
