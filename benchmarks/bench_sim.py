@@ -19,9 +19,11 @@ circulating).  A **deep-queue point** -- MSHR-starved, single PE,
 long-latency deep-queued DRAM, deeper cuckoo kick chains (see
 ``_DEEP``), where most cycles are fused macro-tick retry runs -- records
 its wall time and fusion coverage; ``--scale`` moves its RMAT graph
-scale for exploration.  Micro-benchmarks of ``Channel.push_many`` and
-the disabled fault/telemetry/tracing/checkpoint gates (<3% budget
-each) round out the file.
+scale for exploration.  A micro-benchmark of ``Channel.push_many``
+and two disabled-hook gates (<3% budget each) round out the file: the
+component probe plus the engine and fault hooks, with counted gate
+executions and interleaved checks/telemetry/spans on legs, and the
+checkpointer.
 
 Usage::
 
@@ -57,6 +59,7 @@ from repro.graph.generators import rmat_graph
 from repro.mem.dram import DramTimings
 from repro.sim import Channel
 from repro.sim.engine import Engine
+from repro.sim.probe import EventCounter
 
 SUITE = (
     ("traditional", MOMS_TRADITIONAL),
@@ -91,7 +94,7 @@ _DEEP = {
 
 
 #: Version of the BENCH_sim.json layout; bump it when a key changes.
-SCHEMA = 2
+SCHEMA = 3
 
 
 def _point(label_org):
@@ -225,11 +228,12 @@ def bench_push_many(tokens=200_000, batch=16):
 
 
 def _gate_cost_ns(loops=1_000_000):
-    """Cost of one *disabled* safety hook, in nanoseconds.
+    """Cost of one *disabled* hook gate, in nanoseconds.
 
-    A disabled hook is a class-attribute load plus an ``is None`` test;
-    the two work loops below differ by exactly three such gates, so the
-    per-gate cost is the wall-clock difference divided by ``3 * loops``.
+    A disabled gate is a class-attribute load plus an ``is None`` test
+    (the component ``_probe`` and ``_fault`` slots); the two work loops
+    below differ by exactly three such gates, so the per-gate cost is
+    the wall-clock difference divided by ``3 * loops``.
     """
 
     class Plain:
@@ -238,17 +242,17 @@ def _gate_cost_ns(loops=1_000_000):
             return token
 
     class Gated(Plain):
-        _ledger = None
+        _probe = None
         _fault = None
 
         def work(self, token, state):
-            if self._ledger is not None:
-                self._ledger.verify(("bench", 0), token)
+            if self._probe is not None:
+                self._probe.pe_verify(self, token)
             if self._fault is not None:
                 token = self._fault.corrupt_moms_token(token)
             state[token & 7] = state.get(token & 7, 0) + 1
-            if self._ledger is not None:
-                self._ledger.retire(("bench", 0), token)
+            if self._probe is not None:
+                self._probe.pe_retire(self, token, 0, 0)
             return token
 
     def wall(obj):
@@ -264,164 +268,144 @@ def _gate_cost_ns(loops=1_000_000):
     return max((gated - plain) / (loops * 3) * 1e9, 0.1)
 
 
-# Every token crosses a bounded number of gate sites on its PE -> bank
-# -> DRAM round trip: three ledger gates at the PE, two at the bank,
-# four at the DRAM channel, plus the MSHR-insert and drain-corruption
-# fault gates.  Eight per *issued* token (summed over all three
-# scopes, so a full round trip is counted three times over) is a
-# comfortable over-estimate.
-_GATE_SITES_PER_TOKEN = 8
-
-
-def bench_checks_overhead(repeats=3):
-    """Zero-cost-when-disabled gate for the fault/invariant hooks.
-
-    Every hook added by the robustness subsystem is an ``is None`` test
-    on a class attribute (``Engine.watchdog``, PE/bank/DRAM
-    ``_ledger``/``_fault`` slots, MSHR fault gates).  The pre-hook
-    engine is not runnable from this tree, so the <3% bound is computed
-    instead of raced: a micro-benchmark prices one disabled gate, a
-    checks-on run of a small BFS point counts the tokens (and therefore
-    bounds the gate executions), and the implied overhead is
-
-        gate_executions * gate_cost / checks-off wall clock.
-
-    The measured checks-on wall is recorded alongside so the *enabled*
-    cost stays visible in BENCH_sim.json, and cycle counts are asserted
-    identical between the two runs -- checks observe, never perturb.
-    """
+def _overhead_config():
     graph = web_graph(600, 3000, seed=9)
     config = ArchitectureConfig(
         _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
         **SCALED_DEFAULTS,
     )
+    return graph, config
 
-    def run_once(checks):
-        system = AcceleratorSystem(graph, "bfs", config, checks=checks)
-        start = time.perf_counter()
-        result = system.run()
-        return system, result, time.perf_counter() - start
 
-    off_walls = []
-    for _ in range(repeats):
-        _, off_result, wall = run_once(checks=False)
-        off_walls.append(wall)
-    on_walls = []
-    for _ in range(repeats):
-        system_on, on_result, wall = run_once(checks=True)
-        on_walls.append(wall)
-    assert on_result.cycles == off_result.cycles, (
-        "enabling checks changed the model: "
-        f"{on_result.cycles} != {off_result.cycles}"
-    )
-
-    tokens = sum(
-        scope["issued"] for scope in system_on.ledger.snapshot().values()
-    )
-    gate_ns = _gate_cost_ns()
-    wall_off = min(off_walls)
-    gate_sites = _GATE_SITES_PER_TOKEN * tokens
-    implied = gate_sites * gate_ns * 1e-9 / wall_off
-    assert implied < 0.03, (
-        f"disabled checks imply {implied * 100:.2f}% demand-engine "
-        f"overhead ({gate_sites} gates x {gate_ns:.1f}ns over "
-        f"{wall_off:.3f}s); budget is 3%"
-    )
+def _wall_spread(walls):
+    ordered = sorted(walls)
     return {
-        "point": "BFS / web_graph(600, 3000) / two-level 4x4",
-        "cycles": off_result.cycles,
-        "wall_off_s": round(wall_off, 3),
-        "wall_on_s": round(min(on_walls), 3),
-        "checks_on_slowdown": round(min(on_walls) / wall_off, 3),
-        "ledger_tokens": tokens,
-        "gate_sites": gate_sites,
-        "gate_ns": round(gate_ns, 2),
-        "implied_off_overhead_pct": round(implied * 100, 4),
-        "budget_pct": 3.0,
+        "min_s": round(ordered[0], 3),
+        "median_s": round(ordered[len(ordered) // 2], 3),
+        "max_s": round(ordered[-1], 3),
     }
 
 
-def bench_telemetry_overhead(repeats=3):
-    """Zero-cost-when-disabled gate for the telemetry hooks.
+def _gate_census(graph, config, system_off):
+    """Count the disabled-path gate executions of one unprobed run.
 
-    Same methodology as :func:`bench_checks_overhead`: telemetry's
-    disabled hooks are ``is None`` tests on class attributes
-    (``Engine.sampler``, PE/bank/DRAM ``_tele`` slots), so the bound is
-    computed from a priced gate and a counted number of gate
-    executions.  The disabled-path sites are one sampler gate per
-    simulated cycle, a handful of ``_tele`` gates per component tick
-    (tick-start plus the in-tick issue/retire/phase sites), and one
-    per DRAM beat delivered.  A telemetry-on run is raced alongside and
-    its cycle count asserted identical -- telemetry observes, never
-    perturbs.
+    * **probe** -- an :class:`EventCounter` installed as the probe
+      counts how often each event site's ``_probe`` gate passes.  A
+      probed run never fuses, so it ticks at least every cycle the
+      unprobed run ticks and its count bounds the unprobed run's.
+    * **engine_poll** -- the watchdog/sampler/checkpointer tests: three
+      per engine step and three per fusion attempt.
+    * **fault** -- the ``_fault`` tests: one per DRAM tick, two per
+      DRAM accept, one per response schedule, one per MSHR insert, one
+      per subentry replay, and the step_n fusion declines (three tests
+      per ``step_n`` call).
     """
-    from repro.telemetry import TelemetryConfig
-
-    graph = web_graph(600, 3000, seed=9)
-    config = ArchitectureConfig(
-        _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
-        **SCALED_DEFAULTS,
-    )
-
-    def run_once(telemetry):
-        system = AcceleratorSystem(graph, "bfs", config,
-                                   telemetry=telemetry)
-        start = time.perf_counter()
-        result = system.run()
-        return system, result, time.perf_counter() - start
-
-    off_walls = []
-    for _ in range(repeats):
-        system_off, off_result, wall = run_once(telemetry=None)
-        off_walls.append(wall)
-    on_walls = []
-    for _ in range(repeats):
-        system_on, on_result, wall = run_once(
-            telemetry=TelemetryConfig(sample_interval=64)
-        )
-        on_walls.append(wall)
-    assert on_result.cycles == off_result.cycles, (
-        "enabling telemetry changed the model: "
-        f"{on_result.cycles} != {off_result.cycles}"
-    )
+    counter = EventCounter()
+    probed = AcceleratorSystem(graph, "bfs", config)
+    probed.install_probe([counter])
+    probed.run()
+    events = counter.counts
 
     engine = system_off.engine
-    beats = sum(
-        ch.stats.total_beats for ch in system_off.mem.channels
-    )
-    gate_sites = (
-        engine.cycles_simulated        # Engine.run sampler gate
-        + 4 * engine.component_ticks   # tick-start + in-tick _tele gates
-        + beats                        # DRAM per-beat delivery gate
-    )
+    aborts = engine.fusion_abort_reasons
+    steps = engine.cycles_simulated - engine.fused_cycles
+    attempts = engine.fused_runs + sum(aborts.values())
+    step_n_calls = engine.fused_runs + aborts.get("component", 0)
+    inserts = sum(bank.mshrs.stats.inserts + bank.mshrs.stats.insert_failures
+                  for bank in system_off.hierarchy.banks)
+    channels = system_off.mem.channels
+    sites = {
+        "probe": sum(events.values()),
+        "engine_poll": 3 * steps + 3 * attempts,
+        "fault": (
+            sum(channel.ticks for channel in channels)
+            + 2 * events["dram_accept"]
+            + events["dram_schedule"]
+            + inserts
+            + events["bank_replay"]
+            + 3 * step_n_calls
+        ),
+    }
+    sites["total"] = sum(sites.values())
+    return sites, events
+
+
+def bench_probe_overhead(repeats=3):
+    """Disabled-cost gate for the component probe, with enabled legs.
+
+    With no observer attached, every component event site is one
+    ``_probe is None`` test, and the engine and fault hooks are more
+    ``is None`` tests.  The <3% disabled bound is computed from counted
+    gate executions (:func:`_gate_census`) times the micro-benchmarked
+    gate price, over the unprobed wall clock.
+
+    One shared off leg is interleaved with an on leg per observer --
+    invariant checks (ledger + watchdog), telemetry, and span tracing
+    -- so each on leg records its slowdown against the same baseline,
+    and its cycle count is asserted identical: observers never
+    perturb the model.
+    """
+    from repro.telemetry import TelemetryConfig
+    from repro.tracing import SpansConfig
+
+    graph, config = _overhead_config()
+    legs = {
+        "off": {},
+        "checks": {"checks": True},
+        "telemetry": {"telemetry": TelemetryConfig(sample_interval=64)},
+        "spans": {"spans": SpansConfig(sample_rate=16)},
+    }
+    walls = {leg: [] for leg in legs}
+    results = {}
+    for _ in range(repeats):
+        for leg, kwargs in legs.items():
+            system = AcceleratorSystem(graph, "bfs", config, **kwargs)
+            start = time.perf_counter()
+            result = system.run()
+            walls[leg].append(time.perf_counter() - start)
+            results[leg] = (system, result)
+    system_off, off_result = results["off"]
+    for leg, (_system, result) in results.items():
+        assert result.cycles == off_result.cycles, (
+            f"enabling {leg} changed the model: "
+            f"{result.cycles} != {off_result.cycles}"
+        )
+
+    sites, events = _gate_census(graph, config, system_off)
     gate_ns = _gate_cost_ns()
-    wall_off = min(off_walls)
-    implied = gate_sites * gate_ns * 1e-9 / wall_off
+    wall_off = min(walls["off"])
+    implied = sites["total"] * gate_ns * 1e-9 / wall_off
     assert implied < 0.03, (
-        f"disabled telemetry implies {implied * 100:.2f}% overhead "
-        f"({gate_sites} gates x {gate_ns:.1f}ns over {wall_off:.3f}s); "
-        f"budget is 3%"
+        f"disabled probe/engine/fault gates imply {implied * 100:.2f}% "
+        f"overhead ({sites['total']} gates x {gate_ns:.1f}ns over "
+        f"{wall_off:.3f}s); budget is 3%"
     )
-    summary = system_on.telemetry.summary()
+    off_median = _wall_spread(walls["off"])["median_s"]
+    on_legs = {}
+    for leg in legs:
+        if leg == "off":
+            continue
+        spread = _wall_spread(walls[leg])
+        spread["slowdown"] = round(spread["median_s"] / off_median, 3)
+        on_legs[leg] = spread
     return {
         "point": "BFS / web_graph(600, 3000) / two-level 4x4",
         "cycles": off_result.cycles,
-        "wall_off_s": round(wall_off, 3),
-        "wall_on_s": round(min(on_walls), 3),
-        "telemetry_on_slowdown": round(min(on_walls) / wall_off, 3),
-        "gate_sites": gate_sites,
+        "repeats": repeats,
+        "off": _wall_spread(walls["off"]),
+        "on": on_legs,
+        "gate_sites": sites,
+        "probe_events": events,
         "gate_ns": round(gate_ns, 2),
         "implied_off_overhead_pct": round(implied * 100, 4),
         "budget_pct": 3.0,
-        "samples": summary["samples"],
-        "mshr_peak": summary["mshr_peak"],
     }
 
 
 def bench_checkpoint_overhead(repeats=3):
     """Zero-cost-when-disabled gate for the checkpointer hook.
 
-    Same methodology as :func:`bench_checks_overhead`: with no
+    Same methodology as :func:`bench_probe_overhead`: with no
     checkpointer attached the engine pays one ``is None`` gate per
     simulated step, so the implied disabled cost is priced from the
     micro-benchmarked gate and the step count.  A checkpointing-on run
@@ -430,11 +414,7 @@ def bench_checkpoint_overhead(repeats=3):
     -- and its wall clock plus the checkpointer's own write accounting
     record what periodic snapshots actually cost.
     """
-    graph = web_graph(600, 3000, seed=9)
-    config = ArchitectureConfig(
-        _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
-        **SCALED_DEFAULTS,
-    )
+    graph, config = _overhead_config()
 
     def run_once(checkpoint):
         system = AcceleratorSystem(graph, "bfs", config,
@@ -486,88 +466,6 @@ def bench_checkpoint_overhead(repeats=3):
             checkpointer.write_seconds / max(1, checkpointer.writes)
             * 1000, 2
         ),
-    }
-
-
-def bench_tracing_overhead(repeats=3):
-    """Zero-cost-when-disabled gate for the span-tracer hooks.
-
-    Same methodology as :func:`bench_checks_overhead`: with no tracer
-    attached every hook site is an ``is None`` test on a class
-    attribute (PE/bank/crossbar/DRAM ``_trace`` slots), so the implied
-    disabled cost is priced from the micro-benchmarked gate and a
-    generous bound on gate executions counted from the off run's own
-    event counters (PE issue/retire, bank outcome/drain/replay,
-    crossbar hops, DRAM accept/deliver).  A spans-on run is raced
-    alongside and its cycle count asserted identical -- the tracer
-    observes, never perturbs.
-    """
-    from repro.tracing import SpansConfig
-
-    graph = web_graph(600, 3000, seed=9)
-    config = ArchitectureConfig(
-        _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
-        **SCALED_DEFAULTS,
-    )
-
-    def run_once(spans):
-        system = AcceleratorSystem(graph, "bfs", config, spans=spans)
-        start = time.perf_counter()
-        result = system.run()
-        return system, result, time.perf_counter() - start
-
-    off_walls = []
-    for _ in range(repeats):
-        system_off, off_result, wall = run_once(spans=None)
-        off_walls.append(wall)
-    on_walls = []
-    for _ in range(repeats):
-        system_on, on_result, wall = run_once(
-            spans=SpansConfig(sample_rate=16)
-        )
-        on_walls.append(wall)
-    assert on_result.cycles == off_result.cycles, (
-        "enabling span tracing changed the model: "
-        f"{on_result.cycles} != {off_result.cycles}"
-    )
-
-    banks = system_off.hierarchy.banks
-    requests = sum(pe.stats.moms_reads for pe in system_off.pes)
-    bank_requests = sum(b.stats.requests for b in banks)
-    replays = sum(
-        b.stats.primary_misses + b.stats.secondary_misses for b in banks
-    )
-    drains = sum(b.stats.lines_returned for b in banks)
-    beats = sum(ch.stats.total_beats for ch in system_off.mem.channels)
-    lines = sum(ch.stats.lines_total for ch in system_off.mem.channels)
-    gate_sites = (
-        2 * requests                       # PE issue + retire gates
-        + bank_requests + replays + drains  # bank outcome/replay/drain
-        + 2 * (bank_requests + drains)      # crossbar hop gates (bound)
-        + lines + beats                     # DRAM accept + deliver gates
-    )
-    gate_ns = _gate_cost_ns()
-    wall_off = min(off_walls)
-    implied = gate_sites * gate_ns * 1e-9 / wall_off
-    assert implied < 0.03, (
-        f"disabled span tracing implies {implied * 100:.2f}% overhead "
-        f"({gate_sites} gates x {gate_ns:.1f}ns over {wall_off:.3f}s); "
-        f"budget is 3%"
-    )
-    summary = system_on.tracer.summary()
-    return {
-        "point": "BFS / web_graph(600, 3000) / two-level 4x4",
-        "cycles": off_result.cycles,
-        "wall_off_s": round(wall_off, 3),
-        "wall_on_s": round(min(on_walls), 3),
-        "tracing_on_slowdown": round(min(on_walls) / wall_off, 3),
-        "gate_sites": gate_sites,
-        "gate_ns": round(gate_ns, 2),
-        "implied_off_overhead_pct": round(implied * 100, 4),
-        "budget_pct": 3.0,
-        "requests_seen": summary["requests_seen"],
-        "spans_completed": summary["spans_completed"],
-        "recorder_events": summary["recorder"]["recorded"],
     }
 
 
@@ -632,29 +530,13 @@ def main(argv=None):
           f"({100 * deep['fused_cycle_fraction']:.0f}% fused, "
           f"{deep['fused_runs']} runs of mean {deep['mean_run_len']:.0f})")
 
-    print("checks-overhead gate: implied checks-off cost vs 3% budget")
-    checks = bench_checks_overhead()
-    print(f"  implied {checks['implied_off_overhead_pct']}% "
-          f"({checks['gate_sites']} gates x {checks['gate_ns']}ns over "
-          f"{checks['wall_off_s']}s); checks-on slowdown "
-          f"{checks['checks_on_slowdown']}x")
-
-    print("telemetry-overhead gate: implied telemetry-off cost "
-          "vs 3% budget")
-    telemetry = bench_telemetry_overhead()
-    print(f"  implied {telemetry['implied_off_overhead_pct']}% "
-          f"({telemetry['gate_sites']} gates x {telemetry['gate_ns']}ns "
-          f"over {telemetry['wall_off_s']}s); telemetry-on slowdown "
-          f"{telemetry['telemetry_on_slowdown']}x")
-
-    print("tracing-overhead gate: implied tracing-off cost vs 3% budget")
-    tracing = bench_tracing_overhead()
-    print(f"  implied {tracing['implied_off_overhead_pct']}% "
-          f"({tracing['gate_sites']} gates x {tracing['gate_ns']}ns "
-          f"over {tracing['wall_off_s']}s); tracing-on slowdown "
-          f"{tracing['tracing_on_slowdown']}x, "
-          f"{tracing['spans_completed']} spans over "
-          f"{tracing['requests_seen']} requests")
+    print("probe-overhead gate: implied observer-off cost vs 3% budget")
+    probe = bench_probe_overhead()
+    print(f"  implied {probe['implied_off_overhead_pct']}% "
+          f"({probe['gate_sites']['total']} counted gates x "
+          f"{probe['gate_ns']}ns over {probe['off']['min_s']}s); "
+          + ", ".join(f"{leg} {leg_walls['slowdown']}x"
+                      for leg, leg_walls in probe["on"].items()))
 
     print("checkpoint-overhead gate: implied checkpoint-off cost "
           "vs 3% budget")
@@ -686,9 +568,7 @@ def main(argv=None):
         "cycles_identical": True,
         "deep_pass": deep,
         "push_many_micro": bench_push_many(),
-        "checks_overhead": checks,
-        "telemetry_overhead": telemetry,
-        "tracing_overhead": tracing,
+        "probe_overhead": probe,
         "checkpoint_overhead": checkpoint,
     }
     with open(args.output, "w") as fh:

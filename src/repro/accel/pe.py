@@ -165,16 +165,6 @@ class PEStats:
 class ProcessingElement(Component):
     """One out-of-order multithreaded PE."""
 
-    # Opt-in invariant ledger; class attribute so the unchecked path
-    # pays one "is None" test per MOMS event (see repro.faults).
-    _ledger = None
-    # Opt-in telemetry collector (repro.telemetry), same gating: one
-    # "is None" test per tick / phase change / MOMS event when unset.
-    _tele = None
-    # Opt-in span tracer (repro.tracing), same gating: one "is None"
-    # test per MOMS issue/retire when unset.
-    _trace = None
-
     def __init__(self, pe_index, spec, layout, mem, config,
                  moms_req, moms_resp, burst_ports, dma_resp,
                  job_channel, done_channel):
@@ -236,8 +226,8 @@ class ProcessingElement(Component):
 
     def tick(self, engine):
         self._engine = engine
-        if self._tele is not None:
-            self._tele.pe_before_tick(self, engine.now)
+        if self._probe is not None:
+            self._probe.pe_tick(self, engine.now)
         phase = self._phase
         if phase == IDLE:
             self._tick_idle(engine)
@@ -323,11 +313,11 @@ class ProcessingElement(Component):
             engine.wake(self)
 
     def _set_phase(self, phase):
-        tele = self._tele
-        if tele is not None:
+        probe = self._probe
+        if probe is not None:
             engine = self._engine
-            tele.pe_phase(self.pe_index, phase,
-                          engine.now if engine is not None else 0)
+            probe.pe_phase(self, phase,
+                           engine.now if engine is not None else 0)
         self._phase = phase
 
     def _can_stream_more(self):
@@ -351,7 +341,7 @@ class ProcessingElement(Component):
         dispatch, response serving, phase transitions -- does real
         per-cycle work and falls through to normal ticks.
         """
-        if self._tele is not None:
+        if self._probe is not None:
             return 0
         phase = self._phase
         if phase == STREAM:
@@ -829,10 +819,10 @@ class ProcessingElement(Component):
         if not moms_resp._visible:
             return True
         req_id, _addr, data, _port = moms_resp.front_response()
-        if self._ledger is not None:
+        if self._probe is not None:
             # Peek-time check: a corrupted or misrouted ID is flagged
             # here, before it indexes the thread-state memory below.
-            self._ledger.verify(("pe", self.pe_index), req_id)
+            self._probe.pe_verify(self, req_id)
         if self.spec.weighted:
             dst_off, weight = self._id_state[req_id]
         else:
@@ -845,13 +835,8 @@ class ProcessingElement(Component):
         word = _U32.unpack_from(data)[0]
         moms_resp.drop()
         self._outstanding_moms -= 1
-        if self._ledger is not None:
-            self._ledger.retire(("pe", self.pe_index), req_id)
-        if self._tele is not None:
-            self._tele.moms_retire(self.pe_index, req_id, self._engine.now)
-        if self._trace is not None:
-            self._trace.moms_retire(self.pe_index, req_id, _addr,
-                                    self._engine.now)
+        if self._probe is not None:
+            self._probe.pe_retire(self, req_id, _addr, self._engine.now)
         if self.spec.weighted:
             del self._id_state[req_id]
             self._free_ids.append(req_id)
@@ -898,13 +883,8 @@ class ProcessingElement(Component):
         cols.advance()
         self._edges_queued -= 1
         moms_req.push_request(addr, 4, req_id, self.pe_index)
-        if self._ledger is not None:
-            self._ledger.issue(("pe", self.pe_index), req_id)
-        if self._tele is not None:
-            self._tele.moms_issue(self.pe_index, req_id, self._engine.now)
-        if self._trace is not None:
-            self._trace.moms_issue(self.pe_index, req_id, addr,
-                                   self._engine.now)
+        if self._probe is not None:
+            self._probe.pe_issue(self, req_id, addr, self._engine.now)
         self._outstanding_moms += 1
         self.stats.moms_reads += 1
 

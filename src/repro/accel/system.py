@@ -28,6 +28,7 @@ from repro.graph.partition import partition_edges
 from repro.graph.reorder import compose, dbg_reorder, hash_cache_lines
 from repro.mem.system import MemorySystem
 from repro.sim import Channel, Engine
+from repro.sim.probe import Probe
 
 
 @dataclass
@@ -59,6 +60,20 @@ class RunResult:
     def bandwidth_gb_s(self):
         total = self.dram_bytes_read + self.dram_bytes_written
         return total / self.seconds / 1e9 if self.cycles else 0.0
+
+
+def _observer(name, value, cls, config_cls):
+    """A *cls* observer from an instance, a *config_cls*, or True."""
+    if isinstance(value, cls):
+        return value
+    if value is True:
+        return cls()
+    if isinstance(value, config_cls):
+        return cls(value)
+    raise TypeError(
+        f"{name} must be a {cls.__name__}, {config_cls.__name__}, or "
+        f"True; got {value!r}"
+    )
 
 
 def _round_up_pow2(value):
@@ -116,57 +131,36 @@ class AcceleratorSystem:
         if checks:
             from repro.faults import TokenLedger, Watchdog
             self.ledger = TokenLedger()
-            for element in self.pes:
-                element._ledger = self.ledger
-            for bank in self.hierarchy.banks:
-                bank._ledger = self.ledger
-            for channel in self.mem.channels:
-                channel._ledger = self.ledger
             self.engine.watchdog = Watchdog(window=watchdog_window)
         if fault_plan is not None:
             from repro.faults import install_faults
             install_faults(self, fault_plan)
 
-        # Opt-in cycle-resolved telemetry (repro.telemetry): accepts a
-        # TelemetryConfig, an attached-elsewhere Telemetry, or True for
-        # defaults.  Also lazily imported; the default path pays only
-        # the "is None" hook gates.
+        # Opt-in observers: cycle-resolved telemetry (repro.telemetry)
+        # and request-level span tracing (repro.tracing).  Each accepts
+        # its config, an already-built observer, or True for defaults,
+        # and is lazily imported; the default path pays only the
+        # "is None" probe gates.
         self.telemetry = None
         if telemetry:
             from repro.telemetry import Telemetry, TelemetryConfig
-            if isinstance(telemetry, Telemetry):
-                collector = telemetry
-            elif telemetry is True:
-                collector = Telemetry()
-            elif isinstance(telemetry, TelemetryConfig):
-                collector = Telemetry(telemetry)
-            else:
-                raise TypeError(
-                    f"telemetry must be a Telemetry, TelemetryConfig, or "
-                    f"True; got {telemetry!r}"
-                )
-            self.telemetry = collector.attach(self)
-
-        # Opt-in request-level span tracing (repro.tracing): accepts a
-        # SpansConfig, an attached-elsewhere SpanTracer, or True for
-        # defaults.  Same lazy-import + "is None" hook-gate story as
-        # telemetry; also installed as engine.tracer so stall reports
-        # can embed the flight-recorder tail.
+            self.telemetry = _observer(
+                "telemetry", telemetry, Telemetry, TelemetryConfig,
+            ).attach(self)
         self.tracer = None
         if spans:
             from repro.tracing import SpanTracer, SpansConfig
-            if isinstance(spans, SpanTracer):
-                tracer = spans
-            elif spans is True:
-                tracer = SpanTracer()
-            elif isinstance(spans, SpansConfig):
-                tracer = SpanTracer(spans)
-            else:
-                raise TypeError(
-                    f"spans must be a SpanTracer, SpansConfig, or True; "
-                    f"got {spans!r}"
-                )
-            self.tracer = tracer.attach(self)
+            self.tracer = _observer(
+                "spans", spans, SpanTracer, SpansConfig,
+            ).attach(self)
+        # One probe fans every component event out to the observers,
+        # ledger first: its checks must run before anyone records the
+        # event.
+        observers = [observer for observer in (
+            self.ledger, self.telemetry, self.tracer,
+        ) if observer is not None]
+        if observers:
+            self.install_probe(observers)
 
         # Opt-in periodic checkpointing (repro.checkpoint): accepts a
         # Checkpointer, a "path[:interval]" spec string, or nothing --
@@ -185,6 +179,18 @@ class AcceleratorSystem:
                 checkpointer = Checkpointer.from_spec(checkpoint)
             checkpointer.attach(self)
             self.checkpointer = checkpointer
+
+    def install_probe(self, observers):
+        """Give every event-reporting component one probe over *observers*.
+
+        The probe also hangs on the engine so stall reports can reach
+        the tracer's flight recorder.
+        """
+        probe = Probe(observers)
+        self.engine.probe = probe
+        for component in (*self.pes, *self.hierarchy.banks,
+                          *self.hierarchy.crossbars, *self.mem.channels):
+            component._probe = probe
 
     # -- construction --------------------------------------------------------
 
@@ -361,8 +367,8 @@ class AcceleratorSystem:
             # stable_done: _iteration_done reads scheduler queues and
             # PE phases, all of which flip only through channel pushes
             # or phase transitions on real ticks -- never inside a
-            # silent cycle -- so macro-tick fusion (REPRO_FUSION) is
-            # licensed for the accelerator run loop.
+            # silent cycle -- so macro-tick fusion is licensed for the
+            # accelerator run loop.
             self.engine.run(
                 done=self._iteration_done,
                 max_cycles=self._run_budget
@@ -415,10 +421,6 @@ class AcceleratorSystem:
         check_drained(self, context)
         for channel in self.engine._channels:
             channel.validate()
-
-    @property
-    def use_active_flags(self):
-        return not self.spec.always_active
 
     def _iteration_done(self):
         return (
@@ -493,12 +495,3 @@ class AcceleratorSystem:
         if tracer is not None:
             stats["spans"] = tracer.summary()
         return stats
-
-
-def run_algorithm(graph, algorithm, config, **kwargs):
-    """Convenience one-shot: build a system and run it."""
-    run_kwargs = {}
-    if "max_iterations" in kwargs:
-        run_kwargs["max_iterations"] = kwargs.pop("max_iterations")
-    system = AcceleratorSystem(graph, algorithm, config, **kwargs)
-    return system.run(**run_kwargs)

@@ -173,7 +173,7 @@ class FusionSafetyRule(Rule):
 
 # Component-level instrumentation hooks whose side effects must not
 # occur during silently fused cycles.
-_FUSED_HOOK_ATTRS = frozenset({"_fault", "_tele", "_ledger", "_trace"})
+_FUSED_HOOK_ATTRS = frozenset({"_fault", "_probe"})
 
 # Channel space-watcher lists; a pop during a silent cycle is legal
 # only when a terminating decline proves both are empty.
@@ -283,15 +283,13 @@ class FusionPurityRule(Rule):
     POSITIVE = (
         "class RoguePE:\n"
         "    def step_n(self, engine, budget):\n"
-        "        self._tele.record(budget)\n"
+        "        self._probe.record(budget)\n"
         "        return 0\n"
     )
     NEGATIVE = (
         "class QuietPE:\n"
         "    def step_n(self, engine, budget):\n"
-        "        if self._tele is not None or self._trace is not None:\n"
-        "            return 0\n"
-        "        if self._fault is not None or self._ledger is not None:\n"
+        "        if self._probe is not None or self._fault is not None:\n"
         "            return 0\n"
         "        base = engine.now\n"
         "        m = self._drain(budget)\n"
@@ -335,8 +333,8 @@ class FusionPurityRule(Rule):
             label = f"'{owner}.step_n'" if info.class_name \
                 else "'step_n'"
             # The kernel declines its hooks up front, so a call *through*
-            # a declined hook (`self._ledger.issue(...)` behind `if
-            # self._ledger is not None`) is dead in the fused window --
+            # a declined hook (`self._probe.bank_alloc(...)` behind `if
+            # self._probe is not None`) is dead in the fused window --
             # traversing its name-dispatch edge would drag unrelated
             # `issue` methods into the region.
             declined_hooks = (_declined_names(info.node)

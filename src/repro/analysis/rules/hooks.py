@@ -3,10 +3,10 @@ default arguments.
 
 The opt-in instrumentation layers (repro.faults, repro.telemetry,
 repro.tracing, repro.checkpoint) hang off well-known attributes --
-``_fault`` / ``_tele`` / ``_ledger`` / ``_trace`` on components,
-``watchdog`` / ``sampler`` on the engine, ``ledger`` / ``telemetry`` /
-``tracer`` / ``checkpointer`` on the accelerator system -- that are
-``None`` in the default configuration.  The contract (DESIGN.md
+``_fault`` and the observer ``_probe`` on components, ``watchdog`` /
+``sampler`` / ``probe`` on the engine, ``ledger`` / ``telemetry`` /
+``checkpointer`` on the accelerator system -- that are ``None`` in the
+default configuration.  The contract (DESIGN.md
 6.2/6.3) is that every invocation is guarded by an ``is not None``
 test (directly, through a local alias, in a ternary, or as the left
 arm of an ``and``), so the uninstrumented hot path pays exactly one
@@ -28,9 +28,8 @@ from repro.analysis.rules.base import Rule
 
 # Attribute names that carry optional instrumentation objects.
 HOOK_ATTRS = frozenset({
-    "_fault", "_tele", "_ledger",   # component-level hooks
-    "_trace", "tracer",             # span-tracing hooks
-    "watchdog", "sampler",          # engine-level hooks
+    "_fault", "_probe",             # component-level slots
+    "watchdog", "sampler", "probe",  # engine-level hooks
     "ledger", "telemetry",          # system-level hooks
     "checkpointer",                 # checkpoint orchestration hook
 })
@@ -45,8 +44,8 @@ _EXEMPT_PATH_MARKERS = ("repro/faults/", "repro/telemetry/",
 def _hook_of(expr, assignments):
     """Canonical hook attribute behind *expr*, or None.
 
-    Matches ``self._tele`` style attributes directly and function-local
-    aliases (``tele = self._tele; ... tele.foo()``) through the
+    Matches ``self._probe`` style attributes directly and function-local
+    aliases (``probe = self._probe; ... probe.foo()``) through the
     assignment table.
     """
     if isinstance(expr, ast.Attribute) and expr.attr in HOOK_ATTRS:
@@ -62,7 +61,7 @@ def _test_polarity(test, hook, assignments):
     """How *test* gates *hook*: 'not-none', 'is-none', or None.
 
     Searches the whole test expression, so BoolOp chains like
-    ``self._tele is not None and x.issued_at >= 0`` and calls *inside*
+    ``self._probe is not None and x.issued_at >= 0`` and calls *inside*
     the test (``self._fault is not None and self._fault.blocked()``)
     are recognized.
     """
@@ -99,12 +98,12 @@ class UngatedHookRule(Rule):
     id = "R4"
     name = "ungated-hook"
     severity = "error"
-    summary = "fault/telemetry/ledger hook calls must be is-None gated"
+    summary = "fault/probe/engine hook calls must be is-None gated"
     rationale = (
         "Hooks are None in the default configuration; an ungated call "
         "is an AttributeError the moment the instrumented test matrix "
         "does not cover that branch, and a truthiness gate (`if "
-        "self._tele:`) invites hooks with __bool__/__len__ semantics to "
+        "self._probe:`) invites hooks with __bool__/__len__ semantics to "
         "silently drop events.  The explicit pointer test is also the "
         "entire disabled-hook cost model behind the <3% overhead gates."
     )
@@ -113,14 +112,14 @@ class UngatedHookRule(Rule):
 
     POSITIVE = (
         "def tick(self, engine):\n"
-        "    self._tele.bank_before_tick(self, engine.now)\n"
+        "    self._probe.bank_tick(self, engine.now)\n"
     )
     NEGATIVE = (
         "def tick(self, engine):\n"
-        "    if self._tele is not None:\n"
-        "        self._tele.bank_before_tick(self, engine.now)\n"
-        "    tele = self._tele\n"
-        "    latency = 0 if tele is None else tele.dram_latency()\n"
+        "    if self._probe is not None:\n"
+        "        self._probe.bank_tick(self, engine.now)\n"
+        "    probe = self._probe\n"
+        "    latency = 0 if probe is None else probe.dram_latency()\n"
     )
 
     def check(self, source, ctx):
@@ -232,34 +231,34 @@ class InterproceduralHookRule(Rule):
     rationale = (
         "R4 sees the dereference only when the hook method call is "
         "spelled at the offense site; factoring the call into a helper "
-        "(`emit(self._tele, ...)` where `emit` does `tele.record()`) "
+        "(`emit(self._probe, ...)` where `emit` does `probe.record()`) "
         "hides the exact same AttributeError behind one call edge.  "
         "The dataflow pass summarizes every function's deref-unsafe "
         "parameters (transitively, through forwarding helpers) and "
         "flags any optional-hook expression handed to one without a "
         "dominating `is not None` fact at the call site."
     )
-    hint = ("test the hook before the call (`if self._tele is not "
-            "None: emit(self._tele, ...)`) or make the helper tolerate "
+    hint = ("test the hook before the call (`if self._probe is not "
+            "None: emit(self._probe, ...)`) or make the helper tolerate "
             "None with an early return")
 
     POSITIVE = (
-        "def emit(tele, event):\n"
-        "    tele.record(event)\n"
+        "def emit(probe, event):\n"
+        "    probe.record(event)\n"
         "def tick(self, engine):\n"
-        "    emit(self._tele, 'bank')\n"
+        "    emit(self._probe, 'bank')\n"
     )
     NEGATIVE = (
-        "def emit(tele, event):\n"
-        "    if tele is None:\n"
+        "def emit(probe, event):\n"
+        "    if probe is None:\n"
         "        return\n"
-        "    tele.record(event)\n"
-        "def push(tele, event):\n"
-        "    tele.record(event)\n"
+        "    probe.record(event)\n"
+        "def push(probe, event):\n"
+        "    probe.record(event)\n"
         "def tick(self, engine):\n"
-        "    emit(self._tele, 'bank')\n"
-        "    if self._tele is not None:\n"
-        "        push(self._tele, 'bank')\n"
+        "    emit(self._probe, 'bank')\n"
+        "    if self._probe is not None:\n"
+        "        push(self._probe, 'bank')\n"
     )
 
     def check(self, source, ctx):
@@ -299,7 +298,7 @@ class InterproceduralHookRule(Rule):
     def _is_hook_path(path, assignments):
         """Is *path* an optional-hook expression?
 
-        ``self._tele`` / ``engine.watchdog`` style two-element paths
+        ``self._probe`` / ``engine.watchdog`` style two-element paths
         whose attribute is a known hook name, or a bare local the
         function assigns from one (the alias idiom).
         """

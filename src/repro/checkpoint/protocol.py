@@ -25,10 +25,9 @@ Deliberately *not* part of a snapshot (and why it is sound):
   refills its freelists from fresh allocations.
 * **Pool counters** (:func:`repro.core.messages.pool_stats`) --
   process-local allocation telemetry, not simulated state.
-* **Environment knobs** (``REPRO_FUSION``) -- resolved into instance
-  state at construction time, so the snapshot inherently carries the
-  fusion cap it was built under and the restoring process's
-  environment cannot skew it.
+* **Probe bindings** (:class:`~repro.sim.probe.Probe`) -- per-event
+  closures over the observers; the probe pickles as its observer
+  tuple and rebinds on restore.
 """
 
 import io
@@ -119,6 +118,7 @@ def _register_all():
     from repro.mem.system import MemorySystem
     from repro.sim.channel import Channel, DelayLine, SoaChannel
     from repro.sim.engine import Engine
+    from repro.sim.probe import Probe
     from repro.telemetry.collector import (
         LatencyHistogram,
         Telemetry,
@@ -134,6 +134,7 @@ def _register_all():
         (Channel, "ring buffer, head/visible/staged cursors, waiters"),
         (SoaChannel, "as Channel plus struct-of-arrays field columns"),
         (DelayLine, "in-flight (ready_time, token) queue"),
+        (Probe, "observer tuple; event bindings rebuilt on restore"),
         # accelerator
         (AcceleratorSystem, "component graph + externalized run-loop state"),
         (ProcessingElement, "phase machine, BRAM arrays, edge backlog"),

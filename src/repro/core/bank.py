@@ -104,15 +104,10 @@ class MomsBank(Component):
     to request missing lines.
     """
 
-    # Opt-in hooks; class attributes so the unchecked path pays one
-    # "is None" test per event (see repro.faults).
-    _ledger = None
+    # Opt-in fault injection (repro.faults); a class attribute so the
+    # unfaulted path pays one "is None" test per site.  Observers see
+    # the bank through the one ``_probe`` slot (repro.sim.probe).
     _fault = None
-    # Opt-in telemetry collector (repro.telemetry), same gating.
-    _tele = None
-    # Opt-in span tracer (repro.tracing), same gating: one "is None"
-    # test per request outcome / drain / replay when unset.
-    _trace = None
 
     def __init__(self, params, req_in, resp_out, line_in, downstream,
                  store, name="bank", seed=1):
@@ -154,8 +149,8 @@ class MomsBank(Component):
     def tick(self, engine):
         # Hot path: direct occupancy-int checks avoid method-call
         # overhead on the (frequent) idle cycles.
-        if self._tele is not None:
-            self._tele.bank_before_tick(self, engine.now)
+        if self._probe is not None:
+            self._probe.bank_tick(self, engine.now)
         if self._drain_chain is not None:
             self._drain_one()
             self.stats.busy_cycles += 1
@@ -213,8 +208,7 @@ class MomsBank(Component):
         bulk via :meth:`CuckooMshrFile.failing_insert_run`; every other
         bank state returns 0 and stays on real per-cycle ticks.
         """
-        if (self._tele is not None or self._trace is not None
-                or self._ledger is not None or self._fault is not None):
+        if self._probe is not None or self._fault is not None:
             return 0
         if self._drain_chain is not None or self.line_in._visible:
             return 0
@@ -226,7 +220,8 @@ class MomsBank(Component):
             return 0
         addr = req_in.front_request()[0]
         line_addr = addr // self.params.line_bytes
-        if self.cache.contains(line_addr) or mshrs.contains(line_addr):
+        if (self.cache.contains(line_addr)
+                or mshrs.peek(line_addr) is not None):
             return 0
         if not self.downstream.can_accept(line_addr):
             return 0
@@ -260,18 +255,13 @@ class MomsBank(Component):
 
     def _begin_drain(self, addr, data):
         line_addr = addr // self.params.line_bytes
-        if self._ledger is not None:
-            # The returned line must match an issued in-flight miss;
-            # verified before mshrs.remove can KeyError on corruption.
-            self._ledger.retire(("bank", self.name), line_addr)
-        if self._tele is not None:
-            self._tele.miss_return(self.name, line_addr, self._engine.now)
+        if self._probe is not None:
+            # Before mshrs.remove: the ledger must flag a line that was
+            # never issued before the remove can KeyError on it.
+            self._probe.bank_drain(self, line_addr, self._engine.now)
         entry = self.mshrs.remove(line_addr)
         self.cache.fill(line_addr)
         self.stats.lines_returned += 1
-        if self._trace is not None:
-            self._trace.bank_drain(self.name, line_addr,
-                                   entry.subentry_count, self._engine.now)
         chain = entry.subentry_head
         self._drain_chain = chain
         # The per-response addresses fall out of one numpy add over the
@@ -299,11 +289,11 @@ class MomsBank(Component):
         chain = self._drain_chain
         index = self._drain_index
         req_id = chain.req_id[index]
-        if self._trace is not None:
+        if self._probe is not None:
             # Pre-corruption id: the span keeps matching what the PE
             # issued even under the mutation-smoke fault.
-            self._trace.bank_replay(
-                self.name, req_id, chain.port[index],
+            self._probe.bank_replay(
+                self, req_id, chain.port[index],
                 self._drain_base // self.params.line_bytes,
                 self._engine.now,
             )
@@ -385,8 +375,8 @@ class MomsBank(Component):
             stats.requests += 1
             stats.cache_hits += 1
             stats.responses += 1
-            if self._trace is not None:
-                self._trace.bank_hit(self.name, req_id, port, line_addr,
+            if self._probe is not None:
+                self._probe.bank_hit(self, req_id, port, line_addr,
                                      self._engine.now)
             return _PROGRESS
 
@@ -411,8 +401,8 @@ class MomsBank(Component):
             req_in.drop()
             stats.requests += 1
             stats.secondary_misses += 1
-            if self._trace is not None:
-                self._trace.bank_merge(self.name, req_id, port, line_addr,
+            if self._probe is not None:
+                self._probe.bank_merge(self, req_id, port, line_addr,
                                        self._engine.now)
             return _PROGRESS
 
@@ -435,12 +425,8 @@ class MomsBank(Component):
         new_entry.subentry_head = chain
         new_entry.subentry_count = 1
         downstream.issue(line_addr)
-        if self._ledger is not None:
-            self._ledger.issue(("bank", self.name), line_addr)
-        if self._tele is not None:
-            self._tele.miss_issue(self.name, line_addr, self._engine.now)
-        if self._trace is not None:
-            self._trace.bank_alloc(self.name, req_id, port, line_addr,
+        if self._probe is not None:
+            self._probe.bank_alloc(self, req_id, port, line_addr,
                                    self._engine.now)
         req_in.drop()
         stats.requests += 1

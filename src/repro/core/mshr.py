@@ -105,9 +105,6 @@ class CuckooMshrFile:
             self._slot_cache[line_addr] = slots
         return slots
 
-    def _slot(self, way, line_addr):
-        return self._slots(line_addr)[way]
-
     def prime_slots(self, line_addrs):
         """Batch-fill the slot memo for *line_addrs*.
 
@@ -190,18 +187,19 @@ class CuckooMshrFile:
         self.stats.insert_failures += 1
         return None
 
-    def contains(self, line_addr):
-        """Pure presence probe: no lookup/hit stats (fusion oracle).
+    def peek(self, line_addr):
+        """The entry for *line_addr* or None, with no lookup/hit stats.
 
         ``MomsBank.step_n`` must predict that a retry cycle's MSHR
         lookup would miss without bumping the counters the real,
-        stats-replicated retries account for.
+        stats-replicated retries account for; observers read an entry
+        the same way.
         """
         for table, slot in zip(self._tables, self._slots(line_addr)):
             entry = table[slot]
             if entry is not None and entry.line_addr == line_addr:
-                return True
-        return False
+                return entry
+        return None
 
     def failing_insert_run(self, line_addr, budget):
         """Commit up to *budget* consecutive failing inserts of *line_addr*.
@@ -340,6 +338,10 @@ class AssociativeMshrFile:
         if len(self._entries) > self.stats.peak_occupancy:
             self.stats.peak_occupancy = len(self._entries)
         return entry
+
+    def peek(self, line_addr):
+        """The entry for *line_addr* or None, with no lookup/hit stats."""
+        return self._entries.get(line_addr)
 
     def remove(self, line_addr):
         return self._entries.pop(line_addr)

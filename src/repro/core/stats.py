@@ -41,7 +41,7 @@ class EngineActivity:
     # Macro-tick fusion counters: fused runs issued, cycles covered by
     # them, and why fusion attempts were abandoned ({reason: count}).
     # Execution-strategy metadata, not architectural state -- always
-    # present (explicit zeros when fusion is off or unsupported).
+    # present (explicit zeros when nothing fused).
     fused_runs: int = 0
     fused_cycles: int = 0
     fusion_abort_reasons: dict = field(default_factory=dict)

@@ -18,10 +18,6 @@ class Crossbar(Component):
     most one token, using per-output round-robin pointers.
     """
 
-    # Opt-in span tracer (repro.tracing); class attribute so the
-    # untraced path pays one "is None" test per transfer.
-    _trace = None
-
     def __init__(self, inputs, outputs, route, name="xbar"):
         if not inputs or not outputs:
             raise ValueError("crossbar needs inputs and outputs")
@@ -76,8 +72,8 @@ class Crossbar(Component):
                 # cycle); nothing else will commit on their behalf.
                 rearm = True
             token = self.inputs[winner].pop()
-            if self._trace is not None:
-                self._trace.xbar_hop(self.name, token, engine.now)
+            if self._probe is not None:
+                self._probe.xbar_hop(self, token, engine.now)
             output.push(token)
             pointers[out_index] = winner + 1 if winner + 1 < n_in else 0
             self.transfers += 1

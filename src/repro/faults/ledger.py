@@ -15,12 +15,15 @@ in-flight multiset per scope, so
   catches leaked MSHRs, lost subentries, and stuck channel tokens.
 
 Scopes are small hashable labels such as ``("pe", 3)`` or
-``("bank", "shared0")``.  Hooks in the simulation core are guarded by
-``_ledger is not None`` class attributes, so the disabled path costs a
-single attribute test.
+``("bank", "shared0")``.  The ledger observes the simulation core
+through the component probe (:mod:`repro.sim.probe`): the ``pe_*``,
+``bank_*`` and ``dram_*`` event methods below map each event onto its
+scope, so the disabled path costs the probe's single attribute test.
 """
 
 from collections import Counter
+
+_BEAT_BYTES = 64  # one DRAM response beat (repro.mem.dram.LINE_BYTES)
 
 
 class InvariantViolation(AssertionError):
@@ -96,6 +99,34 @@ class TokenLedger:
             entry.in_flight[token] = count
         else:
             del entry.in_flight[token]
+
+    # -- probe events (repro.sim.probe.EVENTS) ------------------------------
+
+    def pe_verify(self, pe, req_id):
+        self.verify(("pe", pe.pe_index), req_id)
+
+    def pe_issue(self, pe, req_id, addr, now):
+        self.issue(("pe", pe.pe_index), req_id)
+
+    def pe_retire(self, pe, req_id, addr, now):
+        self.retire(("pe", pe.pe_index), req_id)
+
+    def bank_alloc(self, bank, req_id, port, line_addr, now):
+        self.issue(("bank", bank.name), line_addr)
+
+    def bank_drain(self, bank, line_addr, now):
+        self.retire(("bank", bank.name), line_addr)
+
+    def dram_schedule(self, channel, addr, beats):
+        scope = ("dram", channel.name)
+        for beat in range(beats):
+            self.issue(scope, addr + beat * _BEAT_BYTES)
+
+    def dram_deliver(self, channel, respond_to, addr, issued_at, now):
+        self.retire(("dram", channel.name), addr)
+
+    def dram_evaporate(self, channel, addr):
+        self.retire(("dram", channel.name), addr)
 
     # -- invariants ---------------------------------------------------------
 

@@ -82,14 +82,16 @@ def build_stall_report(engine, reason=""):
             "replay": checkpointer.replay_command(),
         }
     flight_recorder = None
-    tracer = getattr(engine, "tracer", None)
-    if tracer is not None:
-        recorder = tracer.recorder
-        flight_recorder = {
-            "depth": recorder.depth,
-            "recorded": recorder.recorded,
-            "tail": recorder.tail(32),
-        }
+    probe = getattr(engine, "probe", None)
+    for observer in probe.observers if probe is not None else ():
+        recorder = getattr(observer, "recorder", None)  # the span tracer's
+        if recorder is not None:
+            flight_recorder = {
+                "depth": recorder.depth,
+                "recorded": recorder.recorded,
+                "tail": recorder.tail(32),
+            }
+            break
     return {
         "reason": reason,
         "cycle": engine.now,

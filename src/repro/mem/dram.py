@@ -234,16 +234,10 @@ class DramStats:
 class DramChannel(Component):
     """One DDR4 channel: request queue, data bus, fixed-latency responses."""
 
-    # Opt-in hooks; class attributes so the unfaulted/unchecked path
-    # pays a single "is None" test (see repro.faults).
+    # Opt-in fault injection; a class attribute so the unfaulted path
+    # pays a single "is None" test (see repro.faults).  Observers see
+    # the channel through the one ``_probe`` slot (repro.sim.probe).
     _fault = None
-    _ledger = None
-    # Opt-in telemetry collector (repro.telemetry), same gating: one
-    # "is None" test per delivered beat when unset.
-    _tele = None
-    # Opt-in span tracer (repro.tracing), same gating: one "is None"
-    # test per accepted request / delivered beat when unset.
-    _trace = None
 
     def __init__(self, timings, store, name="dram"):
         self.timings = timings
@@ -331,9 +325,7 @@ class DramChannel(Component):
         scheduled = self._scheduled
         now = engine.now
         store = self.store
-        ledger = self._ledger
-        tele = self._tele
-        trace = self._trace
+        probe = self._probe
         while delivered < limit and scheduled:
             head = scheduled[0]
             if type(head) is not tuple:
@@ -352,10 +344,10 @@ class DramChannel(Component):
                     # Fire-and-forget beats evaporate without ever
                     # materializing (their release point).
                     take = min(n_due, limit - delivered)
-                    if ledger is not None:
+                    if probe is not None:
                         for i in range(take):
-                            ledger.retire(("dram", self.name),
-                                          head.addr + i * LINE_BYTES)
+                            probe.dram_evaporate(
+                                self, head.addr + i * LINE_BYTES)
                 else:
                     space = respond_to.free_slots()
                     if space <= 0:
@@ -378,13 +370,9 @@ class DramChannel(Component):
                         )
                         response.data = \
                             blob[i * LINE_BYTES:(i + 1) * LINE_BYTES]
-                        if ledger is not None:
-                            ledger.retire(("dram", self.name), addr)
-                        if tele is not None and issued_at >= 0:
-                            tele.dram_deliver(self.name, now - issued_at)
-                        if trace is not None:
-                            trace.dram_deliver(self.name, respond_to,
-                                               addr, now)
+                        if probe is not None:
+                            probe.dram_deliver(self, respond_to, addr,
+                                               issued_at, now)
                         batch.append(response)
                         addr += LINE_BYTES
                         beat += 1
@@ -406,8 +394,8 @@ class DramChannel(Component):
                 # this is its release point (data was never attached).
                 scheduled.popleft()
                 self._sched_beats -= 1
-                if ledger is not None:
-                    ledger.retire(("dram", self.name), response.addr)
+                if probe is not None:
+                    probe.dram_evaporate(self, response.addr)
                 MemResponse._pool.append(response)
                 delivered += 1
                 continue
@@ -429,13 +417,9 @@ class DramChannel(Component):
             ):
                 _, response, _ = scheduled.popleft()
                 self._sched_beats -= 1
-                if ledger is not None:
-                    ledger.retire(("dram", self.name), response.addr)
-                if tele is not None and response.issued_at >= 0:
-                    tele.dram_deliver(self.name, now - response.issued_at)
-                if trace is not None:
-                    trace.dram_deliver(self.name, respond_to,
-                                       response.addr, now)
+                if probe is not None:
+                    probe.dram_deliver(self, respond_to, response.addr,
+                                       response.issued_at, now)
                 if response.data is None and not response.is_write_ack:
                     response.data = store.read_bytes(response.addr, LINE_BYTES)
                 batch.append(response)
@@ -464,10 +448,10 @@ class DramChannel(Component):
         tag = request.tag
         addr = request.addr
         respond_to = request.respond_to
-        if self._trace is not None:
+        if self._probe is not None:
             # Before the accept-side recycle below clears respond_to,
             # which the tracer uses to attribute the fetch to a bank.
-            self._trace.dram_accept(self.name, request, now)
+            self._probe.dram_accept(self, request, now)
         extra_latency = 0 if self._fault is None \
             else self._fault.dram_extra_latency(now)
         if request.is_write:
@@ -533,8 +517,7 @@ class DramChannel(Component):
         stays intact, and replays each accept with its own cycle value
         via :meth:`_accept_one`.
         """
-        if (self._fault is not None or self._trace is not None
-                or self._ledger is not None):
+        if self._probe is not None or self._fault is not None:
             return 0
         req = self.req
         visible = req._visible
@@ -596,7 +579,7 @@ class DramChannel(Component):
         before it -- one ``fifo_service_starts`` pass -- and the stats
         become whole-batch reductions.  Bit-identical to *k*
         consecutive :meth:`_accept_one` calls; reachable only with the
-        fault/trace/ledger hooks unset, so the recycle below matches
+        fault and probe slots unset, so the recycle below matches
         the per-cycle path exactly.
         """
         req = self.req
@@ -657,8 +640,8 @@ class DramChannel(Component):
                 )
         self._scheduled.append((ready_time, response, respond_to))
         self._sched_beats += 1
-        if self._ledger is not None:
-            self._ledger.issue(("dram", self.name), response.addr)
+        if self._probe is not None:
+            self._probe.dram_schedule(self, response.addr, 1)
         if self._fault is not None:
             self._fault.dram_maybe_reorder(self._scheduled)
 
@@ -681,10 +664,8 @@ class DramChannel(Component):
             now,
         ))
         self._sched_beats += beats
-        if self._ledger is not None:
-            for beat in range(beats):
-                self._ledger.issue(("dram", self.name),
-                                   addr + beat * LINE_BYTES)
+        if self._probe is not None:
+            self._probe.dram_schedule(self, addr, beats)
 
     def is_idle(self):
         return not self._scheduled and not self.req.pending

@@ -15,49 +15,26 @@ ticking every component every cycle; the golden corpus
 (``tests/golden``) pins it.  The activity counters
 (``cycles_simulated``, ``component_ticks``) measure the saved work.
 
-On top of demand scheduling sits **macro-tick fusion**
-(``REPRO_FUSION``, DESIGN 6.9): when exactly one component is woken
-and the stability oracle proves the next cycles are free of timer
-maturities, hook points, and cycle-budget edges, the engine offers the
-component one ``step_n(engine, budget)`` call that may advance m
-provably *silent* cycles in a single batch, then runs a completely
-normal tick for the cycle after the batch.  Silent means: the exact
-per-cycle state and stat effects, but no channel pushes, no pops from
-channels with space watchers, no wakes of other components, and no
-hook side effects -- so anything observable happens on the ordinary
-per-cycle path and the state trajectory stays bit-identical with
-fusion on or off.
+On top of demand scheduling sits **macro-tick fusion** (DESIGN 6.9):
+when exactly one component is woken and the stability oracle proves
+the next cycles are free of timer maturities, hook points, and
+cycle-budget edges, the engine offers the component one
+``step_n(engine, budget)`` call that may advance m provably *silent*
+cycles in a single batch, then runs a completely normal tick for the
+cycle after the batch.  Silent means: the exact per-cycle state and
+stat effects, but no channel pushes, no pops from channels with space
+watchers, no wakes of other components, and no hook side effects --
+so anything observable happens on the ordinary per-cycle path and the
+state trajectory stays bit-identical to per-cycle execution.
 """
 
 import heapq
-import os
 
-#: Default cap on the length of one fused run (``REPRO_FUSION=on``).
-#: The stability oracle usually clamps far below this; the cap only
-#: bounds pathological cases (a component that could run silently
-#: forever would otherwise starve the done() check).
+#: Cap on the length of one fused run.  The stability oracle usually
+#: clamps far below this; the cap only bounds pathological cases (a
+#: component that could run silently forever would otherwise starve
+#: the done() check).
 FUSION_DEFAULT_CAP = 4096
-
-
-def fusion_cap_from_env():
-    """Parse ``REPRO_FUSION`` into a run-length cap (0 = disabled).
-
-    ``on`` (the default) enables fusion with :data:`FUSION_DEFAULT_CAP`;
-    ``off`` disables it; an integer K caps fused runs at K cycles
-    (values below 2 cannot amortize anything and disable fusion).
-    """
-    spec = os.environ.get("REPRO_FUSION", "on").strip().lower()
-    if spec in ("", "on", "true", "default"):
-        return FUSION_DEFAULT_CAP
-    if spec in ("off", "false", "0"):
-        return 0
-    try:
-        cap = int(spec)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_FUSION={spec!r}: expected on, off, or an integer cap"
-        ) from None
-    return cap if cap >= 2 else 0
 
 
 class DeadlockError(RuntimeError):
@@ -114,6 +91,10 @@ class Component:
     # The engine then executes a completely normal tick for the next
     # cycle, so anything non-silent happens on the ordinary path.
     step_n = None
+    # The one observer slot (a repro.sim.probe.Probe, set by the
+    # accelerator system when any observer is attached).  Every event
+    # site tests it once: ``if self._probe is not None: ...``.
+    _probe = None
 
     def request_wake(self):
         """Ask to be ticked next cycle (no-op before registration).
@@ -166,12 +147,11 @@ class Engine:
     # watchdog/sampler effects: a run resumed from the snapshot then
     # continues exactly where the uninterrupted run's loop would.
     checkpointer = None
-    # Optional span tracer (repro.tracing.SpanTracer).  Unlike the
-    # three hooks above it is purely event-driven -- component hooks
-    # feed it and the run loop never polls it -- but it hangs here so
-    # stall/fault reports can reach its flight recorder (see
-    # repro.faults.report.build_stall_report).
-    tracer = None
+    # The probe installed on the components (repro.sim.probe.Probe).
+    # Unlike the three hooks above it is purely event-driven and the
+    # run loop never polls it; it hangs here so stall/fault reports can
+    # reach its observers (see repro.faults.report.build_stall_report).
+    probe = None
     # Macro-tick fusion counters (class attributes double as zero
     # defaults for engines unpickled from pre-fusion snapshots, which
     # also resume with fusion disabled: their snapshotted wake/timer
@@ -189,10 +169,9 @@ class Engine:
         self.fused_runs = 0
         self.fused_cycles = 0
         self.fusion_abort_reasons = {}
-        # Read at construction so one process can race fused vs unfused
-        # systems; snapshots carry the cap, so a resumed run replays
+        # Instance state, so snapshots carry it: a resumed run replays
         # with the original's fusion decisions.
-        self._fusion_cap = fusion_cap_from_env()
+        self._fusion_cap = FUSION_DEFAULT_CAP
         self._components = []
         self._channels = []
         self._time_sources = []
@@ -450,9 +429,9 @@ class Engine:
 
         ``stable_done=True`` declares that *done()* can only flip as a
         result of a component tick's channel effects -- never during a
-        provably silent cycle -- which licenses macro-tick fusion
-        (``REPRO_FUSION``): runs of same-component silent cycles are
-        advanced with one ``step_n`` call instead of n ticks.  Callers
+        provably silent cycle -- which licenses macro-tick fusion:
+        runs of same-component silent cycles are advanced with one
+        ``step_n`` call instead of n ticks.  Callers
         with time- or state-probing done() predicates must leave it
         False (fusion then skips their run, counted under
         ``fusion_abort_reasons["unstable_done"]``).  ``done=None``
@@ -527,7 +506,7 @@ class Engine:
         win; ``fused_runs``/``fused_cycles`` are the macro-tick win
         (cycles advanced through ``step_n`` batches instead of
         per-cycle ticks).  The fusion keys are always present --
-        explicit zeros when ``REPRO_FUSION=off``.  See
+        explicit zeros when nothing fused.  See
         :mod:`repro.core.stats` for aggregation helpers.
         """
         fused_runs = self.fused_runs

@@ -21,11 +21,11 @@ cannot show that shape.  This module records it:
 * **Spans** -- PE phase intervals (idle/init/pointers/stream/writeback)
   for the Chrome ``trace_event`` export (:mod:`repro.telemetry.trace`).
 
-All hooks follow the fault-subsystem convention: a ``_tele`` class
-attribute that defaults to ``None``, so the disabled path costs one
-attribute load and ``is None`` test per site and the enabled path
-never perturbs architectural state -- cycle counts and results are
-bit-identical with telemetry on or off, on both engines.
+The per-event hooks are probe events (:mod:`repro.sim.probe`): the
+components' one ``_probe`` slot defaults to ``None``, so the disabled
+path costs one attribute load and ``is None`` test per site, and the
+enabled path never perturbs architectural state -- cycle counts and
+results are bit-identical with telemetry on or off.
 
 Demand-driven caveat: samples are taken on *simulated* cycles only.
 During fast-forwarded idle windows no component state changes, so the
@@ -47,7 +47,7 @@ from repro.accel.pe import (
 )
 
 # v2 added the "fusion" block (macro-tick run counters, explicit
-# zeros when fusion is off); consumers are tolerant of missing keys.
+# zeros when nothing fused); consumers are tolerant of missing keys.
 TELEMETRY_SCHEMA_VERSION = 2
 
 # Stall-attribution categories.  Every accounted cycle lands in exactly
@@ -280,6 +280,11 @@ def _classify_bank_tick(bank, old, new):
     return _bank_wait_reason(bank)
 
 
+# (snapshot, classify, wait_reason) per accounted component kind.
+_PE_RULES = (_pe_snapshot, _classify_pe_tick, _pe_wait_reason)
+_BANK_RULES = (_bank_snapshot, _classify_bank_tick, _bank_wait_reason)
+
+
 def _gap_reason(tick_reason, wait_reason):
     """Attribute the sleep window following a tick.
 
@@ -296,8 +301,9 @@ class Telemetry:
     """One run's telemetry collection, attached to an AcceleratorSystem.
 
     The engine drives the sampler (``engine.sampler``); PEs, banks and
-    DRAM channels call the per-event hooks through their ``_tele``
-    attribute.  Everything here observes -- no method mutates any
+    DRAM channels report events through their probe, which the
+    accelerator system installs with this collector among its
+    observers.  Everything here observes -- no method mutates any
     simulated structure.
     """
 
@@ -331,25 +337,26 @@ class Telemetry:
     # -- wiring --------------------------------------------------------------
 
     def attach(self, system):
-        """Install hooks on *system*'s engine, PEs, banks and channels."""
+        """Register *system*'s components and become its engine sampler.
+
+        The per-event hooks arrive through the probe the system
+        installs once every observer is attached.
+        """
         self._system = system
         engine = system.engine
         engine.sampler = self
         now = engine.now
         self.next_sample = now
         for pe in system.pes:
-            pe._tele = self
             self._pes.append(pe)
             self._pe_accounts[pe] = _Account(f"pe{pe.pe_index}")
             self.moms_latency[pe.pe_index] = LatencyHistogram()
             self._open_phase[pe.pe_index] = (pe._phase, now)
         for bank in system.hierarchy.banks:
-            bank._tele = self
             self._banks.append(bank)
             self._bank_accounts[bank] = _Account(bank.name)
             self.miss_latency[bank.name] = LatencyHistogram()
         for channel in system.mem.channels:
-            channel._tele = self
             self._dram.append(channel)
             self.dram_latency[channel.name] = LatencyHistogram()
             stats = channel.stats
@@ -378,37 +385,20 @@ class Telemetry:
         """Close the run window: settle trailing ticks, gaps and spans."""
         end = engine.now
         self.end_cycle = end
-        for pe, account in self._pe_accounts.items():
-            self._settle_tail(
-                account, end,
-                lambda old, new, c=pe: _classify_pe_tick(c, old, new),
-                lambda c=pe: _pe_wait_reason(c),
-                lambda c=pe: _pe_snapshot(c),
-            )
-        for bank, account in self._bank_accounts.items():
-            self._settle_tail(
-                account, end,
-                lambda old, new, c=bank: _classify_bank_tick(c, old, new),
-                lambda c=bank: _bank_wait_reason(c),
-                lambda c=bank: _bank_snapshot(c),
-            )
+        for rules, accounts in ((_PE_RULES, self._pe_accounts),
+                                (_BANK_RULES, self._bank_accounts)):
+            for component, account in accounts.items():
+                if account.last_tick is None:
+                    account.add(IDLE,
+                                end - self.start_cycle - account.total())
+                else:
+                    self._settle(account, component, end, rules)
+                account.last_tick = None
+                account.snapshot = None
         for pe_index, (phase, start) in list(self._open_phase.items()):
             if end > start:
                 self._add_span("pe", pe_index, phase, start, end)
             self._open_phase[pe_index] = (phase, end)
-
-    def _settle_tail(self, account, end, classify, wait_reason, snapshot):
-        last = account.last_tick
-        if last is None:
-            account.add(IDLE, end - self.start_cycle - account.total())
-            return
-        reason = classify(account.snapshot, snapshot())
-        account.add(reason, 1)
-        trailing = end - last - 1
-        if trailing > 0:
-            account.add(_gap_reason(reason, wait_reason()), trailing)
-        account.last_tick = None
-        account.snapshot = None
 
     # -- sampler (driven by Engine.run) --------------------------------------
 
@@ -472,38 +462,30 @@ class Telemetry:
 
     # -- per-tick accounting hooks -------------------------------------------
 
-    def pe_before_tick(self, pe, now):
-        """Settle the PE's previous tick and sleep gap (called at tick start)."""
-        account = self._pe_accounts[pe]
-        snapshot = _pe_snapshot(pe)
+    def _settle(self, account, component, now, rules):
+        """Classify *component*'s previous tick and the gap up to *now*."""
+        snapshot, classify, wait_reason = rules
+        new = snapshot(component)
         last = account.last_tick
         if last is None:
             account.add(IDLE, now - self.start_cycle)
         else:
-            reason = _classify_pe_tick(pe, account.snapshot, snapshot)
+            reason = classify(component, account.snapshot, new)
             account.add(reason, 1)
             gap = now - last - 1
             if gap > 0:
-                account.add(_gap_reason(reason, _pe_wait_reason(pe)), gap)
-        account.last_tick = now
-        account.snapshot = snapshot
-
-    def bank_before_tick(self, bank, now):
-        """Settle the bank's previous tick and sleep gap."""
-        account = self._bank_accounts[bank]
-        snapshot = _bank_snapshot(bank)
-        last = account.last_tick
-        if last is None:
-            account.add(IDLE, now - self.start_cycle)
-        else:
-            reason = _classify_bank_tick(bank, account.snapshot, snapshot)
-            account.add(reason, 1)
-            gap = now - last - 1
-            if gap > 0:
-                account.add(_gap_reason(reason, _bank_wait_reason(bank)),
+                account.add(_gap_reason(reason, wait_reason(component)),
                             gap)
         account.last_tick = now
-        account.snapshot = snapshot
+        account.snapshot = new
+
+    def pe_tick(self, pe, now):
+        """Settle the PE's previous tick and sleep gap (at tick start)."""
+        self._settle(self._pe_accounts[pe], pe, now, _PE_RULES)
+
+    def bank_tick(self, bank, now):
+        """Settle the bank's previous tick and sleep gap."""
+        self._settle(self._bank_accounts[bank], bank, now, _BANK_RULES)
 
     # -- span hooks ----------------------------------------------------------
 
@@ -513,8 +495,9 @@ class Telemetry:
             return
         self.spans.append((track, track_id, label, start, end))
 
-    def pe_phase(self, pe_index, new_phase, now):
+    def pe_phase(self, pe, new_phase, now):
         """PE phase transition: close the open span, open the next."""
+        pe_index = pe.pe_index
         phase, start = self._open_phase[pe_index]
         if now > start:
             self._add_span("pe", pe_index, phase, start, now)
@@ -522,33 +505,34 @@ class Telemetry:
 
     # -- latency hooks -------------------------------------------------------
 
-    def moms_issue(self, pe_index, req_id, now):
-        key = (pe_index, req_id)
+    def pe_issue(self, pe, req_id, addr, now):
+        key = (pe.pe_index, req_id)
         times = self._moms_issue_times.get(key)
         if times is None:
             times = self._moms_issue_times[key] = deque()
         times.append(now)
 
-    def moms_retire(self, pe_index, req_id, now):
-        key = (pe_index, req_id)
+    def pe_retire(self, pe, req_id, addr, now):
+        key = (pe.pe_index, req_id)
         times = self._moms_issue_times.get(key)
         if not times:
             return  # issued before telemetry attached; drop silently
-        self.moms_latency[pe_index].record(now - times.popleft())
+        self.moms_latency[pe.pe_index].record(now - times.popleft())
         if not times:
             del self._moms_issue_times[key]
 
-    def miss_issue(self, bank_name, line_addr, now):
+    def bank_alloc(self, bank, req_id, port, line_addr, now):
         # One MSHR per line per bank, so the key is unique while in flight.
-        self._miss_issue_times[(bank_name, line_addr)] = now
+        self._miss_issue_times[(bank.name, line_addr)] = now
 
-    def miss_return(self, bank_name, line_addr, now):
-        issued = self._miss_issue_times.pop((bank_name, line_addr), None)
+    def bank_drain(self, bank, line_addr, now):
+        issued = self._miss_issue_times.pop((bank.name, line_addr), None)
         if issued is not None:
-            self.miss_latency[bank_name].record(now - issued)
+            self.miss_latency[bank.name].record(now - issued)
 
-    def dram_deliver(self, channel_name, latency):
-        self.dram_latency[channel_name].record(latency)
+    def dram_deliver(self, channel, respond_to, addr, issued_at, now):
+        if issued_at >= 0:
+            self.dram_latency[channel.name].record(now - issued_at)
 
     # -- results -------------------------------------------------------------
 
@@ -632,7 +616,7 @@ class Telemetry:
             "mshr_mean": round(sum(mshr) / len(mshr), 2) if mshr else 0.0,
             # Macro-tick fusion counters: execution-strategy metadata
             # (how the engine advanced time), recorded with explicit
-            # zeros when fusion is off so the keys are never absent.
+            # zeros when nothing fused so the keys are never absent.
             "fusion": {
                 "fused_runs": fused_runs,
                 "fused_cycles": fused_cycles,

@@ -11,16 +11,16 @@ show what the machine was doing just before it wedged.
 
 Three contracts, all pinned by tests:
 
-* **Observe, never perturb.**  Every hook in the simulator is ``is
-  None``-gated exactly like the sampler/watchdog/checkpointer hooks;
-  with no tracer attached the off-path cost is one attribute test per
-  site (budgeted <3% in ``bench_sim.py``).  With a tracer attached,
-  cycle counts and results are bit-identical to an untraced run.
+* **Observe, never perturb.**  The tracer reads the components' probe
+  events (:mod:`repro.sim.probe`); with no observer attached the
+  off-path cost is one ``_probe is None`` test per event site
+  (budgeted <3% in ``bench_sim.py``).  With a tracer attached, cycle
+  counts and results are bit-identical to an untraced run.
 * **Deterministic sampling.**  Whether a request is traced depends
   only on ``splitmix64(mix(pe, seq))`` of its issuing PE and that
   PE's issue sequence number -- both functions of the simulated
-  schedule, not of host state or engine internals -- so fused and
-  unfused runs emit byte-identical span streams.
+  schedule, not of host state or engine internals -- so the stream
+  does not depend on how the engine advances time.
 * **Snapshot-safe.**  Tracer state is plain data (dicts, deques,
   ints) registered in the checkpoint ``SNAPSHOT_REGISTRY``; a traced
   run snapshots and resumes bit-identically.
@@ -117,13 +117,13 @@ class FlightRecorder:
 
 
 class SpanTracer:
-    """Per-request span collection behind ``is None``-gated hooks.
+    """Per-request span collection from the components' probe events.
 
-    Attach with :meth:`attach`; the tracer installs itself as
-    ``engine.tracer`` (so stall reports can reach the flight
-    recorder) and as the ``_trace`` hook on every PE, MOMS bank,
-    crossbar, and DRAM channel.  It is *event-driven*: the engine run
-    loop never polls it.
+    The accelerator system attaches it (:meth:`attach`) and then lists
+    it among the observers of the probe it installs on every PE, MOMS
+    bank, crossbar, and DRAM channel, and as ``engine.probe`` (so stall
+    reports can reach the flight recorder).  It is *event-driven*: the
+    engine run loop never polls it.
     """
 
     def __init__(self, config=None):
@@ -143,18 +143,9 @@ class SpanTracer:
     # -- wiring ------------------------------------------------------------
 
     def attach(self, system):
-        """Install the tracer's hooks across *system* (returns self)."""
-        system.engine.tracer = self
-        for pe in system.pes:
-            pe._trace = self
-        hierarchy = system.hierarchy
-        for bank in hierarchy.banks:
-            bank._trace = self
+        """Learn which bank owns each line-fill channel (returns self)."""
+        for bank in system.hierarchy.banks:
             self._line_owner[bank.line_in] = bank.name
-        for crossbar in hierarchy.crossbars:
-            crossbar._trace = self
-        for channel in system.mem.channels:
-            channel._trace = self
         return self
 
     # -- matching helpers --------------------------------------------------
@@ -186,9 +177,10 @@ class SpanTracer:
         return self._first(self._fetches.get((bank, line_addr)),
                            present, absent)
 
-    # -- PE hooks ----------------------------------------------------------
+    # -- PE events ---------------------------------------------------------
 
-    def moms_issue(self, pe, req_id, addr, now):
+    def pe_issue(self, pe, req_id, addr, now):
+        pe = pe.pe_index
         seq = self._seq.get(pe, 0)
         self._seq[pe] = seq + 1
         self.requests_seen += 1
@@ -202,7 +194,8 @@ class SpanTracer:
         key = (pe, req_id, addr // LINE_BYTES)
         self._inflight.setdefault(key, deque()).append(record)
 
-    def moms_retire(self, pe, req_id, addr, now):
+    def pe_retire(self, pe, req_id, addr, now):
+        pe = pe.pe_index
         self.recorder.record(now, "retire", f"pe{pe}", req_id)
         key = (pe, req_id, addr // LINE_BYTES)
         queue = self._inflight.get(key)
@@ -216,7 +209,7 @@ class SpanTracer:
             record["events"].append([now, f"retire@pe{pe}"])
             self.spans.append(record)
 
-    # -- bank hooks --------------------------------------------------------
+    # -- bank events -------------------------------------------------------
 
     def _bank_outcome(self, outcome, bank, req_id, port, line_addr, now):
         if req_id is None:
@@ -239,12 +232,14 @@ class SpanTracer:
             record["events"].append([now, f"{outcome}@{bank}"])
 
     def bank_hit(self, bank, req_id, port, line_addr, now):
+        bank = bank.name
         self.recorder.record(now, "hit", bank,
                              line_addr if req_id is None else req_id)
         self._bank_outcome("hit", bank, req_id, port, line_addr, now)
 
     def bank_merge(self, bank, req_id, port, line_addr, now):
         """Secondary miss: merged into the line's existing MSHR."""
+        bank = bank.name
         self.recorder.record(now, "merge", bank,
                              line_addr if req_id is None else req_id)
         self._bank_outcome("secondary", bank, req_id, port, line_addr, now)
@@ -256,14 +251,17 @@ class SpanTracer:
         sampled secondaries merge into whichever fetch their line
         already has, sampled or not.
         """
+        bank = bank.name
         self.recorder.record(now, "alloc", bank, line_addr)
         self._fetches.setdefault((bank, line_addr), deque()).append(
             {"fetch_issue": now}
         )
         self._bank_outcome("primary", bank, req_id, port, line_addr, now)
 
-    def bank_drain(self, bank, line_addr, fan_in, now):
-        """The fetched line arrived; *fan_in* merged requests replay."""
+    def bank_drain(self, bank, line_addr, now):
+        """The line arrived; its MSHR's merged requests replay next."""
+        fan_in = bank.mshrs.peek(line_addr).subentry_count
+        bank = bank.name
         self.recorder.record(now, "drain", bank, line_addr)
         per_bank = self.fanin.setdefault(bank, {})
         per_bank[fan_in] = per_bank.get(fan_in, 0) + 1
@@ -274,6 +272,7 @@ class SpanTracer:
             fetch["remaining"] = fan_in
 
     def bank_replay(self, bank, req_id, port, line_addr, now):
+        bank = bank.name
         self.recorder.record(now, "replay", bank,
                              line_addr if req_id is None else req_id)
         fetch = self._fetch_record(bank, line_addr, "drain_begin", None)
@@ -308,9 +307,10 @@ class SpanTracer:
         if record["sampled"]:
             record["events"].append([now, f"replay@{bank}"])
 
-    # -- fabric hooks ------------------------------------------------------
+    # -- fabric events -----------------------------------------------------
 
-    def xbar_hop(self, name, token, now):
+    def xbar_hop(self, xbar, token, now):
+        name = xbar.name
         req_id = getattr(token, "req_id", None)
         port = getattr(token, "port", 0)
         addr = getattr(token, "addr", None)
@@ -346,10 +346,10 @@ class SpanTracer:
         if record["sampled"]:
             record["events"].append([now, f"xbar[{label}]@{name}"])
 
-    # -- DRAM hooks --------------------------------------------------------
+    # -- DRAM events -------------------------------------------------------
 
     def dram_accept(self, channel, request, now):
-        self.recorder.record(now, "dram_accept", channel, request.addr)
+        self.recorder.record(now, "dram_accept", channel.name, request.addr)
         owner = self._line_owner.get(request.respond_to)
         if owner is None:
             return  # burst/write traffic, not a MOMS line fetch
@@ -358,9 +358,9 @@ class SpanTracer:
         if fetch is not None:
             fetch["dram_accept"] = now
 
-    def dram_deliver(self, channel, respond_to, addr, now):
+    def dram_deliver(self, channel, respond_to, addr, issued_at, now):
         """A line beat delivered; the last beat wins the timestamp."""
-        self.recorder.record(now, "dram_deliver", channel, addr)
+        self.recorder.record(now, "dram_deliver", channel.name, addr)
         owner = self._line_owner.get(respond_to)
         if owner is None:
             return

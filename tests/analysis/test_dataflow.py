@@ -30,9 +30,9 @@ def graph_of(text, rel="repro/a.py"):
 
 class TestExprPath:
     def test_attribute_chains(self):
-        expr = ast.parse("self._tele.bank", mode="eval").body
-        assert expr_path(expr) == ("self", "_tele", "bank")
-        assert expr_path(ast.parse("tele", mode="eval").body) == ("tele",)
+        expr = ast.parse("self._probe.bank", mode="eval").body
+        assert expr_path(expr) == ("self", "_probe", "bank")
+        assert expr_path(ast.parse("probe", mode="eval").body) == ("probe",)
 
     def test_non_path_expressions(self):
         assert expr_path(ast.parse("f(x)", mode="eval").body) is None
@@ -43,37 +43,37 @@ class TestFlowScan:
     def test_is_not_none_guard_establishes_fact(self):
         scan = scan_of(
             "def f(self):\n"
-            "    if self._tele is not None:\n"
-            "        self._tele.record(1)\n"
+            "    if self._probe is not None:\n"
+            "        self._probe.record(1)\n"
         )
-        (site,) = [s for s in scan.derefs if s.path == ("self", "_tele")]
+        (site,) = [s for s in scan.derefs if s.path == ("self", "_probe")]
         assert site.guarded
 
     def test_unguarded_deref_is_seen(self):
         scan = scan_of(
             "def f(self):\n"
-            "    self._tele.record(1)\n"
+            "    self._probe.record(1)\n"
         )
-        (site,) = [s for s in scan.derefs if s.path == ("self", "_tele")]
+        (site,) = [s for s in scan.derefs if s.path == ("self", "_probe")]
         assert not site.guarded
 
     def test_truthiness_is_not_a_fact(self):
         scan = scan_of(
             "def f(self):\n"
-            "    if self._tele:\n"
-            "        self._tele.record(1)\n"
+            "    if self._probe:\n"
+            "        self._probe.record(1)\n"
         )
-        (site,) = [s for s in scan.derefs if s.path == ("self", "_tele")]
+        (site,) = [s for s in scan.derefs if s.path == ("self", "_probe")]
         assert not site.guarded
 
     def test_early_return_negation(self):
         scan = scan_of(
             "def f(self):\n"
-            "    if self._tele is None:\n"
+            "    if self._probe is None:\n"
             "        return\n"
-            "    self._tele.record(1)\n"
+            "    self._probe.record(1)\n"
         )
-        (site,) = [s for s in scan.derefs if s.path == ("self", "_tele")]
+        (site,) = [s for s in scan.derefs if s.path == ("self", "_probe")]
         assert site.guarded
 
     def test_assignment_kills_fact(self):
@@ -81,50 +81,50 @@ class TestFlowScan:
         # guard (a call result, by contrast, is assumed constructed).
         scan = scan_of(
             "def f(self, other):\n"
-            "    if self._tele is not None:\n"
-            "        self._tele = other\n"
-            "        self._tele.record(1)\n"
+            "    if self._probe is not None:\n"
+            "        self._probe = other\n"
+            "        self._probe.record(1)\n"
         )
-        sites = [s for s in scan.derefs if s.path == ("self", "_tele")]
+        sites = [s for s in scan.derefs if s.path == ("self", "_probe")]
         assert any(not s.guarded for s in sites)
 
     def test_alias_copy_carries_fact(self):
         scan = scan_of(
             "def f(self):\n"
-            "    tele = self._tele\n"
-            "    if tele is not None:\n"
-            "        tele.record(1)\n"
+            "    probe = self._probe\n"
+            "    if probe is not None:\n"
+            "        probe.record(1)\n"
         )
-        (site,) = [s for s in scan.derefs if s.path == ("tele",)]
+        (site,) = [s for s in scan.derefs if s.path == ("probe",)]
         assert site.guarded
 
     def test_call_sites_record_facts(self):
         scan = scan_of(
             "def f(self):\n"
-            "    if self._tele is not None:\n"
-            "        emit(self._tele)\n"
+            "    if self._probe is not None:\n"
+            "        emit(self._probe)\n"
             "    emit(self._fault)\n"
         )
-        guarded = [("self", "_tele") in s.facts for s in scan.calls]
+        guarded = [("self", "_probe") in s.facts for s in scan.calls]
         assert guarded == [True, False]
 
 
 class TestParamSummaries:
     UNSAFE = (
-        "def emit(tele, event):\n"
-        "    tele.record(event)\n"
+        "def emit(probe, event):\n"
+        "    probe.record(event)\n"
     )
     SAFE = (
-        "def emit(tele, event):\n"
-        "    if tele is None:\n"
+        "def emit(probe, event):\n"
+        "    if probe is None:\n"
         "        return\n"
-        "    tele.record(event)\n"
+        "    probe.record(event)\n"
     )
 
     def test_direct_unguarded_deref_marks_param(self):
         graph = graph_of(self.UNSAFE)
         summaries = param_summaries(graph)
-        assert summaries[("repro/a.py", "emit")] == {"tele"}
+        assert summaries[("repro/a.py", "emit")] == {"probe"}
 
     def test_guarded_param_is_safe(self):
         graph = graph_of(self.SAFE)
@@ -145,7 +145,7 @@ class TestParamSummaries:
             self.UNSAFE
             + "class Bank:\n"
             + "    def tick(self, engine):\n"
-            + "        emit(self._tele, 'bank')\n"
+            + "        emit(self._probe, 'bank')\n"
         )
         summaries = param_summaries(graph)
         key = ("repro/a.py", "Bank.tick")
@@ -154,11 +154,11 @@ class TestParamSummaries:
         for site in scan.calls:
             hits.extend(unsafe_arguments(
                 graph, key, site, summaries,
-                lambda path: path[-1] == "_tele",
+                lambda path: path[-1] == "_probe",
             ))
         (hit,) = hits
-        assert hit.path == ("self", "_tele")
-        assert hit.param == "tele"
+        assert hit.path == ("self", "_probe")
+        assert hit.param == "probe"
         assert hit.callee == ("repro/a.py", "emit")
 
     def test_guarded_call_site_is_clean(self):
@@ -166,8 +166,8 @@ class TestParamSummaries:
             self.UNSAFE
             + "class Bank:\n"
             + "    def tick(self, engine):\n"
-            + "        if self._tele is not None:\n"
-            + "            emit(self._tele, 'bank')\n"
+            + "        if self._probe is not None:\n"
+            + "            emit(self._probe, 'bank')\n"
         )
         summaries = param_summaries(graph)
         key = ("repro/a.py", "Bank.tick")
@@ -176,6 +176,6 @@ class TestParamSummaries:
         for site in scan.calls:
             hits.extend(unsafe_arguments(
                 graph, key, site, summaries,
-                lambda path: path[-1] == "_tele",
+                lambda path: path[-1] == "_probe",
             ))
         assert not hits

@@ -17,12 +17,10 @@ from repro.analysis import lint_paths, lint_text
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
-# All four fused hooks declined in one terminating Or-chain, plus the
+# Both fused slots declined in one terminating Or-chain, plus the
 # space watchers: the canonical "nothing instrumented, fuse away" gate.
 DECLINE_ALL = (
-    "        if (self._fault is not None or self._tele is not None\n"
-    "                or self._ledger is not None\n"
-    "                or self._trace is not None\n"
+    "        if (self._fault is not None or self._probe is not None\n"
     "                or self._space_subs):\n"
     "            return 0\n"
 )
@@ -81,25 +79,25 @@ class TestSnapshotCompletenessR11:
 class TestInterproceduralHookR12:
     def test_two_hop_forwarding_flagged(self):
         text = (
-            "def emit(tele, event):\n"
-            "    tele.record(event)\n"
+            "def emit(probe, event):\n"
+            "    probe.record(event)\n"
             "def relay(sink, event):\n"
             "    emit(sink, event)\n"
             "class Bank:\n"
             "    def tick(self, engine):\n"
-            "        relay(self._tele, 'bank')\n"
+            "        relay(self._probe, 'bank')\n"
         )
         (finding,) = lint_text(text, rules="R12").findings
-        assert "self._tele" in finding.message
+        assert "self._probe" in finding.message
         assert "'relay'" in finding.message
 
     def test_instrumentation_packages_exempt(self):
         text = (
-            "def emit(tele, event):\n"
-            "    tele.record(event)\n"
+            "def emit(probe, event):\n"
+            "    probe.record(event)\n"
             "class Bank:\n"
             "    def tick(self, engine):\n"
-            "        emit(self._tele, 'bank')\n"
+            "        emit(self._probe, 'bank')\n"
         )
         assert lint_text(text, rules="R12",
                          rel="repro/core/bank.py").findings
@@ -109,7 +107,7 @@ class TestInterproceduralHookR12:
 
 class TestFusionPurityR13:
     def test_declined_hook_prunes_call_region(self):
-        # `self._ledger.issue(...)` is dead inside the fused window
+        # `self._probe.issue(...)` is dead inside the fused window
         # (the decline returned 0); name dispatch must not drag every
         # other `issue` method's pushes into the region.
         text = (
@@ -122,8 +120,8 @@ class TestFusionPurityR13:
             "        self._schedule(budget)\n"
             "        return budget\n"
             "    def _schedule(self, budget):\n"
-            "        if self._ledger is not None:\n"
-            "            self._ledger.issue(budget)\n"
+            "        if self._probe is not None:\n"
+            "            self._probe.issue(budget)\n"
         )
         assert not lint_text(text, rules="R13").findings
 
@@ -152,9 +150,7 @@ class TestFusionPurityR13:
         covered = body.format(decline=DECLINE_ALL)
         assert not lint_text(covered, rules="R13").findings
         uncovered = body.format(decline=(
-            "        if (self._fault is not None or self._tele is not None\n"
-            "                or self._ledger is not None\n"
-            "                or self._trace is not None):\n"
+            "        if self._fault is not None or self._probe is not None:\n"
             "            return 0\n"
         ))
         (finding,) = lint_text(uncovered, rules="R13").findings
@@ -213,7 +209,7 @@ class TestSchemaCoherenceR14:
 
 
 class TestCrossRuleSuppression:
-    BAD_LINE = "        self.scratch = self._tele.make(Scratch())\n"
+    BAD_LINE = "        self.scratch = self._probe.make(Scratch())\n"
     TEXT = (
         "class Scratch:\n"
         "    pass\n"

@@ -88,7 +88,11 @@ def fingerprint(algorithm, organization, plan, kind):
         _graph(), algorithm, _config(organization, algorithm, kind),
         fault_plan=fault_plan,
     )
-    result = system.run(max_iterations=2)
+    return result_fingerprint(system.run(max_iterations=2))
+
+
+def result_fingerprint(result):
+    """The fingerprint record of one finished run."""
     model = {key: value for key, value in result.stats.items()
              if key not in STRATEGY_KEYS}
     values = result.values

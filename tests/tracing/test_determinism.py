@@ -3,7 +3,7 @@
 Three contracts from DESIGN 6.8:
 
 * the exported span JSONL is **byte-identical** whether or not the
-  engine fuses cycles (sampling depends only on schedule-determined
+  engine may fuse cycles (sampling depends only on schedule-determined
   (pe, seq) coordinates), and pinned by the SHA-256 that the retired
   all-tick engine and scalar kernels produced too;
 * that identity survives an active fault plan (a DRAM-spike plan
@@ -38,9 +38,7 @@ PINNED_SHA = {
 }
 
 
-def _run(algorithm, monkeypatch, spans=True, fault_plan=None,
-         fusion="on"):
-    monkeypatch.setenv("REPRO_FUSION", fusion)
+def _run(algorithm, spans=True, fault_plan=None, fusion_cap=None):
     config = ArchitectureConfig(
         _design(4, 4, MOMS_TWO_LEVEL, algorithm, n_channels=2),
         **SCALED_DEFAULTS,
@@ -51,6 +49,8 @@ def _run(algorithm, monkeypatch, spans=True, fault_plan=None,
     )
     if fault_plan is not None:
         install_faults(system, fault_plan)
+    if fusion_cap is not None:
+        system.engine._fusion_cap = fusion_cap
     result = system.run(max_iterations=2)
     return system, result
 
@@ -72,45 +72,38 @@ def _sha(stream):
 
 class TestSpanStreamDeterminism:
     @pytest.mark.parametrize("algorithm", ["pagerank", "bfs"])
-    def test_byte_identical_across_engines_and_kernels(
-            self, algorithm, monkeypatch):
+    def test_byte_identical_across_engines_and_kernels(self, algorithm):
         streams = {}
-        for fusion in ("on", "off"):
-            system, result = _run(algorithm, monkeypatch, fusion=fusion)
-            streams[fusion] = (result.cycles,
-                               spans_jsonl_bytes(system.tracer))
+        for leg, cap in (("fused", None), ("per-cycle", 0)):
+            system, result = _run(algorithm, fusion_cap=cap)
+            streams[leg] = (result.cycles,
+                            spans_jsonl_bytes(system.tracer))
         # Not vacuous: the stream carries actual sampled spans.
-        assert streams["on"][1].count(b"\n") > 10
-        assert streams["on"] == streams["off"]
-        assert _sha(streams["on"][1]) == PINNED_SHA[algorithm]
+        assert streams["fused"][1].count(b"\n") > 10
+        assert streams["fused"] == streams["per-cycle"]
+        assert _sha(streams["fused"][1]) == PINNED_SHA[algorithm]
 
-    def test_byte_identical_under_dram_fault_plan(self, monkeypatch):
-        streams = {}
-        for fusion in ("on", "off"):
-            system, _result = _run(
-                "pagerank", monkeypatch, fusion=fusion,
-                fault_plan=FaultPlan.dram_plan(seed=1),
-            )
-            streams[fusion] = spans_jsonl_bytes(system.tracer)
-        assert streams["on"].count(b"\n") > 10
-        assert streams["on"] == streams["off"]
-        assert _sha(streams["on"]) == PINNED_SHA["pagerank+dram"]
+    def test_byte_identical_under_dram_fault_plan(self):
+        system, _result = _run("pagerank",
+                               fault_plan=FaultPlan.dram_plan(seed=1))
+        stream = spans_jsonl_bytes(system.tracer)
+        assert stream.count(b"\n") > 10
+        assert _sha(stream) == PINNED_SHA["pagerank+dram"]
 
-    def test_fault_plan_actually_shifts_the_stream(self, monkeypatch):
+    def test_fault_plan_actually_shifts_the_stream(self):
         """The fault-plan test above must not be comparing no-op runs."""
-        clean_sys, _ = _run("pagerank", monkeypatch)
+        clean_sys, _ = _run("pagerank")
         faulty_sys, _ = _run(
-            "pagerank", monkeypatch,
-            fault_plan=FaultPlan.dram_plan(seed=1),
+            "pagerank", fault_plan=FaultPlan.dram_plan(seed=1),
         )
         assert spans_jsonl_bytes(clean_sys.tracer) \
             != spans_jsonl_bytes(faulty_sys.tracer)
 
 
 class TestTracerNeverPerturbs:
-    def test_tracing_on_matches_off(self, monkeypatch):
-        _off_sys, off_res = _run("pagerank", monkeypatch, spans=False)
-        on_sys, on_res = _run("pagerank", monkeypatch, spans=True)
+    def test_tracing_on_matches_off(self):
+        _off_sys, off_res = _run("pagerank", spans=False)
+        on_sys, on_res = _run("pagerank", spans=True)
         assert _fingerprint(on_res) == _fingerprint(off_res)
         # Not vacuous: the traced run actually collected spans.
         assert on_sys.tracer.spans
