@@ -3,7 +3,7 @@
 The reproduction's central claim -- bit-identical cycle counts across
 engines, pooling, telemetry, and fault replays -- rests on coding
 contracts (no wall-clock in tick paths, bulk channel APIs, freelist
-pooling, is-None-gated hooks, versioned row schemas) that this package
+pooling, is-None-gated hooks, silent fused cycles) that this package
 enforces statically.  See DESIGN.md 6.5 for the catalog and policy,
 and ``python -m repro lint --list-rules`` for the live inventory.
 
@@ -14,7 +14,6 @@ Public surface:
 * :mod:`repro.analysis.rules` -- the catalog (``ALL_RULES``,
   ``select_rules``);
 * :mod:`repro.analysis.emitters` -- text/JSON/SARIF serializers;
-* :mod:`repro.analysis.baseline` -- accepted-findings flow;
 * :mod:`repro.analysis.cli` -- the ``python -m repro lint`` command.
 """
 

@@ -1,10 +1,9 @@
 """Tree-wide name-resolved call graph (the whole-program index).
 
-Generalizes the hot-path classifier's reachability sweep into a
-reusable index the whole-program passes (R11-R14, DESIGN.md 6.10)
-share: every function definition in the analyzable packages, resolved
-call edges between them, per-class method tables, bound-method alias
-tables, and class-construction summaries.
+Generalizes the hot-path classifier's reachability sweep into the
+index R13's fused-region walk (DESIGN.md 6.10) runs on: every function
+definition in the analyzable packages, resolved call edges between
+them, per-class method tables, and bound-method alias tables.
 
 Resolution is *name-based* over :data:`CALLGRAPH_PACKAGES`, for the
 same reason the hot-path classifier's is (DESIGN.md 6.5): the engine
@@ -33,9 +32,9 @@ import ast
 from collections import deque
 
 # Packages whose definitions participate in whole-program resolution.
-# Strictly wider than the hot-path set: the instrumentation and
-# persistence layers (faults, telemetry, tracing, checkpoint) carry
-# contracts of their own (R11/R12) even though they are never hot.
+# Strictly wider than the hot-path set: a fused kernel may reach into
+# the instrumentation layers (faults, telemetry, tracing, checkpoint)
+# through an undeclined hook, and the region walk must follow it.
 CALLGRAPH_PACKAGES = (
     "repro/sim/",
     "repro/core/",
@@ -80,11 +79,9 @@ class CallGraph:
         self.functions = {}   # (rel, qualname) -> FunctionInfo
         self.sources = {}     # rel -> SourceFile (in-scope files only)
         self.by_name = {}     # bare name -> sorted list of keys
-        self.class_defs = {}  # class name -> sorted list of (rel, qualname)
         self.methods = {}     # (rel, class qualname) -> {name: key}
         self.bound_aliases = {}  # class name -> {attr: set of method names}
         self._callee_cache = {}
-        self._file_rdeps = None
         self._build(sources)
 
     # -- construction -------------------------------------------------------
@@ -97,11 +94,6 @@ class CallGraph:
             if not self._in_scope(source.rel):
                 continue
             self.sources[source.rel] = source
-            for class_qual, node in source.classes:
-                name = class_qual.rsplit(".", 1)[-1]
-                self.class_defs.setdefault(name, []).append(
-                    (source.rel, class_qual)
-                )
             for info in source.functions:
                 key = (source.rel, info.qualname)
                 self.functions[key] = info
@@ -114,8 +106,6 @@ class CallGraph:
                 self._index_bound_aliases(source, info)
         for name in self.by_name:
             self.by_name[name].sort()
-        for name in self.class_defs:
-            self.class_defs[name].sort()
 
     def _index_bound_aliases(self, source, info):
         """Record ``self.attr = self.method`` bindings in *info*."""
@@ -230,13 +220,14 @@ class CallGraph:
         return result
 
     def reachable_from(self, seeds, skip_classes=frozenset(),
-                       skip_key=None):
+                       skip_call=None):
         """Transitive closure over call edges from *seeds*.
 
         ``skip_classes`` prunes traversal into methods of the named
         classes (e.g. the channel primitives, whose internals are the
-        engine's business, not a component contract's).  ``skip_key``
-        is an optional per-key predicate for finer pruning.
+        engine's business, not a component contract's).  ``skip_call``
+        is an optional predicate on call expressions whose edges are
+        dropped (R13 drops calls made through a declined hook).
         """
         seen = set()
         queue = deque(seeds)
@@ -247,123 +238,16 @@ class CallGraph:
             info = self.functions[key]
             if info.class_name in skip_classes:
                 continue
-            if skip_key is not None and skip_key(key):
-                continue
             seen.add(key)
-            for callee in self.callees(key):
+            if skip_call is None:
+                callees = self.callees(key)
+            else:
+                callees = [
+                    callee for call in _call_nodes(info.node)
+                    if not skip_call(call)
+                    for callee in self.resolve_call(key, call)
+                ]
+            for callee in callees:
                 if callee not in seen:
                     queue.append(callee)
         return seen
-
-    # -- file-level reverse dependencies ------------------------------------
-
-    def file_dependents(self, rels):
-        """Files whose functions (transitively) call into *rels*.
-
-        The ``--changed`` scope: a contract broken by an edit can
-        surface in any caller of the edited file, so dependents are
-        closed transitively over the file-level reverse edge relation.
-        Returns a sorted tuple including *rels* themselves.
-        """
-        if self._file_rdeps is None:
-            rdeps = {}
-            for key in sorted(self.functions):
-                for callee in self.callees(key):
-                    if callee[0] != key[0]:
-                        rdeps.setdefault(callee[0], set()).add(key[0])
-            self._file_rdeps = rdeps
-        seen = set()
-        queue = deque(rel for rel in rels if rel in self.sources)
-        seen.update(queue)
-        while queue:
-            rel = queue.popleft()
-            for caller in self._file_rdeps.get(rel, ()):
-                if caller not in seen:
-                    seen.add(caller)
-                    queue.append(caller)
-        return tuple(sorted(seen))
-
-    # -- construction summaries (for R11) -----------------------------------
-
-    def returned_classes(self):
-        """Map key -> frozenset of tree class names it may return.
-
-        A two-rule fixpoint over direct evidence: ``return Cls(...)``
-        (or ``return name`` where *name* was assigned a construction)
-        contributes ``Cls``; ``return f(...)`` contributes whatever the
-        resolved *f* returns.  ``return self`` and classmethod
-        ``cls(...)`` resolve to the defining class -- the idiom behind
-        ``Telemetry.attach`` and ``Checkpointer.from_spec``.
-        """
-        direct = {}
-        pending_calls = {}  # key -> set of callee keys feeding returns
-        for key in sorted(self.functions):
-            info = self.functions[key]
-            rel = key[0]
-            source = self.sources.get(rel)
-            classes = set()
-            calls = set()
-            table = (source.local_assignments(info.node)
-                     if source is not None else {})
-            for node in ast.walk(info.node):
-                if not isinstance(node, ast.Return) or node.value is None:
-                    continue
-                exprs = [node.value]
-                if isinstance(node.value, ast.Name):
-                    exprs += list(table.get(node.value.id, ()))
-                for expr in exprs:
-                    self._collect_constructions(
-                        key, info, expr, classes, calls
-                    )
-                    if (isinstance(expr, ast.Name)
-                            and expr.id == "self"
-                            and info.class_name is not None):
-                        classes.add(info.class_name)
-            direct[key] = classes
-            pending_calls[key] = calls
-        # Fixpoint: propagate callee return-classes into callers.
-        changed = True
-        while changed:
-            changed = False
-            for key in direct:
-                for callee in pending_calls[key]:
-                    extra = direct.get(callee, ())
-                    for name in extra:
-                        if name not in direct[key]:
-                            direct[key].add(name)
-                            changed = True
-        return {key: frozenset(value) for key, value in direct.items()}
-
-    def _collect_constructions(self, key, info, expr, classes, calls):
-        """Tree classes constructed in *expr*; called functions into *calls*."""
-        for node in ast.walk(expr):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            name = None
-            if isinstance(func, ast.Name):
-                name = func.id
-            elif isinstance(func, ast.Attribute):
-                name = func.attr
-            if name is None:
-                continue
-            if name in self.class_defs:
-                classes.add(name)
-            elif (isinstance(func, ast.Name) and func.id == "cls"
-                    and info.class_name is not None):
-                classes.add(info.class_name)
-            else:
-                calls.update(self.resolve_call(key, node))
-
-    def constructed_classes(self, key, expr):
-        """Tree class names *expr* may construct or receive from calls.
-
-        Combines direct constructions in the expression with the
-        returned-class summaries of every call it contains; the caller
-        supplies the precomputed summaries (``returned_classes()``).
-        """
-        info = self.functions.get(key)
-        classes, calls = set(), set()
-        if info is not None:
-            self._collect_constructions(key, info, expr, classes, calls)
-        return classes, calls

@@ -17,17 +17,12 @@ SARIF_SCHEMA_URI = (
 )
 TOOL_NAME = "simlint"
 # Tool version, surfaced in SARIF/JSON envelopes; tracks the rule
-# catalog, not the repo release.
-TOOL_VERSION = "1.0"
+# catalog, not the repo release.  2.0: the 8-rule catalog.
+TOOL_VERSION = "2.0"
 
 
 def _finding_line(finding):
-    tags = []
-    if finding.suppressed:
-        tags.append("suppressed")
-    if finding.baselined:
-        tags.append("baselined")
-    suffix = f" [{', '.join(tags)}]" if tags else ""
+    suffix = " [suppressed]" if finding.suppressed else ""
     hint = f" ({finding.hint})" if finding.hint else ""
     return (
         f"{finding.path}:{finding.line}:{finding.col}: "
@@ -42,14 +37,13 @@ def emit_text(result, show_suppressed=False):
     if show_suppressed:
         lines.extend(
             _finding_line(finding)
-            for finding in result.suppressed + result.baselined
+            for finding in result.suppressed
         )
     counts = result.counts()
     summary = (
         f"simlint: {len(result.findings)} finding(s) "
         f"({counts.get('error', 0)} error, {counts.get('warning', 0)} "
         f"warning), {len(result.suppressed)} suppressed, "
-        f"{len(result.baselined)} baselined, "
         f"{result.files_scanned} file(s), "
         f"rules {','.join(result.rules_run)}"
     )
@@ -69,11 +63,7 @@ def emit_json(result, show_suppressed=False):
         "suppressed": [
             finding.to_dict() for finding in result.suppressed
         ] if show_suppressed else len(result.suppressed),
-        "baselined": [
-            finding.to_dict() for finding in result.baselined
-        ] if show_suppressed else len(result.baselined),
         "errors": list(result.errors),
-        "notes": list(result.notes),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -113,10 +103,8 @@ def _sarif_result(finding):
     }
     if finding.hint:
         entry["properties"] = {"hint": finding.hint}
-    if finding.suppressed or finding.baselined:
-        entry["suppressions"] = [
-            {"kind": "inSource" if finding.suppressed else "external"}
-        ]
+    if finding.suppressed:
+        entry["suppressions"] = [{"kind": "inSource"}]
     return entry
 
 
@@ -129,7 +117,7 @@ def emit_sarif(result, show_suppressed=True):
     """
     findings = list(result.findings)
     if show_suppressed:
-        findings += result.suppressed + result.baselined
+        findings += result.suppressed
     findings.sort(key=lambda finding: finding.sort_key())
     log = {
         "version": SARIF_VERSION,

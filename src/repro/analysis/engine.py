@@ -15,7 +15,6 @@ no hash-order dependence, no absolute paths in findings.
 """
 
 import pathlib
-import subprocess
 
 from repro.analysis.callgraph import CallGraph
 from repro.analysis.findings import LintResult
@@ -23,29 +22,27 @@ from repro.analysis.hotpath import HOT_PACKAGES, HotPathIndex
 from repro.analysis.rules import discover_pooled_classes, select_rules
 from repro.analysis.source import parse_source
 
-# Version stamped into the JSON emitter's envelope and the baseline
-# file; bump on layout changes (readers tolerate older, skip newer).
-LINT_SCHEMA = 1
+# Version stamped into the JSON emitter's envelope; bump on layout
+# changes.  v2 dropped the baseline and notes fields.
+LINT_SCHEMA = 2
 
 
 class LintContext:
     """Shared read-only state every rule check receives.
 
     ``memo`` is a scratch dict for whole-program passes: a rule that
-    computes a tree-wide analysis (snapshot containment, parameter
-    summaries) stashes it here keyed by rule id, because rule
-    instances are shared module singletons while the context is
-    rebuilt per run.
+    computes a tree-wide analysis (R13's fused regions) stashes it here
+    keyed by rule id, because rule instances are shared module
+    singletons while the context is rebuilt per run.
     """
 
     __slots__ = ("sources", "hot", "pooled_classes", "callgraph", "memo")
 
-    def __init__(self, sources, hot, pooled_classes, callgraph=None):
+    def __init__(self, sources, hot, pooled_classes):
         self.sources = sources
         self.hot = hot
         self.pooled_classes = pooled_classes
-        self.callgraph = callgraph if callgraph is not None \
-            else CallGraph(sources, include_all=hot.force_hot)
+        self.callgraph = CallGraph(sources, include_all=hot.force_hot)
         self.memo = {}
 
     def in_hot_package(self, source):
@@ -115,60 +112,19 @@ def build_context(sources, force_hot=False):
     )
 
 
-def changed_files(root):
-    """Working-tree .py changes vs HEAD (staged, unstaged, untracked).
-
-    Returns ``(rel paths, error)``; the error string is set (and the
-    list empty) when git is unavailable or *root* is not a repository,
-    so ``--changed`` can degrade to a full lint with a note instead of
-    failing the tool.
-    """
-    try:
-        proc = subprocess.run(
-            ["git", "-C", str(root), "status", "--porcelain"],
-            capture_output=True, text=True, timeout=30,
-        )
-    except (OSError, subprocess.TimeoutExpired) as error:
-        return [], f"git status failed: {error}"
-    if proc.returncode != 0:
-        detail = proc.stderr.strip().splitlines()
-        return [], (f"git status failed: "
-                    f"{detail[0] if detail else proc.returncode}")
-    rels = []
-    for line in proc.stdout.splitlines():
-        if len(line) < 4:
-            continue
-        path = line[3:]
-        # Renames report "old -> new"; the new path is the live one.
-        if " -> " in path:
-            path = path.split(" -> ", 1)[1]
-        path = path.strip().strip('"')
-        if path.endswith(".py"):
-            rels.append(path)
-    return sorted(set(rels)), None
-
-
 def _rule_matches(rule, names):
     return rule.id in names or rule.name in names or "all" in names
 
 
-def run_rules(sources, rules, ctx, targets=None):
-    """Run *rules* over *sources*; dedup, suppress, sort.
-
-    *targets* restricts which files' findings are reported (the
-    ``--changed`` scope) without shrinking the analysis context: the
-    whole-program indexes in *ctx* always cover every source.
-    """
+def run_rules(sources, rules, ctx):
+    """Run *rules* over *sources*; dedup, suppress, sort."""
     result = LintResult(
         files_scanned=len(sources),
         rules_run=tuple(rule.id for rule in rules),
     )
-    checked = sources if targets is None else [
-        source for source in sources if source.rel in targets
-    ]
     seen = set()
     for rule in rules:
-        for source in checked:
+        for source in sources:
             for finding in rule.check(source, ctx):
                 key = finding.identity()
                 if key in seen:
@@ -185,66 +141,18 @@ def run_rules(sources, rules, ctx, targets=None):
     return result
 
 
-def lint_paths(paths=None, rules=None, root=None, force_hot=False,
-               changed_only=False, cache_dir=None):
+def lint_paths(paths=None, rules=None, root=None, force_hot=False):
     """Lint files/directories; the main library entry point.
 
     *rules* is a comma-separated spec ("R2,R4" / "ungated-hook") or a
     sequence of rule instances; ``None`` runs the whole catalog.
-    ``changed_only`` narrows *reporting* to git-changed files plus
-    their call-graph dependents (the analysis still sees the full
-    tree); ``cache_dir`` reuses a pickled parse/call-graph index when
-    the tree fingerprint matches (see :mod:`repro.analysis.cache`).
     """
     paths = list(paths) if paths else default_paths()
     if rules is None or isinstance(rules, str):
         rules = select_rules(rules)
-    root_dir = pathlib.Path(
-        root if root is not None
-        else find_repo_root(paths[0] if paths else ".")
-    ).resolve()
-    notes = []
-    sources = errors = callgraph = None
-    if cache_dir is not None:
-        from repro.analysis import cache as cache_module
-        fingerprint = cache_module.tree_fingerprint(paths, root_dir)
-        cached = cache_module.load_index(cache_dir, fingerprint)
-        if cached is not None:
-            sources, errors, callgraph = cached
-            notes.append(f"cache hit ({fingerprint[:12]})")
-        else:
-            notes.append(f"cache miss ({fingerprint[:12]})")
-    if sources is None:
-        sources, errors = collect_sources(paths, root=root_dir)
-    hot = HotPathIndex(sources, force_hot=force_hot)
-    ctx = LintContext(
-        sources=sources,
-        hot=hot,
-        pooled_classes=discover_pooled_classes(sources),
-        callgraph=callgraph,
-    )
-    if cache_dir is not None and callgraph is None:
-        from repro.analysis import cache as cache_module
-        cache_module.save_index(
-            cache_dir, fingerprint, sources, errors, ctx.callgraph
-        )
-    targets = None
-    if changed_only:
-        rels, git_error = changed_files(root_dir)
-        if git_error is not None:
-            notes.append(f"--changed: {git_error}; linting everything")
-        else:
-            known = {source.rel for source in sources}
-            changed = [rel for rel in rels if rel in known]
-            targets = set(ctx.callgraph.file_dependents(changed))
-            targets.update(changed)
-            notes.append(
-                f"--changed: {len(changed)} changed file(s), "
-                f"{len(targets)} in scope with call-graph dependents"
-            )
-    result = run_rules(sources, rules, ctx, targets=targets)
+    sources, errors = collect_sources(paths, root=root)
+    result = run_rules(sources, rules, build_context(sources, force_hot))
     result.errors = errors
-    result.notes.extend(notes)
     return result
 
 

@@ -10,22 +10,13 @@ from repro.analysis.rules.determinism import (
     FloatCycleCompareRule,
     NondeterminismRule,
 )
-from repro.analysis.rules.hooks import (
-    InterproceduralHookRule,
-    MutableDefaultRule,
-    UngatedHookRule,
-)
+from repro.analysis.rules.hooks import MutableDefaultRule, UngatedHookRule
 from repro.analysis.rules.pooling import (
     DirectTokenConstructionRule,
     MissingSlotsRule,
     discover_pooled_classes,
 )
-from repro.analysis.rules.fusion import FusionPurityRule, FusionSafetyRule
-from repro.analysis.rules.schema import (
-    SchemaCoherenceRule,
-    SchemaLiteralRule,
-)
-from repro.analysis.rules.snapshot import SnapshotCompletenessRule
+from repro.analysis.rules.fusion import FusionPurityRule
 
 ALL_RULES = tuple(sorted(
     (
@@ -36,12 +27,7 @@ ALL_RULES = tuple(sorted(
         FloatCycleCompareRule(),
         MutableDefaultRule(),
         MissingSlotsRule(),
-        SchemaLiteralRule(),
-        FusionSafetyRule(),
-        SnapshotCompletenessRule(),
-        InterproceduralHookRule(),
         FusionPurityRule(),
-        SchemaCoherenceRule(),
     ),
     key=lambda rule: int(rule.id[1:]),
 ))

@@ -1,4 +1,4 @@
-"""R10/R13: fusion-safety and whole-region fusion purity.
+"""R13: whole-region fusion purity.
 
 The macro-tick engine (DESIGN.md 6.9) lets a component cover a whole
 run of cycles with one ``step_n(engine, budget)`` call, on the
@@ -18,18 +18,16 @@ legal: that is how a kernel derives the window base to compute
 per-element cycles arithmetically (``base + i``), which is the correct
 fused form.
 
-R10 checks the ``step_n`` body itself.  R13 extends the contract to
-the whole *fused region* -- ``step_n`` plus everything reachable from
-it through the call graph -- and to the other silent-cycle clauses of
-the protocol: fused cycles may not invoke instrumentation hooks the
-kernel did not decline, may not push into channels, may not pop from a
-channel whose space watchers were not declined, and may not wake other
-components.
+R13 checks that clock rule over the whole *fused region* -- ``step_n``
+itself plus everything reachable from it through the call graph --
+together with the other silent-cycle clauses of the protocol: fused
+cycles may not invoke instrumentation hooks the kernel did not
+decline, may not push into channels, may not pop from a channel whose
+space watchers were not declined, and may not wake other components.
 """
 
 import ast
 
-from repro.analysis.callgraph import _call_nodes
 from repro.analysis.rules.base import Rule
 
 _LOOPS = (ast.For, ast.AsyncFor, ast.While)
@@ -68,9 +66,9 @@ def per_element_parts(scope):
     For a loop, everything under it -- body, condition, and iterable
     included -- re-evaluates per iteration.  For a comprehension, the
     element expression, every ``if`` filter, and every generator source
-    except the first (which evaluates once, outside the scope).  Shared
-    by R10 (``engine.now`` reads in ``step_n``) and R13 (the same reads
-    in reachable helpers, plus per-element call sites).
+    except the first (which evaluates once, outside the scope).  R13
+    scans these for ``engine.now`` reads and for per-element calls to
+    clock-reading helpers.
     """
     if isinstance(scope, _LOOPS):
         return [scope]
@@ -104,69 +102,6 @@ def loop_scoped(func_node, collect):
                 seen.add(id(node))
                 found.append(node)
     return found
-
-
-class FusionSafetyRule(Rule):
-    """R10: no per-element ``engine.now`` reads inside ``step_n``."""
-
-    id = "R10"
-    name = "fusion-safety"
-    severity = "error"
-    summary = "no per-element engine.now reads in fused step_n kernels"
-    rationale = (
-        "The engine advances now only after step_n returns, so "
-        "engine.now is frozen at the fused run's first cycle for the "
-        "whole batch.  A per-element read stamps every element with "
-        "the start cycle where the unfused path would have stamped "
-        "start, start+1, ...; the divergence hides in timestamps "
-        "(stats, traces, queued tokens) that no cycle-count assertion "
-        "compares, breaking the fused/unfused bit-identity contract."
-    )
-    hint = (
-        "read engine.now once before the loop and derive per-element "
-        "cycles arithmetically (base + index); work that genuinely "
-        "needs the live clock must stay on per-cycle tick()"
-    )
-
-    POSITIVE = (
-        "def step_n(self, engine, budget):\n"
-        "    m = 0\n"
-        "    for _ in range(budget):\n"
-        "        self.trace.append(engine.now + m)\n"
-        "        m += 1\n"
-        "    return m\n"
-    )
-    NEGATIVE = (
-        "def step_n(self, engine, budget):\n"
-        "    base = engine.now\n"
-        "    m = self.mshrs.failing_insert_run(self.addr, budget,\n"
-        "                                      vec=True)\n"
-        "    self.trace.extend(base + i for i in range(m))\n"
-        "    self.stats.stall_mshr += m\n"
-        "    return m\n"
-    )
-
-    def check(self, source, ctx):
-        for node in ast.walk(source.tree):
-            if not isinstance(node, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                continue
-            if node.name != "step_n":
-                continue
-            engine_name = _engine_param(node)
-            if engine_name is None:
-                continue
-            reads = loop_scoped(
-                node, lambda part: _now_reads(part, engine_name)
-            )
-            for read in reads:
-                yield self.finding(
-                    source, read,
-                    "per-element engine.now read inside fused "
-                    f"'{node.name}' kernel (now is frozen at "
-                    "the run's first cycle for the whole "
-                    "batch)",
-                )
 
 
 # -- R13: whole-region purity ---------------------------------------------
@@ -270,14 +205,17 @@ class FusionPurityRule(Rule):
         "past a waiting space watcher, or wake another component -- "
         "side effects the per-cycle path would have interleaved with "
         "other components' ticks, silently breaking fused/unfused "
-        "bit-identity.  R10 sees only the step_n body; R13 closes the "
-        "region over the call graph and checks every clause."
+        "bit-identity.  The engine advances now only after step_n "
+        "returns, so a per-element engine.now read anywhere in the "
+        "region stamps every element with the run's first cycle.  R13 "
+        "closes the region over the call graph and checks every clause."
     )
     hint = (
         "decline fusion (return 0) while the offending hook or space "
-        "watcher is active, keep the mutation on the per-cycle tick() "
-        "path, or restructure the helper so the fused call cannot "
-        "reach it"
+        "watcher is active, read engine.now once before a loop and "
+        "derive per-element cycles as base + index, keep the mutation "
+        "on the per-cycle tick() path, or restructure the helper so the "
+        "fused call cannot reach it"
     )
 
     POSITIVE = (
@@ -363,31 +301,17 @@ class FusionPurityRule(Rule):
     def _region(callgraph, seed, declined_hooks):
         """Fused region: closure over call edges alive under the declines."""
 
-        def through_declined(func_expr):
-            node = func_expr
+        def through_declined(call):
+            node = call.func
             while isinstance(node, ast.Attribute):
                 if node.attr in declined_hooks:
                     return True
                 node = node.value
             return False
 
-        seen = set()
-        queue = [seed]
-        while queue:
-            key = queue.pop(0)
-            if key in seen or key not in callgraph.functions:
-                continue
-            info = callgraph.functions[key]
-            if info.class_name in _SKIP_CLASSES:
-                continue
-            seen.add(key)
-            for call in _call_nodes(info.node):
-                if through_declined(call.func):
-                    continue
-                for callee in callgraph.resolve_call(key, call):
-                    if callee not in seen:
-                        queue.append(callee)
-        return seen
+        return callgraph.reachable_from(
+            [seed], skip_classes=_SKIP_CLASSES, skip_call=through_declined
+        )
 
     def _check_function(self, callgraph, step_key, region_key, region,
                         declined, space_ok, label, report):
@@ -432,18 +356,17 @@ class FusionPurityRule(Rule):
                         f"cycles must not alter other components' "
                         f"schedules",
                     )
-        if region_key != step_key:
-            engine_name = _engine_param(node)
-            if engine_name is not None and node.name != "step_n":
-                reads = loop_scoped(
-                    node, lambda part: _now_reads(part, engine_name)
+        engine_name = _engine_param(node)
+        if engine_name is not None:
+            reads = loop_scoped(
+                node, lambda part: _now_reads(part, engine_name)
+            )
+            for read in reads:
+                report(
+                    rel, read, "now",
+                    f"per-element engine.now read {here} (now is "
+                    f"frozen for the whole fused batch)",
                 )
-                for read in reads:
-                    report(
-                        rel, read, "now",
-                        f"per-element engine.now read {here} (now is "
-                        f"frozen for the whole fused batch)",
-                    )
         # Per-element call sites: a helper that reads the clock even
         # once becomes a per-element read when invoked from a loop.
         calls = loop_scoped(

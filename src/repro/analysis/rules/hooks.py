@@ -1,5 +1,4 @@
-"""R4/R6/R12: hook gating (syntactic and interprocedural) and mutable
-default arguments.
+"""R4/R6: hook gating and mutable default arguments.
 
 The opt-in instrumentation layers (repro.faults, repro.telemetry,
 repro.tracing, repro.checkpoint) hang off well-known attributes --
@@ -13,17 +12,13 @@ arm of an ``and``), so the uninstrumented hot path pays exactly one
 pointer test and the disabled-hook overhead budgets in bench_sim.py
 stay <3%.
 
-R4 checks the direct syntactic form; R12 runs the flow-sensitive
-analysis from :mod:`repro.analysis.dataflow` interprocedurally, so a
-hook handed to a helper that dereferences its parameter unguarded is
-flagged at the call site even though no hook method call appears
-there.
+A hook handed to a helper (``emit(self._probe, ...)``) counts as a
+use too: R4 demands the same gate at the call site instead of proving
+every callee None-tolerant, so the check stays one syntactic pass.
 """
 
 import ast
 
-from repro.analysis.dataflow import FlowScan, param_summaries, \
-    unsafe_arguments
 from repro.analysis.rules.base import Rule
 
 # Attribute names that carry optional instrumentation objects.
@@ -93,19 +88,22 @@ def _branch_of(conditional, child):
 
 
 class UngatedHookRule(Rule):
-    """R4: every optional-hook invocation behind `is not None`."""
+    """R4: every optional-hook call or hand-off behind `is not None`."""
 
     id = "R4"
     name = "ungated-hook"
     severity = "error"
-    summary = "fault/probe/engine hook calls must be is-None gated"
+    summary = ("fault/probe/engine hook calls and hook arguments must be "
+               "is-None gated")
     rationale = (
         "Hooks are None in the default configuration; an ungated call "
         "is an AttributeError the moment the instrumented test matrix "
         "does not cover that branch, and a truthiness gate (`if "
         "self._probe:`) invites hooks with __bool__/__len__ semantics to "
         "silently drop events.  The explicit pointer test is also the "
-        "entire disabled-hook cost model behind the <3% overhead gates."
+        "entire disabled-hook cost model behind the <3% overhead gates.  "
+        "Handing the hook to a helper moves the same dereference one "
+        "call away, so the hand-off needs the same gate."
     )
     hint = ("wrap the call in `if <hook> is not None:` (alias via a "
             "local first if it is used repeatedly)")
@@ -118,6 +116,7 @@ class UngatedHookRule(Rule):
         "def tick(self, engine):\n"
         "    if self._probe is not None:\n"
         "        self._probe.bank_tick(self, engine.now)\n"
+        "        emit(self._probe, 'bank')\n"
         "    probe = self._probe\n"
         "    latency = 0 if probe is None else probe.dram_latency()\n"
     )
@@ -132,21 +131,29 @@ class UngatedHookRule(Rule):
                     continue
                 if source.enclosing_function(node) is not info.node:
                     continue  # nested def: reported under its own name
-                func = node.func
-                if not isinstance(func, ast.Attribute):
-                    continue
-                hook = _hook_of(func.value, assignments)
-                if hook is None:
-                    continue
-                if self._guarded(source, info.node, node, hook,
-                                 assignments):
-                    continue
-                yield self.finding(
-                    source, node,
-                    f"'{ast.unparse(func)}(...)' in '{info.qualname}' is "
-                    f"not guarded by an `is not None` test on "
-                    f"'{hook}'",
-                )
+                for hook, use in self._hook_uses(node, assignments):
+                    if self._guarded(source, info.node, node, hook,
+                                     assignments):
+                        continue
+                    yield self.finding(
+                        source, node,
+                        f"{use} in '{info.qualname}' is not guarded by "
+                        f"an `is not None` test on '{hook}'",
+                    )
+
+    @staticmethod
+    def _hook_uses(call, assignments):
+        """(hook, description) per hook *call* dereferences or passes on."""
+        func = call.func
+        if isinstance(func, ast.Attribute):
+            hook = _hook_of(func.value, assignments)
+            if hook is not None:
+                yield hook, f"'{ast.unparse(func)}(...)'"
+        for arg in call.args + [keyword.value for keyword in call.keywords]:
+            hook = _hook_of(arg, assignments)
+            if hook is not None:
+                yield hook, (f"'{ast.unparse(arg)}' passed to "
+                             f"'{ast.unparse(func)}'")
 
     @staticmethod
     def _guarded(source, func_node, call, hook, assignments):
@@ -218,95 +225,3 @@ class MutableDefaultRule(Rule):
                         source, default,
                         f"mutable default argument in '{info.qualname}'",
                     )
-
-
-class InterproceduralHookRule(Rule):
-    """R12: hooks must not flow unguarded into dereferencing helpers."""
-
-    id = "R12"
-    name = "interprocedural-hook"
-    severity = "error"
-    summary = ("optional hooks must not flow unguarded into parameters "
-               "that are dereferenced")
-    rationale = (
-        "R4 sees the dereference only when the hook method call is "
-        "spelled at the offense site; factoring the call into a helper "
-        "(`emit(self._probe, ...)` where `emit` does `probe.record()`) "
-        "hides the exact same AttributeError behind one call edge.  "
-        "The dataflow pass summarizes every function's deref-unsafe "
-        "parameters (transitively, through forwarding helpers) and "
-        "flags any optional-hook expression handed to one without a "
-        "dominating `is not None` fact at the call site."
-    )
-    hint = ("test the hook before the call (`if self._probe is not "
-            "None: emit(self._probe, ...)`) or make the helper tolerate "
-            "None with an early return")
-
-    POSITIVE = (
-        "def emit(probe, event):\n"
-        "    probe.record(event)\n"
-        "def tick(self, engine):\n"
-        "    emit(self._probe, 'bank')\n"
-    )
-    NEGATIVE = (
-        "def emit(probe, event):\n"
-        "    if probe is None:\n"
-        "        return\n"
-        "    probe.record(event)\n"
-        "def push(probe, event):\n"
-        "    probe.record(event)\n"
-        "def tick(self, engine):\n"
-        "    emit(self._probe, 'bank')\n"
-        "    if self._probe is not None:\n"
-        "        push(self._probe, 'bank')\n"
-    )
-
-    def check(self, source, ctx):
-        if any(marker in source.rel for marker in _EXEMPT_PATH_MARKERS):
-            return
-        summaries = ctx.memo.get(self.id)
-        if summaries is None:
-            summaries = param_summaries(ctx.callgraph)
-            ctx.memo[self.id] = summaries
-        callgraph = ctx.callgraph
-        for info in source.functions:
-            key = (source.rel, info.qualname)
-            if key not in callgraph.functions:
-                continue
-            assignments = source.local_assignments(info.node)
-            scan = FlowScan(info.node)
-            seen = set()
-            for site in scan.calls:
-                hits = unsafe_arguments(
-                    callgraph, key, site, summaries,
-                    lambda path: self._is_hook_path(path, assignments),
-                )
-                for hit in hits:
-                    if id(hit.node) in seen:
-                        continue
-                    seen.add(id(hit.node))
-                    callee_rel, callee_qual = hit.callee
-                    yield self.finding(
-                        source, hit.node,
-                        f"'{ast.unparse(hit.node)}' flows unguarded "
-                        f"from '{info.qualname}' into parameter "
-                        f"'{hit.param}' of '{callee_qual}' "
-                        f"({callee_rel}), which dereferences it",
-                    )
-
-    @staticmethod
-    def _is_hook_path(path, assignments):
-        """Is *path* an optional-hook expression?
-
-        ``self._probe`` / ``engine.watchdog`` style two-element paths
-        whose attribute is a known hook name, or a bare local the
-        function assigns from one (the alias idiom).
-        """
-        if len(path) == 2 and path[1] in HOOK_ATTRS:
-            return True
-        if len(path) == 1:
-            for value in assignments.get(path[0], ()):
-                if (isinstance(value, ast.Attribute)
-                        and value.attr in HOOK_ATTRS):
-                    return True
-        return False

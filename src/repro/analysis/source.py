@@ -53,20 +53,6 @@ class SourceFile:
         self._index_defs()
         self._index_imports()
 
-    # -- pickling (the lint-index disk cache) --------------------------------
-
-    def __getstate__(self):
-        """Drop the id()-keyed lazy caches; they are meaningless after a
-        pickle round trip (node identities change) and rebuild on demand."""
-        state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_parents"] = None
-        state["_func_assignments"] = {}
-        return state
-
-    def __setstate__(self, state):
-        for slot, value in state.items():
-            setattr(self, slot, value)
-
     # -- construction-time indexes ------------------------------------------
 
     def _index_defs(self):

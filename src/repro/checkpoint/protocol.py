@@ -35,14 +35,6 @@ import pickle
 
 SNAPSHOT_REGISTRY = {}
 
-# Classes deliberately NOT snapshot state, by name, with the reason.
-# The static completeness pass (simlint R11) accepts a class stored
-# into system state either through the registry or through an entry
-# here; an entry forces the "rebuilt, not pickled" decision to be
-# written down.  Runtime restore never consults this table -- excluded
-# classes simply must not appear in a pickled system.
-SNAPSHOT_EXCLUDED = {}
-
 
 def register(cls, note=""):
     """Declare *cls* snapshot-carried (see the module docstring)."""

@@ -66,11 +66,9 @@ class EngineActivity:
                 engine.cycles_simulated * len(engine._components)
             ),
             runs=1,
-            fused_runs=getattr(engine, "fused_runs", 0),
-            fused_cycles=getattr(engine, "fused_cycles", 0),
-            fusion_abort_reasons=dict(
-                getattr(engine, "fusion_abort_reasons", {}) or {}
-            ),
+            fused_runs=engine.fused_runs,
+            fused_cycles=engine.fused_cycles,
+            fusion_abort_reasons=dict(engine.fusion_abort_reasons),
             by_kind=by_kind,
         )
 

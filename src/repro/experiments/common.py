@@ -490,7 +490,10 @@ def _run_points_hardened(worker, points, jobs, policy):
                     del running[index]
                     finish(index, attempt, status, payload)
                     progressed = True
-                elif not process.is_alive():
+                elif not process.is_alive() and not conn.poll(0):
+                    # Re-poll after the liveness check: a worker that
+                    # reported and exited between the two is not a
+                    # crash; the next pass reads its message.
                     exitcode = process.exitcode
                     conn.close()
                     del running[index]

@@ -85,22 +85,24 @@ def component_breakdown_table(by_kind=None, limit=6, title=None):
 
 
 def telemetry_summary_line(summary):
-    """One-line digest of a run's telemetry summary dict."""
+    """One-line digest of a run's telemetry summary dict.
+
+    Indexes the summary directly: a renamed key is a KeyError here,
+    not a line of silent zeros.
+    """
     if not summary:
         return ""
-    dram = summary.get("dram", {})
-    latency = summary.get("dram_latency", {})
-    cache = summary.get("cache", {})
+    dram = summary["dram"]
+    latency = summary["dram_latency"]
     return (
-        f"telemetry: mshr peak {summary.get('mshr_peak', 0)} "
-        f"(mean {summary.get('mshr_mean', 0.0)}), "
-        f"mshr merge rate {cache.get('merge_rate', 0.0):.1%}, "
+        f"telemetry: mshr peak {summary['mshr_peak']} "
+        f"(mean {summary['mshr_mean']}), "
+        f"mshr merge rate {summary['cache']['merge_rate']:.1%}, "
         f"dram p50/p99 latency "
-        f"{latency.get('p50', 0)}/{latency.get('p99', 0)} cycles, "
-        f"single-line fraction "
-        f"{dram.get('single_line_fraction', 0.0):.2f}, "
-        f"effective bw ratio {dram.get('effective_bw_ratio', 1.0):.2f}, "
-        f"{summary.get('samples', 0)} samples"
+        f"{latency['p50']}/{latency['p99']} cycles, "
+        f"single-line fraction {dram['single_line_fraction']:.2f}, "
+        f"effective bw ratio {dram['effective_bw_ratio']:.2f}, "
+        f"{summary['samples']} samples"
     )
 
 

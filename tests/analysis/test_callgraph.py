@@ -1,12 +1,13 @@
 """Call-graph construction and resolution (simlint v2, DESIGN.md 6.10).
 
 Half of these run over synthetic two-module trees to pin the precise
-resolution rules (same-class first, bound-method aliases, returned-class
-summaries); the rest run over the real source tree and assert the edges
-the whole-program passes depend on actually exist -- e.g. the engine's
-dispatch loop reaching every component's tick/step_n by name.
+resolution rules (same-class first, bound-method aliases, pruned
+region walks); the rest run over the real source tree and assert the
+edges the fused-region pass depends on actually exist -- e.g. the
+engine's dispatch loop reaching every component's tick/step_n by name.
 """
 
+import ast
 import pathlib
 
 import pytest
@@ -61,12 +62,6 @@ class TestRealTreeEdges:
         for key in engine_keys:
             reached.update(tree.callees(key))
         assert (BANK_REL, "MomsBank.step_n") in reached
-
-    def test_file_dependents_closes_over_callers(self, tree):
-        dependents = tree.file_dependents([BANK_REL])
-        assert BANK_REL in dependents
-        # The system builds banks; an edit to bank.py is in its scope.
-        assert "src/repro/accel/system.py" in dependents
 
     def test_reachable_from_respects_skip_classes(self, tree):
         seed = (ENGINE_REL, "Engine._step")
@@ -127,25 +122,27 @@ class TestSyntheticResolution:
         assert tuple(graph.callees(("repro/a.py", "run"))) \
             == (("repro/a.py", "build"),)
 
-    def test_returned_classes_fixpoint_through_wrappers(self):
+    def test_reachable_from_drops_skipped_calls(self):
         graph = graph_of(
             ("repro/a.py",
-             "class TokenQueue:\n"
-             "    pass\n"
-             "def make_queue():\n"
-             "    return TokenQueue()\n"
-             "def make_default():\n"
-             "    return make_queue()\n"
-             "class Ring:\n"
-             "    def clone(self):\n"
-             "        return self\n"),
+             "class Pipe:\n"
+             "    def step_n(self):\n"
+             "        self._probe.drain()\n"
+             "        self.flush()\n"
+             "    def flush(self):\n"
+             "        pass\n"
+             "class Sink:\n"
+             "    def drain(self):\n"
+             "        pass\n"),
         )
-        returned = graph.returned_classes()
-        assert returned[("repro/a.py", "make_queue")] == {"TokenQueue"}
-        # One fixpoint hop: the wrapper inherits the summary.
-        assert returned[("repro/a.py", "make_default")] == {"TokenQueue"}
-        # `return self` resolves to the enclosing class.
-        assert returned[("repro/a.py", "Ring.clone")] == {"Ring"}
+        seed = ("repro/a.py", "Pipe.step_n")
+        assert ("repro/a.py", "Sink.drain") in graph.reachable_from([seed])
+        pruned = graph.reachable_from(
+            [seed],
+            skip_call=lambda call: ast.unparse(call.func).startswith(
+                "self._probe."),
+        )
+        assert pruned == {seed, ("repro/a.py", "Pipe.flush")}
 
     def test_call_nodes_covers_nested_expressions(self):
         source, _ = parse_source(

@@ -28,18 +28,3 @@ class TestLintDeterminism:
         for finding in result.findings + result.suppressed:
             assert not finding.path.startswith("/"), finding.path
             assert finding.path.startswith("src/repro/"), finding.path
-
-    def test_cache_hit_and_miss_byte_identical(self, tmp_path):
-        cold = lint_paths([SRC])
-        miss = lint_paths([SRC], cache_dir=tmp_path)
-        hit = lint_paths([SRC], cache_dir=tmp_path)
-        assert any("cache miss" in note for note in miss.notes)
-        assert any("cache hit" in note for note in hit.notes)
-        # Findings must not depend on whether the parse index came
-        # from disk; only the cache-status note may differ.
-        for result in (cold, miss, hit):
-            result.notes = []
-        assert emit_json(cold, show_suppressed=True) \
-            == emit_json(miss, show_suppressed=True) \
-            == emit_json(hit, show_suppressed=True)
-        assert emit_sarif(cold) == emit_sarif(hit)

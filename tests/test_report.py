@@ -1,8 +1,10 @@
-"""Tests for the table renderer and geomean helper."""
+"""Tests for the table renderer, geomean and telemetry summary line."""
+
+import functools
 
 import pytest
 
-from repro.report import format_table, geomean
+from repro.report import format_table, geomean, telemetry_summary_line
 
 
 class TestFormatTable:
@@ -41,3 +43,52 @@ class TestGeomean:
     def test_empty_is_zero(self):
         assert geomean([]) == 0.0
         assert geomean([0.0]) == 0.0
+
+
+@functools.cache
+def _telemetry_summary():
+    from repro.accel.config import (
+        ArchitectureConfig,
+        SCALED_DEFAULTS,
+        _design,
+    )
+    from repro.accel.system import AcceleratorSystem
+    from repro.graph import web_graph
+    from repro.telemetry import TelemetryConfig
+
+    config = ArchitectureConfig(
+        _design(2, 2, "two-level", "bfs", n_channels=2), **SCALED_DEFAULTS
+    )
+    system = AcceleratorSystem(
+        web_graph(200, 1000, seed=2), "bfs", config,
+        telemetry=TelemetryConfig(sample_interval=64),
+    )
+    system.run()
+    return system.telemetry.summary()
+
+
+class TestTelemetrySummaryLine:
+    def test_reads_a_real_summary(self):
+        summary = _telemetry_summary()
+        line = telemetry_summary_line(summary)
+        latency = summary["dram_latency"]
+        assert f"mshr peak {summary['mshr_peak']} " in line
+        assert f"{latency['p50']}/{latency['p99']} cycles" in line
+        assert f"{summary['samples']} samples" in line
+
+    @pytest.mark.parametrize("path", [
+        ("mshr_peak",), ("cache", "merge_rate"), ("dram_latency", "p99"),
+        ("dram", "effective_bw_ratio"), ("samples",),
+    ])
+    def test_renamed_key_raises(self, path):
+        summary = dict(_telemetry_summary())
+        parent = summary
+        for key in path[:-1]:
+            parent[key] = dict(parent[key])
+            parent = parent[key]
+        parent[path[-1] + "_renamed"] = parent.pop(path[-1])
+        with pytest.raises(KeyError, match=path[-1]):
+            telemetry_summary_line(summary)
+
+    def test_empty_summary_prints_nothing(self):
+        assert telemetry_summary_line({}) == ""
