@@ -7,8 +7,9 @@ Usage::
     python -m repro fig15 --full     # full scaled suite
     python -m repro all              # everything (slow)
     python -m repro faultsmoke       # fault-injection smoke matrix
-    python -m repro trace --graph RV --algorithm pagerank \
-        --out out/rv                 # telemetry-instrumented run + export
+    python -m repro trace --graph RV --algorithm bfs \
+        --out out/rv                 # observed run: one Perfetto timeline
+                                     # plus timeline/summary/span files
     python -m repro profile --graph RV --org two-level \
                                      # cProfile one point, component table
     python -m repro lint --format sarif --fail-on error \
@@ -120,12 +121,6 @@ def main(argv=None):
         "lint options (for the 'lint' command)"
     )
     add_lint_arguments(lint_group)
-    from repro.tracing.cli import add_spans_arguments
-
-    spans_group = parser.add_argument_group(
-        "spans options (for the 'spans' command)"
-    )
-    add_spans_arguments(spans_group)
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -133,7 +128,6 @@ def main(argv=None):
             print(f"{key:10s} repro.experiments.{module}")
         print(f"{'faultsmoke':10s} repro.faults.smoke")
         print(f"{'trace':10s} repro.telemetry.cli")
-        print(f"{'spans':10s} repro.tracing.cli")
         print(f"{'profile':10s} repro.profiling")
         print(f"{'lint':10s} repro.analysis.cli")
         print(f"{'replay':10s} repro.checkpoint.runner")
@@ -169,11 +163,6 @@ def main(argv=None):
         from repro.telemetry.cli import run_trace
 
         return run_trace(args)
-
-    if args.experiment == "spans":
-        from repro.tracing.cli import run_spans
-
-        return run_spans(args)
 
     if args.experiment == "profile":
         from repro.profiling import run_profile

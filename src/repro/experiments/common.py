@@ -19,6 +19,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
 from repro.core.stats import EngineActivity
 from repro.graph.datasets import BENCHMARKS, load_benchmark
@@ -58,6 +59,20 @@ def iteration_budget(algorithm, quick=True):
     if algorithm == "pagerank":
         return 2 if quick else 10
     return 3 if quick else None
+
+
+def cli_point(args, organization, **observers):
+    """The 4x4, two-channel point the ``trace`` and ``profile`` commands
+    run: ``args.graph``/``args.algorithm`` at bench scale unless
+    ``args.full``.  Returns ``(graph, system, iteration budget)``."""
+    quick = not args.full
+    graph = bench_graph(args.graph, quick=quick)
+    config = ArchitectureConfig(
+        _design(4, 4, organization, args.algorithm, n_channels=2),
+        **SCALED_DEFAULTS,
+    )
+    system = AcceleratorSystem(graph, args.algorithm, config, **observers)
+    return graph, system, iteration_budget(args.algorithm, quick)
 
 
 def telemetry_from_env():

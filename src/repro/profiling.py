@@ -98,25 +98,12 @@ def run_profile(args, log=print):
     """Profile one quick point; prints the tables, returns an exit code."""
     # Imported here: the CLI parser must stay importable without the
     # simulation stack (same convention as the trace subcommand).
-    from repro.accel.config import (
-        ArchitectureConfig,
-        SCALED_DEFAULTS,
-        _design,
-    )
-    from repro.accel.system import AcceleratorSystem
     from repro.core import messages
     from repro.core.stats import EngineActivity
-    from repro.experiments.common import bench_graph, iteration_budget
+    from repro.experiments.common import cli_point
     from repro.report import format_table
 
-    quick = not args.full
-    graph = bench_graph(args.graph, quick=quick)
-    config = ArchitectureConfig(
-        _design(4, 4, _org_constant(args.org), args.algorithm, n_channels=2),
-        **SCALED_DEFAULTS,
-    )
-    system = AcceleratorSystem(graph, args.algorithm, config)
-    budget = iteration_budget(args.algorithm, quick)
+    graph, system, budget = cli_point(args, _org_constant(args.org))
 
     messages.reset_pool_counters()
     profiler = cProfile.Profile()

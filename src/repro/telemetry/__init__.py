@@ -3,7 +3,8 @@
 Everything here is off unless a run passes ``telemetry=`` to
 :class:`repro.accel.system.AcceleratorSystem` (or sets
 ``REPRO_TELEMETRY=1`` for sweeps); the disabled hooks are single
-``is None`` tests on class attributes.
+``is None`` tests on class attributes.  The counters and PE phases
+are drawn on the run's one Perfetto timeline by :mod:`repro.timeline`.
 """
 
 from repro.telemetry.collector import (
@@ -18,20 +19,12 @@ from repro.telemetry.export import (
     write_timeline_csv,
     write_timeline_jsonl,
 )
-from repro.telemetry.trace import (
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
 
 __all__ = [
     "TELEMETRY_SCHEMA_VERSION",
     "LatencyHistogram",
     "Telemetry",
     "TelemetryConfig",
-    "to_chrome_trace",
-    "validate_chrome_trace",
-    "write_chrome_trace",
     "validate_timeline_jsonl",
     "write_summary_json",
     "write_timeline_csv",

@@ -19,7 +19,7 @@ cannot show that shape.  This module records it:
   downstream-full, idle); the per-component table sums exactly to the
   run's cycle count by construction.
 * **Spans** -- PE phase intervals (idle/init/pointers/stream/writeback)
-  for the Chrome ``trace_event`` export (:mod:`repro.telemetry.trace`).
+  drawn on the run's Perfetto timeline (:mod:`repro.timeline`).
 
 The per-event hooks are probe events (:mod:`repro.sim.probe`): the
 components' one ``_probe`` slot defaults to ``None``, so the disabled

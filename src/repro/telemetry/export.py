@@ -98,8 +98,8 @@ def write_summary_json(telemetry, path, extra=None):
 def validate_timeline_jsonl(path):
     """Check the JSONL schema; raises ``ValueError`` on violation.
 
-    Returns ``{"meta": ..., "samples": N}`` on success.  Used by the CI
-    telemetry-smoke job.
+    Returns ``{"meta": ..., "samples": N}`` on success.  Run by
+    ``python -m repro trace`` on its own output.
     """
     with open(path) as fh:
         lines = fh.read().splitlines()

@@ -2,17 +2,17 @@
 
 Public surface: :class:`SpansConfig` / :class:`SpanTracer` /
 :class:`FlightRecorder` (collection), :func:`analyze_spans`
-(critical-path decomposition), and the exporters/validators in
-:mod:`repro.tracing.export`.
+(critical-path decomposition), and the span JSONL / summary
+exporters and validators in :mod:`repro.tracing.export`.  The request
+flows are drawn on the run's one Perfetto timeline by
+:mod:`repro.timeline`.
 """
 
 from repro.tracing.analyze import analyze_spans, decompose, percentile
 from repro.tracing.export import (
     spans_jsonl_bytes,
-    validate_flow_trace,
     validate_span_summary,
     validate_spans_jsonl,
-    write_flow_trace,
     write_span_summary,
     write_spans_jsonl,
 )
@@ -34,10 +34,8 @@ __all__ = [
     "percentile",
     "sample_hash",
     "spans_jsonl_bytes",
-    "validate_flow_trace",
     "validate_span_summary",
     "validate_spans_jsonl",
-    "write_flow_trace",
     "write_span_summary",
     "write_spans_jsonl",
 ]

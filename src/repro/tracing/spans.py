@@ -45,9 +45,10 @@ from repro.faults.plan import _MASK64, _splitmix64
 SPAN_SCHEMA_VERSION = 1
 LINE_BYTES = 64
 
-# Span-record keys that are bookkeeping, not observations; stripped
-# from the exported JSONL (see repro.tracing.export).
-INTERNAL_KEYS = ("sampled",)
+# Span-record keys that are bookkeeping or timeline placement, not
+# observations; stripped from the exported JSONL (see
+# repro.tracing.export) so the canonical stream keeps its bytes.
+INTERNAL_KEYS = ("sampled", "dram_channel")
 
 
 def sample_hash(pe, seq):
@@ -289,7 +290,7 @@ class SpanTracer:
             target = self._fetch_record(f"private{port}", line_addr,
                                         "l2_outcome", "dram_accept")
             if target is not None and fetch is not None:
-                for key in ("dram_accept", "dram_deliver"):
+                for key in ("dram_accept", "dram_deliver", "dram_channel"):
                     if key in fetch:
                         target[key] = fetch[key]
             return
@@ -300,7 +301,7 @@ class SpanTracer:
         record["replay"] = now
         if fetch is not None:
             for key in ("fetch_issue", "drain_begin", "fan_in",
-                        "dram_accept", "dram_deliver",
+                        "dram_accept", "dram_deliver", "dram_channel",
                         "l2_outcome", "l2_cycle"):
                 if key in fetch:
                     record[key] = fetch[key]
@@ -357,6 +358,7 @@ class SpanTracer:
                                    None, "dram_accept")
         if fetch is not None:
             fetch["dram_accept"] = now
+            fetch["dram_channel"] = channel.name
 
     def dram_deliver(self, channel, respond_to, addr, issued_at, now):
         """A line beat delivered; the last beat wins the timestamp."""

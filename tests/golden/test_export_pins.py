@@ -3,8 +3,9 @@
 One run on the determinism workload (``web_graph(900, 4500,
 seed=11)``, PageRank, two-level 4x4, two iterations) with both
 observers attached: telemetry sampling every 64 cycles and the span
-tracer at rate 8.  Each writer's output is pinned by SHA-256, so a
-refactor of the exporters cannot silently change what they write.
+tracer at rate 8.  Each writer's output, the merged Perfetto timeline
+included, is pinned by SHA-256, so a refactor of the exporters cannot
+silently change what they write.
 
 Re-pin only for an intended format or model change::
 
@@ -21,6 +22,7 @@ from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.export import write_summary_json, write_timeline_jsonl
+from repro.timeline import write_trace
 from repro.tracing import SpansConfig
 from repro.tracing.export import spans_jsonl_bytes, write_span_summary
 
@@ -36,6 +38,8 @@ PINS = {
         "ed47b4fd8316f502ac9b7b68a154f21db224311e0fcbb8ab900ed078808171ca",
     "spansummary.json":
         "3ec2fa8e3e5afa0dde6880d138a3f15d39544662181fa9673f9daa7aaeb9a56f",
+    "trace.json":
+        "d13fabd416e25cfc9b771880259e78c2aacf7c5c507b183fafcb184e702ee65c",
 }
 
 
@@ -62,6 +66,7 @@ def export_digests(directory):
                        extra=SUMMARY_EXTRA)
     paths["spans.jsonl"].write_bytes(spans_jsonl_bytes(system.tracer))
     write_span_summary(result.stats["spans"], paths["spansummary.json"])
+    write_trace(paths["trace.json"], system.telemetry, system.tracer)
     return {
         name: hashlib.sha256(path.read_bytes()).hexdigest()
         for name, path in paths.items()

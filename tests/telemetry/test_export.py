@@ -12,9 +12,7 @@ from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.telemetry import (
     TelemetryConfig,
-    validate_chrome_trace,
     validate_timeline_jsonl,
-    write_chrome_trace,
     write_summary_json,
     write_timeline_csv,
     write_timeline_jsonl,
@@ -34,43 +32,6 @@ def telemetry():
     )
     system.run(max_iterations=3)
     return system.telemetry
-
-
-class TestChromeTrace:
-    def test_written_trace_validates(self, telemetry, tmp_path):
-        path = tmp_path / "run.trace.json"
-        events = write_chrome_trace(telemetry, path)
-        counts = validate_chrome_trace(path)
-        assert events == sum(counts.values())
-        assert counts.get("C", 0) > 0, "no counter events exported"
-        assert counts.get("X", 0) > 0, "no span events exported"
-
-    def test_trace_is_plain_json_with_trace_events(self, telemetry,
-                                                   tmp_path):
-        path = tmp_path / "run.trace.json"
-        write_chrome_trace(telemetry, path)
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert isinstance(doc["traceEvents"], list)
-        for event in doc["traceEvents"]:
-            assert "ph" in event and "name" in event
-
-    def test_rejects_event_without_phase(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(
-            {"traceEvents": [{"name": "orphan"}]}
-        ))
-        with pytest.raises(ValueError, match="ph"):
-            validate_chrome_trace(path)
-
-    def test_rejects_span_with_negative_duration(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"traceEvents": [{
-            "ph": "X", "name": "s", "ts": 5, "dur": -1,
-            "pid": 1, "tid": 1,
-        }]}))
-        with pytest.raises(ValueError, match="dur"):
-            validate_chrome_trace(path)
 
 
 class TestTimelineJsonl:

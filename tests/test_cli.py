@@ -39,7 +39,12 @@ class TestCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "PE cycle accounting" in out
+        assert "per-stage latency decomposition" in out
         assert "validated" in out
-        for suffix in (".trace.json", ".timeline.jsonl",
-                       ".timeline.csv", ".summary.json"):
+        for suffix in (".trace.json", ".timeline.jsonl", ".timeline.csv",
+                       ".summary.json", ".spans.jsonl",
+                       ".spansummary.json"):
             assert (tmp_path / "out" / f"run{suffix}").exists()
+        # The trace command subsumed the old spans command.
+        with pytest.raises(SystemExit):
+            main(["spans"])

@@ -11,10 +11,8 @@ from repro.graph import web_graph
 from repro.tracing import SpansConfig
 from repro.tracing.export import (
     spans_jsonl_bytes,
-    validate_flow_trace,
     validate_span_summary,
     validate_spans_jsonl,
-    write_flow_trace,
     write_span_summary,
     write_spans_jsonl,
 )
@@ -79,30 +77,6 @@ class TestSpansJsonl:
         # Header count is now wrong only if we dropped lines; keep all.
         with pytest.raises(ValueError, match="stage sum"):
             validate_spans_jsonl(bad_sum)
-
-
-class TestFlowTrace:
-    def test_roundtrip_validates(self, traced, tmp_path):
-        system, _ = traced
-        path = write_flow_trace(system.tracer, tmp_path / "f.json")
-        counts = validate_flow_trace(path)
-        # One flow start and one finish per completed span.
-        assert counts["s"] == len(system.tracer.spans)
-        assert counts["f"] == len(system.tracer.spans)
-        assert counts["X"] >= len(system.tracer.spans)
-
-    def test_validator_rejects_malformed_flow(self, traced, tmp_path):
-        system, _ = traced
-        path = write_flow_trace(system.tracer, tmp_path / "f.json")
-        payload = json.loads(path.read_text())
-        events = payload["traceEvents"]
-        # Drop the first flow-start: its flow now begins with "t"/"f".
-        start = next(e for e in events if e.get("ph") == "s")
-        events.remove(start)
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="malformed"):
-            validate_flow_trace(bad)
 
 
 class TestSpanSummary:
