@@ -17,6 +17,7 @@ from repro.telemetry import (
     write_timeline_csv,
     write_timeline_jsonl,
 )
+from repro.timeline import validate_trace, write_trace
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,28 @@ def telemetry():
     )
     system.run(max_iterations=3)
     return system.telemetry
+
+
+class TestChromeTrace:
+    """A telemetry-only run writes a timeline of phases and counters."""
+
+    def test_written_trace_validates(self, telemetry, tmp_path):
+        path = tmp_path / "run.trace.json"
+        events = write_trace(path, telemetry)
+        counts = validate_trace(path)
+        assert events == sum(counts.values())
+        assert counts.get("C", 0) > 0, "no counter events exported"
+        assert counts.get("X", 0) > 0, "no span events exported"
+
+    def test_trace_is_plain_json_with_trace_events(self, telemetry,
+                                                   tmp_path):
+        path = tmp_path / "run.trace.json"
+        write_trace(path, telemetry)
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert isinstance(doc["traceEvents"], list)
+        for event in doc["traceEvents"]:
+            assert "ph" in event and "name" in event
 
 
 class TestTimelineJsonl:

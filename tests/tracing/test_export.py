@@ -16,6 +16,7 @@ from repro.tracing.export import (
     write_span_summary,
     write_spans_jsonl,
 )
+from repro.timeline import validate_trace, write_trace
 
 GRAPH = web_graph(900, 4500, seed=11)
 
@@ -77,6 +78,20 @@ class TestSpansJsonl:
         # Header count is now wrong only if we dropped lines; keep all.
         with pytest.raises(ValueError, match="stage sum"):
             validate_spans_jsonl(bad_sum)
+
+
+class TestFlowTrace:
+    """A tracer-only run writes a timeline of request slices and flows."""
+
+    def test_roundtrip_validates(self, traced, tmp_path):
+        system, _ = traced
+        path = tmp_path / "f.json"
+        write_trace(path, tracer=system.tracer)
+        counts = validate_trace(path)
+        # One flow start and one finish per completed span.
+        assert counts["s"] == len(system.tracer.spans)
+        assert counts["f"] == len(system.tracer.spans)
+        assert counts["X"] >= len(system.tracer.spans)
 
 
 class TestSpanSummary:
