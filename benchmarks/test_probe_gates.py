@@ -1,0 +1,204 @@
+"""Disabled-gate census and enabled-observer legs on one BFS point.
+
+With no observer attached, every component event site is one
+``_probe is None`` test, the engine polls its watchdog, sampler and
+checkpointer with ``is None`` tests, and fault injection adds its
+``_fault`` tests.  :func:`test_disabled_gates_under_budget` counts those
+gate executions exactly (:func:`_gate_census`), prices one gate with a
+micro-benchmark (:func:`_gate_cost_ns`), and asserts the implied
+observer-off overhead stays under 3% of the unprobed wall clock.
+
+The same runs interleave one off leg, A B A B, with an on leg per
+observer: invariant checks (ledger + watchdog), telemetry, span
+tracing and periodic checkpointing.  Every run must simulate exactly
+the off leg's cycles -- observers never perturb the model -- and each
+leg's slowdown is printed as the median of its per-round ratios to the
+off leg, with min and max.
+
+Run with::
+
+    PYTHONPATH=src python -m pytest benchmarks/test_probe_gates.py -q -rs
+"""
+
+import statistics
+import time
+
+import pytest
+
+from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
+from repro.accel.system import AcceleratorSystem
+from repro.fabric.design import MOMS_TWO_LEVEL
+from repro.graph import web_graph
+from repro.sim.probe import EventCounter
+from repro.telemetry import TelemetryConfig
+from repro.tracing import SpansConfig
+
+REPEATS = 3
+BUDGET = 0.03  # implied disabled-gate cost, as a share of the off wall
+
+
+def _gate_cost_ns(loops=1_000_000):
+    """Cost of one *disabled* hook gate, in nanoseconds.
+
+    A disabled gate is a class-attribute load plus an ``is None`` test
+    (the component ``_probe`` and ``_fault`` slots); the two work loops
+    below differ by exactly three such gates, so the per-gate cost is
+    the wall-clock difference divided by ``3 * loops``.
+    """
+
+    class Plain:
+        def work(self, token, state):
+            state[token & 7] = state.get(token & 7, 0) + 1
+            return token
+
+    class Gated(Plain):
+        _probe = None
+        _fault = None
+
+        def work(self, token, state):
+            if self._probe is not None:
+                self._probe.pe_verify(self, token)
+            if self._fault is not None:
+                token = self._fault.corrupt_moms_token(token)
+            state[token & 7] = state.get(token & 7, 0) + 1
+            if self._probe is not None:
+                self._probe.pe_retire(self, token, 0, 0)
+            return token
+
+    def wall(obj):
+        state = {}
+        work = obj.work
+        start = time.perf_counter()
+        for i in range(loops):
+            work(i, state)
+        return time.perf_counter() - start
+
+    plain = min(wall(Plain()) for _ in range(3))
+    gated = min(wall(Gated()) for _ in range(3))
+    return max((gated - plain) / (loops * 3) * 1e9, 0.1)
+
+
+def _overhead_config():
+    graph = web_graph(600, 3000, seed=9)
+    config = ArchitectureConfig(
+        _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
+        **SCALED_DEFAULTS,
+    )
+    return graph, config
+
+
+def _gate_census(graph, config, system_off):
+    """Count the disabled-path gate executions of one unprobed run.
+
+    * **probe** -- an :class:`EventCounter` installed as the probe
+      counts how often each event site's ``_probe`` gate passes.  A
+      probed run never fuses, so it ticks at least every cycle the
+      unprobed run ticks and its count bounds the unprobed run's.
+    * **engine_poll** -- the watchdog/sampler/checkpointer tests: three
+      per engine step and three per fusion attempt.
+    * **fault** -- the ``_fault`` tests: one per DRAM tick, two per
+      DRAM accept, one per response schedule, one per MSHR insert, one
+      per subentry replay, and the step_n fusion declines (three tests
+      per ``step_n`` call).
+    """
+    counter = EventCounter()
+    probed = AcceleratorSystem(graph, "bfs", config)
+    probed.install_probe([counter])
+    probed.run()
+    # The probe term is a bound only while probed components decline
+    # fusion; a probe event that covers a fused run breaks the premise.
+    assert probed.engine.fused_cycles == 0, (
+        f"the probed census run fused {probed.engine.fused_cycles} "
+        f"cycles, so its event count no longer bounds the unprobed gates"
+    )
+    events = counter.counts
+
+    engine = system_off.engine
+    aborts = engine.fusion_abort_reasons
+    steps = engine.cycles_simulated - engine.fused_cycles
+    attempts = engine.fused_runs + sum(aborts.values())
+    step_n_calls = engine.fused_runs + aborts.get("component", 0)
+    inserts = sum(bank.mshrs.stats.inserts + bank.mshrs.stats.insert_failures
+                  for bank in system_off.hierarchy.banks)
+    channels = system_off.mem.channels
+    sites = {
+        "probe": sum(events.values()),
+        "engine_poll": 3 * steps + 3 * attempts,
+        "fault": (
+            sum(channel.ticks for channel in channels)
+            + 2 * events["dram_accept"]
+            + events["dram_schedule"]
+            + inserts
+            + events["bank_replay"]
+            + 3 * step_n_calls
+        ),
+    }
+    sites["total"] = sum(sites.values())
+    return sites, events
+
+
+@pytest.fixture(scope="module")
+def legs(tmp_path_factory):
+    """Run the off leg and each on leg REPEATS times, interleaved."""
+    graph, config = _overhead_config()
+    snap = tmp_path_factory.mktemp("probe-gates") / "point.snap"
+    leg_kwargs = {
+        "off": {},
+        "checks": {"checks": True},
+        "telemetry": {"telemetry": TelemetryConfig(sample_interval=64)},
+        "spans": {"spans": SpansConfig(sample_rate=16)},
+        "checkpoint": {"checkpoint": f"{snap}:5000"},
+    }
+    walls = {leg: [] for leg in leg_kwargs}
+    cycles = {leg: [] for leg in leg_kwargs}
+    for _ in range(REPEATS):
+        for leg, kwargs in leg_kwargs.items():
+            system = AcceleratorSystem(graph, "bfs", config, **kwargs)
+            start = time.perf_counter()
+            result = system.run()
+            walls[leg].append(time.perf_counter() - start)
+            cycles[leg].append(result.cycles)
+            if leg == "off":
+                system_off = system
+    return graph, config, system_off, walls, cycles
+
+
+def test_disabled_gates_under_budget(legs, capsys):
+    graph, config, system_off, walls, _cycles = legs
+    sites, events = _gate_census(graph, config, system_off)
+    gate_ns = _gate_cost_ns()
+    wall_off = min(walls["off"])
+    implied = sites["total"] * gate_ns * 1e-9 / wall_off
+    with capsys.disabled():
+        print("\ngate census: " + ", ".join(
+            f"{term} {count:,}" for term, count in sites.items()))
+        print("probe events: " + ", ".join(
+            f"{event} {count:,}" for event, count in events.items()))
+        print(f"implied off overhead {implied * 100:.2f}% "
+              f"({sites['total']:,} gates x {gate_ns:.1f} ns over "
+              f"{wall_off:.3f} s); bound {BUDGET * 100:g}%")
+    assert implied < BUDGET, (
+        f"disabled probe/engine/fault gates imply {implied * 100:.2f}% "
+        f"overhead ({sites['total']} gates x {gate_ns:.1f}ns over "
+        f"{wall_off:.3f}s); budget is {BUDGET * 100:g}%"
+    )
+
+
+def test_observers_never_perturb_cycles(legs, capsys):
+    _graph, _config, _system_off, walls, cycles = legs
+    off_cycles = cycles["off"][0]
+    with capsys.disabled():
+        print(f"\nobserver slowdowns over {REPEATS} interleaved rounds "
+              f"({off_cycles:,} cycles, off median "
+              f"{statistics.median(walls['off']):.3f} s):")
+        for leg, leg_walls in walls.items():
+            if leg == "off":
+                continue
+            ratios = [on / off for on, off in zip(leg_walls, walls["off"])]
+            print(f"  {leg:<10} {statistics.median(ratios):.2f}x "
+                  f"(min {min(ratios):.2f}x, max {max(ratios):.2f}x)")
+    for leg, leg_cycles in cycles.items():
+        assert leg_cycles == [off_cycles] * REPEATS, (
+            f"enabling {leg} changed the model: {leg_cycles} cycles, "
+            f"off leg {off_cycles}"
+        )

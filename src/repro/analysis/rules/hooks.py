@@ -9,8 +9,8 @@ default configuration.  The contract (DESIGN.md
 6.2/6.3) is that every invocation is guarded by an ``is not None``
 test (directly, through a local alias, in a ternary, or as the left
 arm of an ``and``), so the uninstrumented hot path pays exactly one
-pointer test and the disabled-hook overhead budgets in bench_sim.py
-stay <3%.
+pointer test and the disabled-gate census in
+benchmarks/test_probe_gates.py stays <3%.
 
 A hook handed to a helper (``emit(self._probe, ...)``) counts as a
 use too: R4 demands the same gate at the call site instead of proving

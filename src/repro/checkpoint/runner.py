@@ -4,9 +4,9 @@ The :class:`Checkpointer` is the engine's third optional hook (after
 the watchdog and the telemetry sampler, and polled *after* both, so a
 snapshot captures whatever those hooks did this step and a resumed run
 re-enters the step loop exactly where the original left it).  When
-disabled it costs the engine one ``is None`` test per step -- the same
-budget as the other hooks, gated in CI by
-``benchmarks/bench_sim.py::bench_checkpoint_overhead``.
+disabled it costs the engine one ``is None`` test per step -- one of
+the three per-step engine-poll gates that the disabled-gate census in
+``benchmarks/test_probe_gates.py`` counts and holds under 3%.
 
 The checkpointer itself travels inside the snapshot: restoring brings
 back its schedule, its path, and its write counters, so a resumed run
@@ -23,7 +23,6 @@ process (which sees the marker) disarms instead of dying again.
 
 import os
 import signal
-import time
 
 from repro.checkpoint.snapshot import load_snapshot, save_snapshot
 
@@ -50,8 +49,6 @@ class Checkpointer:
         self.last_path = None
         self.last_cycle = None
         self.writes = 0
-        self.write_seconds = 0.0
-        self.last_write_bytes = 0
         self._write_due = _NEVER
         self.next_checkpoint = _NEVER
         self._kill_at = None
@@ -129,14 +126,10 @@ class Checkpointer:
         self.last_path = self.path
         self._write_due = now + self.interval
         self._rearm()
-        started = time.perf_counter()
-        header = save_snapshot(
+        return save_snapshot(
             self.system, self.path,
             meta={"interval": self.interval, "ordinal": self.writes},
         )
-        self.write_seconds += time.perf_counter() - started
-        self.last_write_bytes = header["payload_bytes"]
-        return header
 
     def replay_command(self):
         """The ready-to-run CLI command replaying the last snapshot."""

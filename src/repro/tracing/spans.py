@@ -14,8 +14,9 @@ Three contracts, all pinned by tests:
 * **Observe, never perturb.**  The tracer reads the components' probe
   events (:mod:`repro.sim.probe`); with no observer attached the
   off-path cost is one ``_probe is None`` test per event site
-  (budgeted <3% in ``bench_sim.py``).  With a tracer attached, cycle
-  counts and results are bit-identical to an untraced run.
+  (held <3% in ``benchmarks/test_probe_gates.py``).  With a tracer
+  attached, cycle counts and results are bit-identical to an untraced
+  run.
 * **Deterministic sampling.**  Whether a request is traced depends
   only on ``splitmix64(mix(pe, seq))`` of its issuing PE and that
   PE's issue sequence number -- both functions of the simulated

@@ -171,6 +171,25 @@ class TestAtomicity:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.snap"]
 
 
+class TestDeterminism:
+    def test_checkpointed_run_writes_identical_snapshots(self, tmp_path):
+        # The checkpointer travels inside every snapshot after the
+        # first, so any host-time field it kept would change the bytes.
+        graph = web_graph(200, 800, seed=3)
+        config = ArchitectureConfig(
+            _design(2, 2, "shared", "bfs", n_channels=2),
+            **SCALED_DEFAULTS,
+        )
+        spec = f"{tmp_path / 'run.snap'}:5000"
+        digests = []
+        for _ in range(2):
+            run = AcceleratorSystem(graph, "bfs", config, checkpoint=spec)
+            run.run()
+            assert run.checkpointer.writes > 1
+            digests.append(read_header(run.checkpointer.path)["sha256"])
+        assert digests[0] == digests[1]
+
+
 class TestCheckpointerSpec:
     def test_plain_path(self):
         cp = Checkpointer.from_spec("out/run.snap")
