@@ -440,15 +440,10 @@ class AcceleratorSystem:
         (``stats["telemetry"]``).
         """
         design = self.config.design
-        # Macro-tick bookkeeping (fused_runs & co.) describes how the
-        # engine advanced time, and legitimately varies with hook
-        # cadence: a checkpointer or sampler clamps fusion horizons, so
-        # a checkpointed run fuses differently from a bare one while
-        # computing the exact same model.  Per-run stats are an
-        # architectural fingerprint (replay and chaos compare them
-        # across hook configurations bit for bit), so the bookkeeping
-        # stays out of them; it is surfaced through EngineActivity
-        # (profile) and the telemetry summary instead.
+        # Per-run stats are an architectural fingerprint (replay and
+        # chaos compare them across hook configurations bit for bit),
+        # so the fusion bookkeeping, which varies with hook cadence,
+        # stays out; EngineActivity and the telemetry summary carry it.
         engine_activity = self.engine.activity()
         for key in self.engine.FUSION_BOOKKEEPING_KEYS:
             engine_activity.pop(key, None)

@@ -1,28 +1,37 @@
 """Engine activity statistics: per-component tick/wake accounting.
 
-The demand-driven engine (:mod:`repro.sim.engine`) counts how often
-each component was woken and ticked; this module aggregates those
-counters into scheduler-efficiency summaries -- per run, per component
-class, and merged across the points of a sweep (the parallel sweep
-runner returns one :class:`EngineActivity` per point and sums them).
-
-The headline number is the *tick fraction*: ticks actually executed
-divided by the ``cycles x components`` an all-tick engine would have
-executed.  It is the demand-driven engine's saved work, and it is
-purely a scheduling metric -- cycle results are bit-identical between
-the two engines.
+Aggregates the counters of :meth:`repro.sim.engine.Engine.activity`
+into scheduler-efficiency summaries -- per run, per component class,
+and merged across the points of a sweep.  The headline number is the
+*tick fraction*: ticks executed over the ``cycles x components`` an
+all-tick engine would execute, a purely scheduling metric.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
-# Schema version of EngineActivity.as_dict() rows.  Bumped whenever a
-# field is added/renamed so journaled rows written by other code
-# versions are recognizable; from_dict() is tolerant in both
-# directions (unknown keys are dropped, missing keys take defaults),
-# which is what lets `--resume` reuse a journal across code changes.
-# v3 added the macro-tick fusion counters (fused_runs, fused_cycles,
-# fusion_abort_reasons).
+from repro.records import Record
+
+# Schema version of EngineActivity.as_dict() rows; from_dict() stays
+# tolerant in both directions so `--resume` reuses journals across
+# code changes.  v3 added the macro-tick fusion counters.
 ACTIVITY_SCHEMA_VERSION = 3
+
+ACTIVITY_RECORD = Record(
+    "engine activity", "version", ACTIVITY_SCHEMA_VERSION, (
+        "version", "cycles_simulated", "cycles_skipped",
+        "component_ticks", "component_wakes", "all_tick_equivalent",
+        "runs", "fused_runs", "fused_cycles", "mean_run_len",
+        "fusion_abort_reasons", "by_kind",
+    ))
+
+
+def _add_counts(into, other):
+    """Sum the (possibly nested) count dict *other* into *into*."""
+    for key, value in other.items():
+        if isinstance(value, dict):
+            _add_counts(into.setdefault(key, {}), value)
+        else:
+            into[key] = into.get(key, 0) + value
 
 
 @dataclass
@@ -52,81 +61,47 @@ class EngineActivity:
     @classmethod
     def from_engine(cls, engine):
         """Snapshot the counters of one engine after a run."""
+        counters = engine.activity()
         by_kind = {
             entry.kind: {"count": entry.count, "ticks": entry.ticks,
                          "wakes": entry.wakes}
             for entry in component_breakdown(engine)
         }
-        return cls(
-            cycles_simulated=engine.cycles_simulated,
-            cycles_skipped=engine.cycles_skipped,
-            component_ticks=engine.component_ticks,
-            component_wakes=engine.component_wakes,
+        return cls.from_dict(dict(
+            counters, runs=1, by_kind=by_kind,
             all_tick_equivalent=(
-                engine.cycles_simulated * len(engine._components)
+                counters["cycles_simulated"] * counters["n_components"]
             ),
-            runs=1,
-            fused_runs=engine.fused_runs,
-            fused_cycles=engine.fused_cycles,
-            fusion_abort_reasons=dict(engine.fusion_abort_reasons),
-            by_kind=by_kind,
-        )
+        ))
 
     @classmethod
     def from_dict(cls, data):
         """Rebuild from :meth:`as_dict` output (e.g. across processes).
 
-        Tolerant by design: keys this code version does not know
-        (including the ``version`` marker itself, or fields added by a
-        newer version) are ignored, and absent fields keep their
-        defaults, so resumed journals survive schema drift.
+        Tolerant by design: unknown keys (``version`` included) are
+        ignored and absent fields keep their defaults, so resumed
+        journals survive schema drift.
         """
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 
     def as_dict(self):
-        return {
-            "version": ACTIVITY_SCHEMA_VERSION,
-            "cycles_simulated": self.cycles_simulated,
-            "cycles_skipped": self.cycles_skipped,
-            "component_ticks": self.component_ticks,
-            "component_wakes": self.component_wakes,
-            "all_tick_equivalent": self.all_tick_equivalent,
-            "runs": self.runs,
-            "fused_runs": self.fused_runs,
-            "fused_cycles": self.fused_cycles,
-            "mean_run_len": round(self.mean_run_len, 2),
-            "fusion_abort_reasons": {
-                reason: self.fusion_abort_reasons[reason]
-                for reason in sorted(self.fusion_abort_reasons)
-            },
-            "by_kind": {kind: dict(row)
-                        for kind, row in self.by_kind.items()},
-        }
+        values = asdict(self)  # deep-copies the two maps
+        values["fusion_abort_reasons"] = dict(
+            sorted(values["fusion_abort_reasons"].items()))
+        return ACTIVITY_RECORD.row(
+            mean_run_len=round(self.mean_run_len, 2), **values)
 
     def merge(self, other):
         """Accumulate *other* (an EngineActivity or its dict) in place."""
         if isinstance(other, dict):
             other = EngineActivity.from_dict(other)
-        self.cycles_simulated += other.cycles_simulated
-        self.cycles_skipped += other.cycles_skipped
-        self.component_ticks += other.component_ticks
-        self.component_wakes += other.component_wakes
-        self.all_tick_equivalent += other.all_tick_equivalent
-        self.runs += other.runs
-        self.fused_runs += other.fused_runs
-        self.fused_cycles += other.fused_cycles
-        for reason, count in other.fusion_abort_reasons.items():
-            self.fusion_abort_reasons[reason] = (
-                self.fusion_abort_reasons.get(reason, 0) + count
-            )
-        for kind, row in other.by_kind.items():
-            mine = self.by_kind.get(kind)
-            if mine is None:
-                self.by_kind[kind] = dict(row)
+        for f in fields(self):
+            mine = getattr(self, f.name)
+            if isinstance(mine, dict):
+                _add_counts(mine, getattr(other, f.name))
             else:
-                for key, value in row.items():
-                    mine[key] = mine.get(key, 0) + value
+                setattr(self, f.name, mine + getattr(other, f.name))
         return self
 
     @property

@@ -23,6 +23,7 @@ from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
 from repro.core.stats import EngineActivity
 from repro.graph.datasets import BENCHMARKS, load_benchmark
+from repro.records import Record
 
 
 def full_suite_requested():
@@ -277,6 +278,12 @@ class SweepFailure(RuntimeError):
 # -- payload decoding is guarded either way, so a stale or corrupt
 # entry degrades to "re-run that point", never a crash.
 JOURNAL_SCHEMA = 2
+_JOURNAL_KEYS = ("schema", "index", "fingerprint", "point", "status",
+                 "attempt")
+JOURNAL_OK = Record("journal ok row", "schema", JOURNAL_SCHEMA,
+                    _JOURNAL_KEYS + ("payload",), status="ok")
+JOURNAL_FAIL = Record("journal fail row", "schema", JOURNAL_SCHEMA,
+                      _JOURNAL_KEYS + ("error",), status="fail")
 
 
 def _fingerprint(point):
@@ -431,20 +438,13 @@ def _run_points_hardened(worker, points, jobs, policy):
 
     def finish(index, attempt, status, payload):
         point = points[index]
+        shared = {"index": index, "fingerprint": _fingerprint(point),
+                  "point": repr(point), "attempt": attempt}
         if status == "ok":
             results[index] = payload
             done[index] = True
-            journal_write({
-                "schema": JOURNAL_SCHEMA,
-                "index": index,
-                "fingerprint": _fingerprint(point),
-                "point": repr(point),
-                "status": "ok",
-                "attempt": attempt,
-                "payload": base64.b64encode(
-                    pickle.dumps(payload)
-                ).decode("ascii"),
-            })
+            journal_write(JOURNAL_OK.row(payload=base64.b64encode(
+                pickle.dumps(payload)).decode("ascii"), **shared))
             return
         if attempt < max_attempts:
             delay = policy.backoff * 2 ** (attempt - 1)
@@ -453,15 +453,7 @@ def _run_points_hardened(worker, points, jobs, policy):
             )
             return
         failures[index] = payload
-        journal_write({
-            "schema": JOURNAL_SCHEMA,
-            "index": index,
-            "fingerprint": _fingerprint(point),
-            "point": repr(point),
-            "status": "fail",
-            "attempt": attempt,
-            "error": str(payload),
-        })
+        journal_write(JOURNAL_FAIL.row(error=str(payload), **shared))
 
     try:
         while pending or backoff_queue or running:

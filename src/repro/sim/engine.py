@@ -501,16 +501,15 @@ class Engine:
     def activity(self):
         """Scheduler-efficiency counters as a plain dict.
 
-        ``component_ticks`` versus ``cycles x components`` is the
-        demand-driven win; ``cycles_skipped`` is the idle fast-forward
-        win; ``fused_runs``/``fused_cycles`` are the macro-tick win
-        (cycles advanced through ``step_n`` batches instead of
-        per-cycle ticks).  The fusion keys are always present --
-        explicit zeros when nothing fused.  See
-        :mod:`repro.core.stats` for aggregation helpers.
+        The one reader of the engine's counters: ``EngineActivity``
+        (:mod:`repro.core.stats`) and the telemetry summary's ``fusion``
+        block build on it.  ``component_ticks`` versus ``cycles x
+        components`` is the demand-driven win; ``cycles_skipped`` the
+        idle fast-forward win; ``fused_runs``/``fused_cycles`` the
+        macro-tick win.  The fusion keys are always present -- explicit
+        zeros when nothing fused.
         """
-        fused_runs = self.fused_runs
-        fused_cycles = self.fused_cycles
+        runs, cycles = self.fused_runs, self.fused_cycles
         aborts = getattr(self, "fusion_abort_reasons", None) or {}
         return {
             "cycles_simulated": self.cycles_simulated,
@@ -518,13 +517,9 @@ class Engine:
             "component_ticks": self.component_ticks,
             "component_wakes": self.component_wakes,
             "n_components": len(self._components),
-            "fused_runs": fused_runs,
-            "fused_cycles": fused_cycles,
-            "mean_run_len": (
-                round(fused_cycles / fused_runs, 2) if fused_runs else 0.0
-            ),
-            "fusion_abort_reasons": {
-                reason: aborts[reason] for reason in sorted(aborts)
-            },
+            "fused_runs": runs,
+            "fused_cycles": cycles,
+            "mean_run_len": round(cycles / runs, 2) if runs else 0.0,
+            "fusion_abort_reasons": dict(sorted(aborts.items())),
         }
 

@@ -48,12 +48,19 @@ def add_trace_arguments(parser):
     )
 
 
-def _check_summary_and_csv(paths, telemetry, rows):
-    """The two exports without a schema of their own must read back
-    whole: the summary's cycle count and the CSV's row count."""
+def _check_summaries_and_csv(paths, telemetry, rows):
+    """The two summaries must carry their record's version and keys
+    (and the run's cycle count); the CSV must read back whole."""
+    from repro.telemetry.collector import TELEMETRY_SUMMARY
+    from repro.tracing.spans import SPAN_SUMMARY
+
     with open(paths["summary.json"]) as handle:
-        if json.load(handle).get("cycles") != telemetry.cycles:
-            raise ValueError(f"{paths['summary.json']}: cycles mismatch")
+        summary = TELEMETRY_SUMMARY.check(json.load(handle),
+                                          paths["summary.json"])
+    if summary["cycles"] != telemetry.cycles:
+        raise ValueError(f"{paths['summary.json']}: cycles mismatch")
+    with open(paths["spansummary.json"]) as handle:
+        SPAN_SUMMARY.check(json.load(handle), paths["spansummary.json"])
     if "timeline.csv" in paths:
         with open(paths["timeline.csv"]) as handle:
             if sum(1 for _ in handle) != rows + 1:
@@ -75,8 +82,7 @@ def run_trace(args, log=print):
     from repro.timeline import validate_trace, write_trace
     from repro.tracing.analyze import STAGE_ORDER
     from repro.tracing.export import (
-        validate_span_summary, validate_spans_jsonl, write_span_summary,
-        write_spans_jsonl)
+        validate_spans_jsonl, write_span_summary, write_spans_jsonl)
     from repro.tracing.spans import SpansConfig
 
     graph, system, budget = cli_point(
@@ -121,8 +127,7 @@ def run_trace(args, log=print):
     trace_counts = validate_trace(paths["trace.json"])
     timeline_info = validate_timeline_jsonl(paths["timeline.jsonl"])
     spans_info = validate_spans_jsonl(paths["spans.jsonl"])
-    validate_span_summary(paths["spansummary.json"])
-    _check_summary_and_csv(paths, telemetry, rows)
+    _check_summaries_and_csv(paths, telemetry, rows)
 
     stages = spans["stages"]
     for table, columns, title in (

@@ -45,10 +45,20 @@ from repro.accel.pe import (
     STREAM,
     WRITEBACK,
 )
+from repro.records import Record
 
 # v2 added the "fusion" block (macro-tick run counters, explicit
 # zeros when nothing fused); consumers are tolerant of missing keys.
+# Also versions the timeline JSONL header (repro.telemetry.export).
 TELEMETRY_SCHEMA_VERSION = 2
+
+TELEMETRY_SUMMARY = Record(
+    "telemetry summary", "version", TELEMETRY_SCHEMA_VERSION, (
+        "version", "cycles", "sample_interval", "samples",
+        "samples_dropped", "spans", "spans_dropped", "mshr_peak",
+        "mshr_mean", "fusion", "pe_stalls", "bank_stalls", "cache",
+        "moms_latency", "miss_latency", "dram_latency", "dram",
+    ))
 
 # Stall-attribution categories.  Every accounted cycle lands in exactly
 # one of these; BUSY and PIPELINE are the productive buckets.
@@ -588,12 +598,7 @@ class Telemetry:
     def summary(self):
         """Compact, JSON-safe digest for journal rows and reports."""
         mshr = [row["mshr_total"] for row in self.samples]
-        engine = self._system.engine if self._system is not None else None
-        fused_runs = getattr(engine, "fused_runs", 0)
-        fused_cycles = getattr(engine, "fused_cycles", 0)
-        abort_reasons = dict(
-            getattr(engine, "fusion_abort_reasons", {}) or {}
-        )
+        activity = self._system.engine.activity()
         bank_stats = [bank.stats for bank in self._banks]
         requests = sum(s.requests for s in bank_stats)
         hits = sum(s.cache_hits for s in bank_stats)
@@ -604,32 +609,25 @@ class Telemetry:
         lines_total = sum(s.lines_total for s in dram_stats)
         busy = sum(s.busy_cycles for s in dram_stats)
         beats = sum(s.total_beats for s in dram_stats)
-        return {
-            "version": TELEMETRY_SCHEMA_VERSION,
-            "cycles": self.cycles,
-            "sample_interval": self.sample_interval,
-            "samples": len(self.samples),
-            "samples_dropped": self.samples_dropped,
-            "spans": len(self.spans),
-            "spans_dropped": self.spans_dropped,
-            "mshr_peak": max(mshr, default=0),
-            "mshr_mean": round(sum(mshr) / len(mshr), 2) if mshr else 0.0,
-            # Macro-tick fusion counters: execution-strategy metadata
-            # (how the engine advanced time), recorded with explicit
-            # zeros when nothing fused so the keys are never absent.
-            "fusion": {
-                "fused_runs": fused_runs,
-                "fused_cycles": fused_cycles,
-                "mean_run_len": round(fused_cycles / fused_runs, 2)
-                if fused_runs else 0.0,
-                "abort_reasons": {
-                    reason: abort_reasons[reason]
-                    for reason in sorted(abort_reasons)
-                },
+        return TELEMETRY_SUMMARY.row(
+            cycles=self.cycles,
+            sample_interval=self.sample_interval,
+            samples=len(self.samples),
+            samples_dropped=self.samples_dropped,
+            spans=len(self.spans),
+            spans_dropped=self.spans_dropped,
+            mshr_peak=max(mshr, default=0),
+            mshr_mean=round(sum(mshr) / len(mshr), 2) if mshr else 0.0,
+            # Execution-strategy metadata (how the engine advanced time).
+            fusion={
+                "fused_runs": activity["fused_runs"],
+                "fused_cycles": activity["fused_cycles"],
+                "mean_run_len": activity["mean_run_len"],
+                "abort_reasons": activity["fusion_abort_reasons"],
             },
-            "pe_stalls": self._bucket_totals(self._pe_accounts),
-            "bank_stalls": self._bucket_totals(self._bank_accounts),
-            "cache": {
+            pe_stalls=self._bucket_totals(self._pe_accounts),
+            bank_stalls=self._bucket_totals(self._bank_accounts),
+            cache={
                 "requests": requests,
                 "hits": hits,
                 "secondary_misses": secondary,
@@ -640,13 +638,13 @@ class Telemetry:
                     secondary / (secondary + primary), 4
                 ) if secondary + primary else 0.0,
             },
-            "moms_latency": self.merged_latency(self.moms_latency).compact(),
-            "miss_latency": self.merged_latency(self.miss_latency).compact(),
-            "dram_latency": self.merged_latency(self.dram_latency).compact(),
-            "dram": {
+            moms_latency=self.merged_latency(self.moms_latency).compact(),
+            miss_latency=self.merged_latency(self.miss_latency).compact(),
+            dram_latency=self.merged_latency(self.dram_latency).compact(),
+            dram={
                 "single_line_fraction": round(
                     lines_single / lines_total, 4) if lines_total else 0.0,
                 "effective_bw_ratio": round(
                     beats / busy, 4) if busy else 1.0,
             },
-        }
+        )

@@ -15,7 +15,14 @@ or pandas consumption without a JSON parser.
 import csv
 import json
 
+from repro.records import Record
 from repro.telemetry.collector import TELEMETRY_SCHEMA_VERSION
+
+TIMELINE_META = Record(
+    "timeline meta header", "version", TELEMETRY_SCHEMA_VERSION, (
+        "type", "version", "sample_interval", "start_cycle", "end_cycle",
+        "samples", "samples_dropped", "series",
+    ), type="meta")
 
 
 def series_names(telemetry):
@@ -29,16 +36,14 @@ def series_names(telemetry):
 
 def write_timeline_jsonl(telemetry, path):
     """Write the meta header + one JSON line per sample; returns rows."""
-    meta = {
-        "type": "meta",
-        "version": TELEMETRY_SCHEMA_VERSION,
-        "sample_interval": telemetry.sample_interval,
-        "start_cycle": telemetry.start_cycle,
-        "end_cycle": telemetry.end_cycle,
-        "samples": len(telemetry.samples),
-        "samples_dropped": telemetry.samples_dropped,
-        "series": series_names(telemetry),
-    }
+    meta = TIMELINE_META.row(
+        sample_interval=telemetry.sample_interval,
+        start_cycle=telemetry.start_cycle,
+        end_cycle=telemetry.end_cycle,
+        samples=len(telemetry.samples),
+        samples_dropped=telemetry.samples_dropped,
+        series=series_names(telemetry),
+    )
     with open(path, "w") as fh:
         fh.write(json.dumps(meta) + "\n")
         for row in telemetry.samples:
@@ -105,13 +110,7 @@ def validate_timeline_jsonl(path):
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError("timeline is empty")
-    meta = json.loads(lines[0])
-    if meta.get("type") != "meta":
-        raise ValueError("first line must be the meta header")
-    if not isinstance(meta.get("version"), int):
-        raise ValueError("meta header lacks an integer version")
-    if not isinstance(meta.get("series"), list):
-        raise ValueError("meta header lacks the series list")
+    meta = TIMELINE_META.check(json.loads(lines[0]), f"{path}:1")
     known = set(meta["series"]) | {"type", "cycle"}
     last_cycle = -1
     count = 0

@@ -3,15 +3,15 @@
 Public surface: :class:`SpansConfig` / :class:`SpanTracer` /
 :class:`FlightRecorder` (collection), :func:`analyze_spans`
 (critical-path decomposition), and the span JSONL / summary
-exporters and validators in :mod:`repro.tracing.export`.  The request
-flows are drawn on the run's one Perfetto timeline by
+exporters and the span-stream validator in :mod:`repro.tracing.export`
+(the summary's key table is ``repro.tracing.spans.SPAN_SUMMARY``).  The
+request flows are drawn on the run's one Perfetto timeline by
 :mod:`repro.timeline`.
 """
 
 from repro.tracing.analyze import analyze_spans, decompose, percentile
 from repro.tracing.export import (
     spans_jsonl_bytes,
-    validate_span_summary,
     validate_spans_jsonl,
     write_span_summary,
     write_spans_jsonl,
@@ -34,7 +34,6 @@ __all__ = [
     "percentile",
     "sample_hash",
     "spans_jsonl_bytes",
-    "validate_span_summary",
     "validate_spans_jsonl",
     "write_span_summary",
     "write_spans_jsonl",

@@ -1,4 +1,4 @@
-"""Span exporters and their schema validators.
+"""Span exporters and the span-stream validator.
 
 Two artifacts, both self-validated by ``python -m repro trace`` before
 it exits:
@@ -16,10 +16,16 @@ The request flows on the Perfetto timeline are drawn by
 
 import json
 
+from repro.records import Record
 from repro.tracing.analyze import decompose
 from repro.tracing.spans import INTERNAL_KEYS, SPAN_SCHEMA_VERSION
 
 _JSON = {"sort_keys": True, "separators": (",", ":")}
+
+SPAN_HEADER = Record(
+    "span meta header", "schema", SPAN_SCHEMA_VERSION,
+    ("schema", "kind", "sample_rate", "requests_seen", "spans"),
+    kind="spans")
 
 
 def _public(span):
@@ -33,13 +39,11 @@ def _public(span):
 
 def spans_jsonl_bytes(tracer):
     """The canonical span-stream encoding (used directly by tests)."""
-    header = {
-        "schema": SPAN_SCHEMA_VERSION,
-        "kind": "spans",
-        "sample_rate": tracer.config.sample_rate,
-        "requests_seen": tracer.requests_seen,
-        "spans": len(tracer.spans),
-    }
+    header = SPAN_HEADER.row(
+        sample_rate=tracer.config.sample_rate,
+        requests_seen=tracer.requests_seen,
+        spans=len(tracer.spans),
+    )
     lines = [json.dumps(header, **_JSON)]
     lines.extend(
         json.dumps(_public(span), **_JSON)
@@ -61,17 +65,10 @@ def validate_spans_jsonl(path):
         lines = handle.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty span stream")
-    header = json.loads(lines[0])
-    if header.get("kind") != "spans":
-        raise ValueError(f"{path}: missing spans meta header")
-    if header.get("schema") != SPAN_SCHEMA_VERSION:
+    header = SPAN_HEADER.check(json.loads(lines[0]), f"{path}:1")
+    if header["spans"] != len(lines) - 1:
         raise ValueError(
-            f"{path}: schema {header.get('schema')!r} != "
-            f"{SPAN_SCHEMA_VERSION}"
-        )
-    if header.get("spans") != len(lines) - 1:
-        raise ValueError(
-            f"{path}: header says {header.get('spans')} spans, "
+            f"{path}: header says {header['spans']} spans, "
             f"file has {len(lines) - 1}"
         )
     for index, line in enumerate(lines[1:], start=2):
@@ -104,15 +101,3 @@ def write_span_summary(summary, path):
         json.dump(summary, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return path
-
-
-def validate_span_summary(path):
-    with open(path, "r", encoding="ascii") as handle:
-        summary = json.load(handle)
-    for key in ("schema", "sample_rate", "requests_seen", "stages",
-                "merge_fanin", "recorder"):
-        if key not in summary:
-            raise ValueError(f"{path}: summary missing {key!r}")
-    if summary["schema"] != SPAN_SCHEMA_VERSION:
-        raise ValueError(f"{path}: schema {summary['schema']!r}")
-    return summary

@@ -42,8 +42,17 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.faults.plan import _MASK64, _splitmix64
+from repro.records import Record
 
+# Also versions the span JSONL header (repro.tracing.export).
 SPAN_SCHEMA_VERSION = 1
+SPAN_SUMMARY = Record(
+    "span summary", "schema", SPAN_SCHEMA_VERSION, (
+        "schema", "sample_rate", "requests_seen", "spans_sampled",
+        "spans_completed", "spans_live", "stages", "merge_fanin",
+        "recorder",
+    ))
+
 LINE_BYTES = 64
 
 # Span-record keys that are bookkeeping or timeline placement, not
@@ -397,17 +406,16 @@ class SpanTracer:
         """Compact aggregate for run stats / sweep journal rows."""
         from repro.tracing.analyze import analyze_spans
 
-        return {
-            "schema": SPAN_SCHEMA_VERSION,
-            "sample_rate": self.config.sample_rate,
-            "requests_seen": self.requests_seen,
-            "spans_sampled": self.sampled,
-            "spans_completed": len(self.spans),
-            "spans_live": self.live_spans(),
-            "stages": analyze_spans(self.spans),
-            "merge_fanin": self.merge_fanin(),
-            "recorder": {
+        return SPAN_SUMMARY.row(
+            sample_rate=self.config.sample_rate,
+            requests_seen=self.requests_seen,
+            spans_sampled=self.sampled,
+            spans_completed=len(self.spans),
+            spans_live=self.live_spans(),
+            stages=analyze_spans(self.spans),
+            merge_fanin=self.merge_fanin(),
+            recorder={
                 "depth": self.recorder.depth,
                 "recorded": self.recorder.recorded,
             },
-        }
+        )

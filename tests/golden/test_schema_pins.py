@@ -1,12 +1,13 @@
 """Runtime pins for every versioned record the simulator writes.
 
-Each record embeds a schema version that tolerant readers key their
-compatibility decisions on.  For every record this test takes a real
+Each record is declared once in ``src`` as a :class:`repro.records.Record`
+key table (name, version key, version, ordered keys); :data:`RECORDS`
+maps each pin to that table.  For every record this test takes a real
 row from one small run and asserts two things:
 
-* the embedded version equals the module constant, so a writer that
-  keeps a literal after the constant is bumped fails here;
-* ``(constant, sorted recursive key set)`` equals the pinned entry in
+* the embedded version equals the table's version, so a writer that
+  bypasses its table with a stale literal fails here;
+* ``(version, sorted recursive key set)`` equals the pinned entry in
   :data:`PINS`, so a key added, renamed or dropped without a version
   bump fails here, and so does a bump that was not re-pinned.
 
@@ -18,54 +19,43 @@ Re-pin an entry only together with its version bump::
 """
 
 import functools
-import importlib
 import json
 import pickle
 import tempfile
+import textwrap
 
 import pytest
 
 from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
-from repro.core.stats import EngineActivity
-from repro.experiments.common import SweepFailure, SweepPolicy, run_points
+from repro.core.stats import ACTIVITY_RECORD, EngineActivity
+from repro.experiments.common import (
+    JOURNAL_FAIL,
+    JOURNAL_OK,
+    SweepFailure,
+    SweepPolicy,
+    run_points,
+)
 from repro.graph import web_graph
 from repro.telemetry import TelemetryConfig
+from repro.telemetry.collector import TELEMETRY_SUMMARY
+from repro.telemetry.export import TIMELINE_META, write_timeline_jsonl
 from repro.tracing import SpansConfig
-from repro.tracing.export import spans_jsonl_bytes
+from repro.tracing.export import SPAN_HEADER, spans_jsonl_bytes
+from repro.tracing.spans import SPAN_SUMMARY
 
-
-class Record:
-    """Where a versioned record's version lives and which maps are opaque."""
-
-    def __init__(self, constant, version_key, opaque=()):
-        self.module, self.constant = constant.rsplit(".", 1)
-        self.version_key = version_key
-        self.opaque = frozenset(opaque)
-
-    def current_constant(self):
-        return getattr(importlib.import_module(self.module), self.constant)
-
-
+# name -> (the record's key table in src, opaque map paths).
 RECORDS = {
-    "engine-activity": Record(
-        "repro.core.stats.ACTIVITY_SCHEMA_VERSION", "version",
-        opaque=("by_kind", "fusion_abort_reasons"),
-    ),
-    "telemetry-summary": Record(
-        "repro.telemetry.collector.TELEMETRY_SCHEMA_VERSION", "version",
-        opaque=("fusion.abort_reasons", "pe_stalls", "bank_stalls"),
-    ),
-    "journal-row-ok": Record(
-        "repro.experiments.common.JOURNAL_SCHEMA", "schema"),
-    "journal-row-fail": Record(
-        "repro.experiments.common.JOURNAL_SCHEMA", "schema"),
-    "span-jsonl-header": Record(
-        "repro.tracing.spans.SPAN_SCHEMA_VERSION", "schema"),
-    "span-summary": Record(
-        "repro.tracing.spans.SPAN_SCHEMA_VERSION", "schema",
-        opaque=("stages", "merge_fanin"),
-    ),
+    "engine-activity": (
+        ACTIVITY_RECORD, ("by_kind", "fusion_abort_reasons")),
+    "telemetry-summary": (
+        TELEMETRY_SUMMARY,
+        ("fusion.abort_reasons", "pe_stalls", "bank_stalls")),
+    "telemetry-timeline-meta": (TIMELINE_META, ()),
+    "journal-row-ok": (JOURNAL_OK, ()),
+    "journal-row-fail": (JOURNAL_FAIL, ()),
+    "span-jsonl-header": (SPAN_HEADER, ()),
+    "span-summary": (SPAN_SUMMARY, ("stages", "merge_fanin")),
 }
 
 # name -> (version, sorted dotted key paths).
@@ -108,6 +98,10 @@ PINS = {
         "samples", "samples_dropped", "spans", "spans_dropped",
         "version",
     ]),
+    "telemetry-timeline-meta": (2, [
+        "end_cycle", "sample_interval", "samples", "samples_dropped",
+        "series", "start_cycle", "type", "version",
+    ]),
 }
 
 
@@ -122,25 +116,27 @@ def key_paths(row, opaque=frozenset(), prefix=""):
     return sorted(paths)
 
 
-def pin_problems(name, row, constant):
+def pin_problems(name, row, version):
     """Why *row* breaks its pin (empty when it holds)."""
-    record = RECORDS[name]
+    table, opaque = RECORDS[name]
     problems = []
-    embedded = row.get(record.version_key)
-    if embedded != constant:
+    embedded = row.get(table.version_key)
+    if embedded != version:
         problems.append(
-            f"{name}: row carries {record.version_key}={embedded!r} but "
-            f"{record.constant} is {constant!r} (writer uses a literal?)"
+            f"{name}: row carries {table.version_key}={embedded!r} but "
+            f"its table is at {version!r} (writer stamps a literal "
+            f"instead of using its table?)"
         )
-    actual = (constant, key_paths(row, record.opaque))
+    actual = (version, key_paths(row, frozenset(opaque)))
     pinned = PINS[name]
     if actual != pinned:
         added = sorted(set(actual[1]) - set(pinned[1]))
         removed = sorted(set(pinned[1]) - set(actual[1]))
         problems.append(
             f"{name}: (version, keys) drifted from the pin: version "
-            f"{pinned[0]} -> {constant}, added {added}, removed "
-            f"{removed}; bump {record.constant} and re-pin together"
+            f"{pinned[0]} -> {version}, added {added}, removed "
+            f"{removed}; bump the {table.name} version and re-pin "
+            f"together"
         )
     return problems
 
@@ -182,10 +178,14 @@ def real_rows():
     header = json.loads(spans_jsonl_bytes(system.tracer).splitlines()[0])
     with tempfile.TemporaryDirectory() as scratch:
         ok_row, fail_row = _journal_rows(f"{scratch}/journal.jsonl")
+        write_timeline_jsonl(system.telemetry, f"{scratch}/t.jsonl")
+        with open(f"{scratch}/t.jsonl", encoding="utf-8") as handle:
+            meta = json.loads(handle.readline())
     return {
         "engine-activity":
             EngineActivity.from_engine(system.engine).as_dict(),
         "telemetry-summary": system.telemetry.summary(),
+        "telemetry-timeline-meta": meta,
         "journal-row-ok": ok_row,
         "journal-row-fail": fail_row,
         "span-jsonl-header": header,
@@ -193,10 +193,27 @@ def real_rows():
     }
 
 
+def pins_text():
+    """The :data:`PINS` literal for the rows the code writes today."""
+    rows = real_rows()
+    lines = ["PINS = {"]
+    for name in sorted(RECORDS):
+        table, opaque = RECORDS[name]
+        keys = " ".join(
+            f"{json.dumps(key)}," for key in
+            key_paths(rows[name], frozenset(opaque)))
+        lines.append(f"    {json.dumps(name)}: ({table.version}, [")
+        lines.append(textwrap.fill(keys, 72, initial_indent=" " * 8,
+                                   subsequent_indent=" " * 8))
+        lines.append("    ]),")
+    lines.append("}")
+    return "\n".join(lines)
+
+
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_real_row_matches_its_pin(name):
     row = real_rows()[name]
-    assert pin_problems(name, row, RECORDS[name].current_constant()) == []
+    assert pin_problems(name, row, RECORDS[name][0].version) == []
 
 
 def test_pins_cover_every_record():
@@ -206,32 +223,25 @@ def test_pins_cover_every_record():
 def test_key_added_without_bump_fails():
     row = pickle.loads(pickle.dumps(real_rows()["telemetry-summary"]))
     row["cache"]["evictions"] = 0
-    constant = RECORDS["telemetry-summary"].current_constant()
-    (problem,) = pin_problems("telemetry-summary", row, constant)
+    version = RECORDS["telemetry-summary"][0].version
+    (problem,) = pin_problems("telemetry-summary", row, version)
     assert "cache.evictions" in problem
 
 
 def test_bumped_constant_with_literal_writer_fails():
     row = real_rows()["engine-activity"]
-    constant = RECORDS["engine-activity"].current_constant()
-    problems = pin_problems("engine-activity", row, constant + 1)
+    version = RECORDS["engine-activity"][0].version
+    problems = pin_problems("engine-activity", row, version + 1)
     assert len(problems) == 2
     assert "literal" in problems[0]
     assert "re-pin" in problems[1]
 
 
-if __name__ == "__main__":
-    import textwrap
+def test_repin_printer_reproduces_the_committed_pins():
+    namespace = {}
+    exec(pins_text(), namespace)
+    assert namespace["PINS"] == PINS
 
-    rows = real_rows()
-    print("PINS = {")
-    for name in sorted(RECORDS):
-        record = RECORDS[name]
-        keys = " ".join(
-            f"{json.dumps(key)}," for key in
-            key_paths(rows[name], record.opaque))
-        print(f"    {json.dumps(name)}: ({record.current_constant()}, [")
-        print(textwrap.fill(keys, 72, initial_indent=" " * 8,
-                            subsequent_indent=" " * 8))
-        print("    ]),")
-    print("}")
+
+if __name__ == "__main__":
+    print(pins_text())

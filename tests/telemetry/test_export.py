@@ -11,6 +11,7 @@ from repro.accel.system import AcceleratorSystem
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.telemetry import (
+    TELEMETRY_SCHEMA_VERSION,
     TelemetryConfig,
     validate_timeline_jsonl,
     write_summary_json,
@@ -71,6 +72,19 @@ class TestTimelineJsonl:
             json.dumps({"type": "sample", "cycle": 1}) + "\n"
         )
         with pytest.raises(ValueError, match="meta"):
+            validate_timeline_jsonl(path)
+
+    @pytest.mark.parametrize("version", [TELEMETRY_SCHEMA_VERSION + 97,
+                                         TELEMETRY_SCHEMA_VERSION - 1])
+    def test_rejects_other_schema_version(self, telemetry, tmp_path,
+                                          version):
+        path = tmp_path / "bad.jsonl"
+        write_timeline_jsonl(telemetry, path)
+        lines = path.read_text().splitlines()
+        meta = json.loads(lines[0])
+        meta["version"] = version
+        path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+        with pytest.raises(ValueError, match="version"):
             validate_timeline_jsonl(path)
 
     def test_rejects_non_monotonic_cycles(self, telemetry, tmp_path):

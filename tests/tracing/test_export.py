@@ -11,11 +11,11 @@ from repro.graph import web_graph
 from repro.tracing import SpansConfig
 from repro.tracing.export import (
     spans_jsonl_bytes,
-    validate_span_summary,
     validate_spans_jsonl,
     write_span_summary,
     write_spans_jsonl,
 )
+from repro.tracing.spans import SPAN_SUMMARY
 from repro.timeline import validate_trace, write_trace
 
 GRAPH = web_graph(900, 4500, seed=11)
@@ -70,6 +70,15 @@ class TestSpansJsonl:
         with pytest.raises(ValueError, match="meta header"):
             validate_spans_jsonl(bad_header)
 
+        header = json.loads(lines[0])
+        del header["requests_seen"]
+        no_seen = tmp_path / "noseen.jsonl"
+        no_seen.write_text(
+            "\n".join([json.dumps(header)] + lines[1:]) + "\n"
+        )
+        with pytest.raises(ValueError, match="requests_seen"):
+            validate_spans_jsonl(no_seen)
+
         span = json.loads(lines[1])
         span["stages"]["queue"] += 1  # break the exact accounting
         bad_sum = tmp_path / "badsum.jsonl"
@@ -95,12 +104,17 @@ class TestFlowTrace:
 
 
 class TestSpanSummary:
+    @staticmethod
+    def _check(path):
+        with open(path, encoding="ascii") as handle:
+            return SPAN_SUMMARY.check(json.load(handle), path)
+
     def test_roundtrip_validates(self, traced, tmp_path):
         system, result = traced
         path = write_span_summary(
             result.stats["spans"], tmp_path / "sum.json"
         )
-        summary = validate_span_summary(path)
+        summary = self._check(path)
         assert summary["spans_completed"] == len(system.tracer.spans)
         assert "_totals" in summary["stages"]
 
@@ -108,4 +122,15 @@ class TestSpanSummary:
         path = tmp_path / "sum.json"
         path.write_text(json.dumps({"schema": 1}))
         with pytest.raises(ValueError, match="missing"):
-            validate_span_summary(path)
+            self._check(path)
+
+    @pytest.mark.parametrize(
+        "key", ["spans_sampled", "spans_completed", "spans_live"])
+    def test_validator_rejects_missing_span_count(self, traced, tmp_path,
+                                                  key):
+        _, result = traced
+        summary = dict(result.stats["spans"])
+        del summary[key]
+        path = write_span_summary(summary, tmp_path / "sum.json")
+        with pytest.raises(ValueError, match=key):
+            self._check(path)
