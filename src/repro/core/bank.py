@@ -205,8 +205,11 @@ class MomsBank(Component):
         tick re-arming ``engine.wake(self)``.  Such a cycle's exact
         effects -- cache probe miss, MSHR lookup miss, the failing
         insert's PRNG/stat advance, ``stall_mshr`` -- are replicated in
-        bulk via :meth:`CuckooMshrFile.failing_insert_run`; every other
-        bank state returns 0 and stays on real per-cycle ticks.
+        bulk via :meth:`CuckooMshrFile.failing_insert_run`, which
+        commits a run that ``_dead_end`` proves hopeless (no empty slot
+        in the line's kick closure) as one PRNG jump and dry-runs any
+        other; every other bank state returns 0 and stays on real
+        per-cycle ticks.
         """
         if self._probe is not None or self._fault is not None:
             return 0

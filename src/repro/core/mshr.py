@@ -138,6 +138,10 @@ class CuckooMshrFile:
 
         The caller must have checked that no entry for *line_addr*
         exists (a lookup always precedes insertion in the bank pipeline).
+        When every candidate slot is occupied and :meth:`_dead_end`
+        proves that no chain can place the line, the failing attempt is
+        committed without walking it: ``max_kicks + 1`` victim draws
+        (one ``lcg_jump``) and one ``insert_failures``.
         """
         if self._fault is not None and self._fault.mshr_blocked():
             # Forced-full window: report failure without touching table
@@ -165,6 +169,14 @@ class CuckooMshrFile:
                 if self.occupancy > self.stats.peak_occupancy:
                     self.stats.peak_occupancy = self.occupancy
                 return entry
+            if not kick and self._dead_end(line_addr):
+                # Provably hopeless: the chain would only shuffle and
+                # unwind, so commit its draws and the failure directly.
+                self._victim_state = lcg_jump(
+                    self._victim_state, self.max_kicks + 1
+                )
+                self.stats.insert_failures += 1
+                return None
             # All full: displace a pseudo-randomly chosen victim way so
             # kick chains explore the table instead of looping.
             self._victim_state = (
@@ -186,6 +198,37 @@ class CuckooMshrFile:
         assert carried is entry
         self.stats.insert_failures += 1
         return None
+
+    def _dead_end(self, line_addr):
+        """True when no kick chain can place *line_addr*, for any draws.
+
+        Walks the closure S of *line_addr*: S starts as {line_addr} and
+        gains the resident of every candidate slot of every line in S.
+        An empty candidate slot anywhere in S returns False (a full
+        table is the trivial True).  Otherwise every attempt fails,
+        whatever the victim draws and ``max_kicks``: a kick writes the
+        carried line only into an occupied slot, so the empty slots
+        stay the base table's; every carried line is in S, since it is
+        either a base resident of a candidate slot of an S line or a
+        line an earlier kick wrote there; and a failing attempt
+        unwinds exactly, so the next one starts from the same table.
+        """
+        if self.occupancy >= self.capacity:
+            return True
+        tables = self._tables
+        closure = [line_addr]
+        seen = {line_addr}
+        # The list grows while the loop walks it (breadth first).
+        for carried in closure:
+            for table, slot in zip(tables, self._slots(carried)):
+                resident = table[slot]
+                if resident is None:
+                    return False
+                addr = resident.line_addr
+                if addr not in seen:
+                    seen.add(addr)
+                    closure.append(addr)
+        return True
 
     def peek(self, line_addr):
         """The entry for *line_addr* or None, with no lookup/hit stats.
@@ -209,7 +252,10 @@ class CuckooMshrFile:
         every cycle, and each failing attempt leaves the table exactly
         as before (the exact unwind in :meth:`insert`), advancing only
         the victim PRNG by ``max_kicks + 1`` draws and
-        ``insert_failures`` by one.  Consecutive attempts are *not*
+        ``insert_failures`` by one.  When :meth:`_dead_end` proves that
+        no chain can place the line (a full table is the trivial case),
+        all *budget* attempts fail and the run commits them with one
+        ``lcg_jump``.  Otherwise consecutive attempts are *not*
         automatically failures -- a different victim-way draw can place
         the entry with the table unchanged -- so each attempt is
         dry-run against an overlay view of the table (displacements
@@ -229,13 +275,13 @@ class CuckooMshrFile:
         state = self._victim_state
         committed = state
         placed = False
-        if self.occupancy >= self.capacity:
-            # Retry storm on a *full* table: no empty slot exists and
-            # none can appear inside the silent window (removals only
-            # happen on real drain ticks), so every attempt fails by
-            # construction -- the kick chain just shuffles residents
-            # and unwinds.  The whole run collapses to the PRNG
-            # advance: budget * steps draws, jumped in O(log n).
+        if self._dead_end(line_addr):
+            # Retry storm that provably cannot place (a full table, or
+            # no empty slot in the line's closure), and
+            # no slot can free up inside the silent window (removals
+            # only happen on real drain ticks): every attempt shuffles
+            # residents and unwinds.  The whole run collapses to the
+            # PRNG advance: budget * steps draws, jumped in O(log n).
             failures = budget
             committed = lcg_jump(state, budget * steps)
             self._victim_state = committed

@@ -103,8 +103,9 @@ def lcg_jump(seed, n):
     ``x -> A*x + C`` with itself squares ``A`` and folds the offset as
     ``C -> C * (A + 1)``, so any draw count is a walk over the bits of
     *n*.  Bit-identical to *n* single advances -- this is how a fused
-    retry run on a *full* MSHR table commits thousands of guaranteed
-    failing draws without generating any of them.
+    retry run that ``CuckooMshrFile._dead_end`` proves hopeless commits
+    thousands of guaranteed failing draws without generating any of
+    them.
     """
     a, c = _LCG_A, _LCG_C
     ja, jc = 1, 0  # identity map, composed up to f^n
