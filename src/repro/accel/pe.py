@@ -380,40 +380,18 @@ class ProcessingElement(Component):
         # The per-cycle apply loop with an m-cycle budget: identical
         # word order and chunk trimming, one loop instead of m.
         budget_words = m * per
-        if self._apply_values:
-            target = (self._const_bram if self._phase == INIT_CONST
-                      else self._bram)
-            while budget_words > 0 and backlog:
-                start, vals = backlog[0]
-                take = min(budget_words, len(vals))
-                target[start:start + take] = vals[:take]
-                self._applied += take
-                budget_words -= take
-                if take == len(vals):
-                    backlog.popleft()
-                else:
-                    backlog[0] = (start + take, vals[take:])
-        else:
-            decode = self.spec.decode
-            init = self.spec.init
-            while budget_words > 0 and backlog:
-                start, words = backlog[0]
-                take = min(budget_words, len(words))
-                if self._phase == INIT_CONST:
-                    for i in range(take):
-                        self._const_bram[start + i] = float(words[i])
-                else:
-                    for i in range(take):
-                        index = start + i
-                        self._bram[index] = init(
-                            self._const_bram[index], decode(words[i])
-                        )
-                self._applied += take
-                budget_words -= take
-                if take == len(words):
-                    backlog.popleft()
-                else:
-                    backlog[0] = (start + take, words[take:])
+        target = (self._const_bram if self._phase == INIT_CONST
+                  else self._bram)
+        while budget_words > 0 and backlog:
+            start, vals = backlog[0]
+            take = min(budget_words, len(vals))
+            target[start:start + take] = vals[:take]
+            self._applied += take
+            budget_words -= take
+            if take == len(vals):
+                backlog.popleft()
+            else:
+                backlog[0] = (start + take, vals[take:])
         stats = self.stats
         stats.busy_cycles += m
         phase = self._phase
@@ -522,15 +500,11 @@ class ProcessingElement(Component):
         self._rd_requested = 0
         self._rd_received = 0
         self._rd_burst_outstanding = 0
-        self._apply_backlog = deque()  # (start_index, words array)
+        # (start_index, float64 values): each beat lands as
+        # ready-to-store values (init already folded in), so the
+        # budgeted apply loop is a slice assignment.
+        self._apply_backlog = deque()
         self._applied = 0
-        # Each beat lands as ready-to-store float64 values (init
-        # already folded in), so the budgeted apply loop becomes a
-        # slice assignment.  INIT_VIN needs the spec's columnar init;
-        # a spec without one keeps the per-word init path.
-        self._apply_values = (
-            phase == INIT_CONST or self.spec.init_vec is not None
-        )
 
     def _tick_init(self, engine):
         # One outstanding initialization burst at a time (Section IV-D).
@@ -555,74 +529,40 @@ class ProcessingElement(Component):
             base = self._rd_base
             n_local = self._n_local
             backlog = self._apply_backlog
-            if self._apply_values:
-                # One numpy pass per 16-word beat: widen (and for
-                # INIT_VIN, init) the whole beat now; the budget loop
-                # below only slices.  astype/init_vec copy, so the
-                # beat recycles immediately.
-                const_phase = self._phase == INIT_CONST
-                init_vec = self.spec.init_vec
-                const_bram = self._const_bram
-                for beat in beats:
-                    start = (beat.addr - base) // 4
-                    count = min(16, n_local - start)
-                    words = beat.data[:4 * count].view(np.uint32)
-                    if const_phase:
-                        vals = words.astype(np.float64)
-                    else:
-                        vals = init_vec(
-                            const_bram[start:start + count], words
-                        )
-                    backlog.append((start, vals))
-                    beat.data = None
-                    pool.append(beat)
-            else:
-                for beat in beats:
-                    start = (beat.addr - base) // 4
-                    count = min(16, n_local - start)
-                    backlog.append(
-                        (start, beat.data[:4 * count].view(np.uint32).tolist())
-                    )
-                    beat.data = None
-                    pool.append(beat)
+            # One numpy pass per 16-word beat: widen (and for
+            # INIT_VIN, init) the whole beat now; the budget loop
+            # below only slices.  astype/init_vec copy, so the beat
+            # recycles immediately.
+            const_phase = self._phase == INIT_CONST
+            init_vec = self.spec.init_vec
+            const_bram = self._const_bram
+            for beat in beats:
+                start = (beat.addr - base) // 4
+                count = min(16, n_local - start)
+                words = beat.data[:4 * count].view(np.uint32)
+                if const_phase:
+                    vals = words.astype(np.float64)
+                else:
+                    vals = init_vec(const_bram[start:start + count], words)
+                backlog.append((start, vals))
+                beat.data = None
+                pool.append(beat)
             self._rd_burst_outstanding -= len(beats)
             self._rd_received += len(beats)
         # Apply at the BRAM port rate (4 node writes per cycle).
         budget = self.config.init_nodes_per_cycle
-        if self._apply_values:
-            target = (self._const_bram if self._phase == INIT_CONST
-                      else self._bram)
-            while budget > 0 and self._apply_backlog:
-                start, vals = self._apply_backlog[0]
-                take = min(budget, len(vals))
-                target[start:start + take] = vals[:take]
-                self._applied += take
-                budget -= take
-                if take == len(vals):
-                    self._apply_backlog.popleft()
-                else:
-                    self._apply_backlog[0] = (start + take, vals[take:])
-        else:
-            decode = self.spec.decode
-            init = self.spec.init
-            while budget > 0 and self._apply_backlog:
-                start, words = self._apply_backlog[0]
-                take = min(budget, len(words))
-                if self._phase == INIT_CONST:
-                    for i in range(take):
-                        self._const_bram[start + i] = float(words[i])
-                else:
-                    for i in range(take):
-                        index = start + i
-                        self._bram[index] = init(
-                            self._const_bram[index], decode(words[i])
-                        )
-                self._applied += take
-                budget -= take
-                if take == len(words):
-                    self._apply_backlog.popleft()
-                else:
-                    self._apply_backlog[0] = (start + take, words[take:])
+        target = (self._const_bram if self._phase == INIT_CONST
+                  else self._bram)
+        while budget > 0 and self._apply_backlog:
+            start, vals = self._apply_backlog[0]
+            take = min(budget, len(vals))
+            target[start:start + take] = vals[:take]
+            self._applied += take
+            budget -= take
+            if take == len(vals):
+                self._apply_backlog.popleft()
+            else:
+                self._apply_backlog[0] = (start + take, vals[take:])
         if self._applied == self._n_local and \
                 self._rd_requested == self._rd_total and \
                 self._rd_burst_outstanding == 0:
@@ -904,25 +844,12 @@ class ProcessingElement(Component):
     def _start_writeback(self):
         self._set_phase(WRITEBACK)
         n = self._n_local
-        apply_enc_vec = self.spec.apply_enc_vec
-        if apply_enc_vec is not None:
-            # Whole-interval apply+encode in one columnar pass; the
-            # hooks keep the per-node operation order so the resulting
-            # words are bit-identical to the apply/encode fallback
-            # below (float64 elementwise IEEE ops, then the same
-            # f32/u32 narrowing per lane).
-            words = apply_enc_vec(
-                self._bram[:n], self._const_bram[:n], self._base_const
-            )
-        else:
-            apply_fn = self.spec.apply
-            encode = self.spec.encode
-            words = np.zeros(n, dtype=np.uint32)
-            for i in range(n):
-                words[i] = encode(
-                    apply_fn(self._bram[i], self._const_bram[i],
-                             self._base_const)
-                )
+        # Whole-interval apply+encode in one columnar pass; the hook
+        # keeps the per-node operation order, so the words are
+        # bit-identical to apply/encode run node by node.
+        words = self.spec.apply_enc_vec(
+            self._bram[:n], self._const_bram[:n], self._base_const
+        )
         self._wb_words = words
         self._wb_sent = 0
         self._wb_acks_expected = 0

@@ -49,8 +49,9 @@ class AlgorithmSpec:
     global_const: Callable = None  # (graph) -> scalar passed to init
 
     # Columnar forms of the per-node hooks, bit-identical element for
-    # element.  Optional -- a PE runs the per-node hooks for a spec that
-    # omits them.
+    # element -- the only forms the PE runs.  A spec that omits one gets
+    # it derived from the per-node hooks at construction (see
+    # __post_init__).
     init_vec: Optional[Callable] = None
     """(const float64 slice, dram uint32 words) -> float64 BRAM values."""
     apply_enc_vec: Optional[Callable] = None
@@ -64,6 +65,30 @@ class AlgorithmSpec:
     # ``get_spec`` fills this in; hand-built specs stay unpicklable and
     # get a clear error at snapshot time.
     recipe: Optional[tuple] = None
+
+    def __post_init__(self):
+        # The derived forms run the per-node hooks element by element in
+        # node order, exactly the loop a PE would run over them.
+        if self.init_vec is None:
+            init, decode = self.init, self.decode
+
+            def init_vec(const, words):
+                values = np.zeros(len(words), dtype=np.float64)
+                for i, word in enumerate(words.tolist()):
+                    values[i] = init(const[i], decode(word))
+                return values
+
+            self.init_vec = init_vec
+        if self.apply_enc_vec is None:
+            apply, encode = self.apply, self.encode
+
+            def apply_enc_vec(bram, const, base):
+                words = np.zeros(len(bram), dtype=np.uint32)
+                for i in range(len(bram)):
+                    words[i] = encode(apply(bram[i], const[i], base))
+                return words
+
+            self.apply_enc_vec = apply_enc_vec
 
     def __reduce__(self):
         if not self.recipe:

@@ -118,9 +118,7 @@ _SPACE_ATTRS = frozenset({"_space_subs", "_space_requests"})
 # internals are the scheduler's contract, not the fused kernel's, and
 # the kernel-visible operations on them (push/pop/wake) are checked at
 # the call site by name.
-_SKIP_CLASSES = frozenset({
-    "Channel", "SoaChannel", "DelayLine", "Engine",
-})
+_SKIP_CLASSES = frozenset({"Channel", "DelayLine", "Engine"})
 
 
 def _terminates(body):

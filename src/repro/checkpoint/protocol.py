@@ -108,7 +108,7 @@ def _register_all():
     )
     from repro.mem.interleave import AddressInterleaver
     from repro.mem.system import MemorySystem
-    from repro.sim.channel import Channel, DelayLine, SoaChannel
+    from repro.sim.channel import Channel, DelayLine
     from repro.sim.engine import Engine
     from repro.sim.probe import Probe
     from repro.telemetry.collector import (
@@ -124,7 +124,6 @@ def _register_all():
         # simulation kernel
         (Engine, "now/counters, wake set, timer heap, channel list"),
         (Channel, "ring buffer, head/visible/staged cursors, waiters"),
-        (SoaChannel, "as Channel plus struct-of-arrays field columns"),
         (DelayLine, "in-flight (ready_time, token) queue"),
         (Probe, "observer tuple; event bindings rebuilt on restore"),
         # accelerator
@@ -138,7 +137,7 @@ def _register_all():
         (AlgorithmSpec, "rebuilt from its get_spec recipe (closures)"),
         (ArchitectureConfig, "frozen sizing parameters"),
         # MOMS core
-        (MemoryHierarchy, "banks, crossbars, ports, kernel mode"),
+        (MemoryHierarchy, "banks, crossbars, ports"),
         (MomsBank, "pipeline state, drain cursors, stats"),
         (BankParams, "frozen sizing"),
         (BankStats, "counters"),

@@ -17,17 +17,14 @@ Response path: on line return, free the MSHR, fill the cache (if any),
 then serve the pending subentries one per cycle.
 
 The bank moves tokens exclusively through the channel *fields API*
-(``front_request`` / ``push_response`` / ``pop_line``), so it works
-identically over plain object channels (pooled tokens) and the
-struct-of-arrays PE ports of the private and two-level hierarchies.
+(``front_request`` / ``push_response`` / ``pop_line``), so its
+tokens are pooled and recycled rather than allocated per request.
 All backpressure stalls arm one-shot space wakes on the specific full
 channel instead of subscribing statically, so a draining response port
 no longer wakes a bank with nothing to send.
 """
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro.core.cache import CacheArray
 from repro.core.mshr import AssociativeMshrFile, CuckooMshrFile
@@ -267,16 +264,7 @@ class MomsBank(Component):
         self.stats.lines_returned += 1
         chain = entry.subentry_head
         self._drain_chain = chain
-        # The per-response addresses fall out of one numpy add over the
-        # offset column for the long coalesced chains that are the
-        # paper's whole point; below ~16 subentries a list
-        # comprehension is cheaper.
-        offsets = chain.offset
-        if len(offsets) >= 16:
-            addrs = (addr + np.asarray(offsets, dtype=np.int64)).tolist()
-        else:
-            addrs = [addr + offset for offset in offsets]
-        self._drain_addrs = addrs
+        self._drain_addrs = [addr + offset for offset in chain.offset]
         self._drain_index = 0
         self._drain_data = data
         self._drain_base = addr
@@ -320,32 +308,6 @@ class MomsBank(Component):
 
     # -- request path -----------------------------------------------------
 
-    def _prime_queue_slots(self):
-        """Batch-hash every queued request's line.
-
-        When the head request's line has no memoized cuckoo slots yet,
-        the lines of *all* visible queued requests are hashed in one
-        numpy splitmix64 pass (see ``CuckooMshrFile.prime_slots``), so
-        the per-request lookups that follow are all memo hits.  Reads
-        the request ring directly -- SoA address column when the port
-        is a :class:`~repro.sim.SoaChannel`, token objects otherwise --
-        and touches no architectural state.
-        """
-        req_in = self.req_in
-        head = req_in._head
-        mask = req_in._mask
-        n = req_in._visible
-        line_bytes = self.params.line_bytes
-        col = getattr(req_in, "_col_addr", None)
-        if col is not None:
-            lines = {col[(head + i) & mask] // line_bytes
-                     for i in range(n)}
-        else:
-            ring = req_in._ring
-            lines = {ring[(head + i) & mask].addr // line_bytes
-                     for i in range(n)}
-        self.mshrs.prime_slots(lines)
-
     def _handle_request(self):
         """Process the head request; returns one of the outcome codes.
 
@@ -383,13 +345,6 @@ class MomsBank(Component):
                                      self._engine.now)
             return _PROGRESS
 
-        # Batch-hash the queued lines only when the backlog is deep: the
-        # splitmix64 batch then covers many future memo hits, while a
-        # shallow queue would pay the ring walk for one or two lines
-        # that the per-line memo hashes just as fast.
-        if self._stateful_mshrs and req_in._visible >= 16 \
-                and line_addr not in self.mshrs._slot_cache:
-            self._prime_queue_slots()
         subentry = (req_id, port, offset, size)
         entry = self.mshrs.lookup(line_addr)
         if entry is not None:

@@ -30,7 +30,7 @@ from repro.fabric.design import (
     MOMS_TWO_LEVEL,
 )
 from repro.mem.dram import LINE_BYTES, _acquire_request
-from repro.sim import Channel, SoaChannel
+from repro.sim import Channel
 
 
 def _route_by_port(response):
@@ -269,24 +269,12 @@ class MemoryHierarchy:
         if self.floorplan is not None:
             self._pe_dies = self.floorplan.assign_pes(design.n_pes)
         depth = self.queue_depth
-        # Private and two-level organizations connect these ports
-        # straight to a bank, so both ends speak the fields API and the
-        # tokens can live in struct-of-arrays columns.  The shared
-        # organization moves them opaquely through crossings, crossbars
-        # and forwarding arbiters and keeps plain object channels.
-        soa = design.organization != MOMS_SHARED
         self.pe_req_ports = [
-            engine.add_channel(
-                SoaChannel(depth, name=f"pe{pe}.req", kind="request")
-                if soa else Channel(depth, name=f"pe{pe}.req")
-            )
+            engine.add_channel(Channel(depth, name=f"pe{pe}.req"))
             for pe in range(design.n_pes)
         ]
         self.pe_resp_ports = [
-            engine.add_channel(
-                SoaChannel(depth * 2, name=f"pe{pe}.resp", kind="response")
-                if soa else Channel(depth * 2, name=f"pe{pe}.resp")
-            )
+            engine.add_channel(Channel(depth * 2, name=f"pe{pe}.resp"))
             for pe in range(design.n_pes)
         ]
 

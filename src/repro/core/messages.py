@@ -97,7 +97,7 @@ def reset_pool_counters():
 
 
 def _bind_channel_module():
-    # repro.sim.channel's object-mode fields API recycles these exact
+    # repro.sim.channel's fields API recycles these exact
     # classes but cannot import this module at its own import time; we
     # are imported strictly after repro.sim, so inject the bindings.
     from repro.sim import channel as _channel

@@ -15,7 +15,40 @@ Two implementations:
 
 from dataclasses import dataclass, field
 
-from repro.sim.kernels import lcg_jump, splitmix64_slots, victim_ways_batch
+#: Victim-way LCG: ``state = state * A + C mod 2**64``, way
+#: ``(state >> 33) % n_ways``.
+_LCG_A = 6364136223846793005
+_LCG_C = 1442695040888963407
+_LCG_MASK = (1 << 64) - 1
+
+
+def _lcg_step(state):
+    """One draw of the cuckoo victim-way LCG."""
+    return (state * _LCG_A + _LCG_C) & _LCG_MASK
+
+
+def lcg_jump(seed, n):
+    """State after *n* draws of the victim-way LCG, in O(log n).
+
+    Binary jump-ahead (Brown's algorithm): composing the affine map
+    ``x -> A*x + C`` with itself squares ``A`` and folds the offset as
+    ``C -> C * (A + 1)``, so any draw count is a walk over the bits of
+    *n*.  Bit-identical to *n* single advances -- this is how a fused
+    retry run that ``CuckooMshrFile._dead_end`` proves hopeless commits
+    thousands of guaranteed failing draws without generating any of
+    them.
+    """
+    a, c = _LCG_A, _LCG_C
+    ja, jc = 1, 0  # identity map, composed up to f^n
+    while n > 0:
+        if n & 1:
+            # Apply the current power after the accumulated jump.
+            ja = (ja * a) & _LCG_MASK
+            jc = (jc * a + c) & _LCG_MASK
+        c = (c * (a + 1)) & _LCG_MASK
+        a = (a * a) & _LCG_MASK
+        n >>= 1
+    return (seed * ja + jc) & _LCG_MASK
 
 
 @dataclass(slots=True)
@@ -74,7 +107,7 @@ class CuckooMshrFile:
         rng_state = seed * 2654435761 % (1 << 32) or 1
         self._multipliers = []
         for _ in range(n_ways):
-            rng_state = (rng_state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
+            rng_state = _lcg_step(rng_state)
             self._multipliers.append((rng_state >> 16) | 1)
         self._victim_state = rng_state ^ 0x9E3779B97F4A7C15
         self.occupancy = 0
@@ -104,24 +137,6 @@ class CuckooMshrFile:
             slots = tuple(out)
             self._slot_cache[line_addr] = slots
         return slots
-
-    def prime_slots(self, line_addrs):
-        """Batch-fill the slot memo for *line_addrs*.
-
-        One numpy splitmix64 pass computes the candidate slots of every
-        yet-unhashed line at once; subsequent ``_slots`` calls are memo
-        hits.  Purely a precomputation -- no stats, no table state --
-        so a primed file evolves exactly like an unprimed one.
-        """
-        cache = self._slot_cache
-        fresh = [la for la in line_addrs if la not in cache]
-        if not fresh:
-            return
-        rows = splitmix64_slots(
-            fresh, self._multipliers, self.way_size
-        ).tolist()
-        for line_addr, row in zip(fresh, rows):
-            cache[line_addr] = tuple(row)
 
     def lookup(self, line_addr):
         """Return the entry for *line_addr* or None."""
@@ -179,9 +194,7 @@ class CuckooMshrFile:
                 return None
             # All full: displace a pseudo-randomly chosen victim way so
             # kick chains explore the table instead of looping.
-            self._victim_state = (
-                self._victim_state * 6364136223846793005 + 1442695040888963407
-            ) % (1 << 64)
+            self._victim_state = _lcg_step(self._victim_state)
             way = (self._victim_state >> 33) % self.n_ways
             slot = slots[way]
             resident = tables[way][slot]
@@ -258,76 +271,66 @@ class CuckooMshrFile:
         ``lcg_jump``.  Otherwise consecutive attempts are *not*
         automatically failures -- a different victim-way draw can place
         the entry with the table unchanged -- so each attempt is
-        dry-run against an overlay view of the table (displacements
-        recorded as ``(way, slot) -> carried line address``, nothing
-        touched until the attempt's verdict is known).  The run stops
-        before the first attempt that would succeed and commits the k
-        failing attempts in bulk: ``_victim_state`` jumped
-        ``k * (max_kicks + 1)`` draws (precomputed by numpy
-        ``lcg_batch`` passes), ``insert_failures += k``.  Returns k; the
-        caller replays the next, possibly succeeding, attempt on a real
-        tick.
+        dry-run by :meth:`_attempt_fails`, drawing its victim ways with
+        the same LCG step as :meth:`insert`.  The run stops before the
+        first attempt that would succeed and commits the k failing
+        attempts: ``_victim_state`` after their ``k * (max_kicks + 1)``
+        draws, ``insert_failures += k``.  Returns k; the caller replays
+        the next, possibly succeeding, attempt on a real tick.
         """
-        steps = self.max_kicks + 1
-        tables = self._tables
-        n_ways = self.n_ways
-        failures = 0
-        state = self._victim_state
-        committed = state
-        placed = False
         if self._dead_end(line_addr):
             # Retry storm that provably cannot place (a full table, or
             # no empty slot in the line's closure), and
             # no slot can free up inside the silent window (removals
             # only happen on real drain ticks): every attempt shuffles
             # residents and unwinds.  The whole run collapses to the
-            # PRNG advance: budget * steps draws, jumped in O(log n).
-            failures = budget
-            committed = lcg_jump(state, budget * steps)
-            self._victim_state = committed
-            self.stats.insert_failures += failures
-            return failures
-        chunk = 4
-        while failures < budget and not placed:
-            # Chunked so a short run doesn't pay for budget*steps draws
-            # up front; geometric growth keeps the numpy setup cost
-            # proportional to the run actually found, and each chunk
-            # reseeds from the last committed state, so the draw
-            # sequence is identical.
-            n_attempts = min(budget - failures, chunk)
-            chunk = min(chunk * 2, 64)
-            ways_seq, states = victim_ways_batch(
-                state, n_attempts * steps, n_ways
+            # PRNG advance: budget * (max_kicks + 1) draws, jumped in
+            # O(log n).
+            self._victim_state = lcg_jump(
+                self._victim_state, budget * (self.max_kicks + 1)
             )
-            for attempt in range(n_attempts):
-                carried_addr = line_addr
-                view = {}
-                base = attempt * steps
-                for kick in range(steps):
-                    slots = self._slots(carried_addr)
-                    for way in range(n_ways):
-                        if ((way, slots[way]) not in view
-                                and tables[way][slots[way]] is None):
-                            placed = True
-                            break
-                    if placed:
-                        break
-                    way = ways_seq[base + kick]
-                    slot = slots[way]
-                    occupant = view.get((way, slot))
-                    if occupant is None:
-                        occupant = tables[way][slot].line_addr
-                    view[(way, slot)] = carried_addr
-                    carried_addr = occupant
-                if placed:
-                    break
-                failures += 1
-                committed = int(states[base + steps - 1])
-            state = committed
+            self.stats.insert_failures += budget
+            return budget
+        state = self._victim_state
+        failures = 0
+        while failures < budget:
+            after = self._attempt_fails(line_addr, state)
+            if after is None:
+                break
+            state = after
+            failures += 1
         if failures:
-            self._victim_state = committed
+            self._victim_state = state
             self.stats.insert_failures += failures
         return failures
+
+    def _attempt_fails(self, line_addr, state):
+        """Dry-run one :meth:`insert` of *line_addr* from victim *state*.
+
+        Displacements go to an overlay view (``(way, slot) -> carried
+        line address``); the table is not touched.  A kick only writes
+        into an occupied slot, so the empty slots are the table's own.
+        Returns the victim state after the attempt's draws if it fails,
+        None if it would place the line.
+        """
+        tables = self._tables
+        n_ways = self.n_ways
+        view = {}
+        carried = line_addr
+        for _ in range(self.max_kicks + 1):
+            slots = self._slots(carried)
+            for way, slot in enumerate(slots):
+                if tables[way][slot] is None:
+                    return None
+            state = _lcg_step(state)
+            way = (state >> 33) % n_ways
+            slot = slots[way]
+            occupant = view.get((way, slot))
+            if occupant is None:
+                occupant = tables[way][slot].line_addr
+            view[(way, slot)] = carried
+            carried = occupant
+        return state
 
     def remove(self, line_addr):
         """Free the entry for *line_addr* (line returned and drained)."""

@@ -17,7 +17,6 @@ is exactly the situation the paper's PEs are designed to tolerate.
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.sim.kernels import fifo_service_starts
 from repro.sim import Channel, Component
 
 LINE_BYTES = 64
@@ -515,7 +514,8 @@ class DramChannel(Component):
         writes and ack scheduling stay per-cycle), keeps at least one
         request visible so the queue's per-cycle commit wake chain
         stays intact, and replays each accept with its own cycle value
-        via :meth:`_accept_one`.
+        via :meth:`_accept_one` -- the per-cycle accept itself, so the
+        fused run has no second implementation to keep in step.
         """
         if self._probe is not None or self._fault is not None:
             return 0
@@ -561,70 +561,9 @@ class DramChannel(Component):
             k += 1
         if k < 1:
             return 0
-        # Deep backlogs take the batch kernel; below ~16 requests its
-        # numpy setup costs more than the per-request loop.
-        if k >= 16 and self._next_free >= now + k:
-            self._accept_batch(k, now)
-        else:
-            for j in range(k):
-                self._accept_one(now + j)
+        for j in range(k):
+            self._accept_one(now + j)
         return k
-
-    def _accept_batch(self, k, now):
-        """Batch accept kernel: *k* queued reads on a backlogged bus.
-
-        Only valid when ``_next_free`` stays at or ahead of every
-        accept cycle (caller-checked), so each request's start time is
-        ``next_free`` plus the cumulative service of the requests
-        before it -- one ``fifo_service_starts`` pass -- and the stats
-        become whole-batch reductions.  Bit-identical to *k*
-        consecutive :meth:`_accept_one` calls; reachable only with the
-        fault and probe slots unset, so the recycle below matches
-        the per-cycle path exactly.
-        """
-        req = self.req
-        timings = self.timings
-        stats = self.stats
-        latency = timings.latency
-        visible0 = req._visible
-        requests = [req.pop() for _ in range(k)]
-        beats = [r.beats for r in requests]
-        cpbs = [timings.cycles_per_beat(r.kind) for r in requests]
-        services = [b * c for b, c in zip(beats, cpbs)]
-        starts = fifo_service_starts(self._next_free, services)
-        pool = MemRequest._pool
-        depth = visible0 + self._sched_beats
-        peak = stats.peak_queue
-        singles = 0
-        lines_single = 0
-        for j, request in enumerate(requests):
-            n = beats[j]
-            self._schedule_segment(
-                int(starts[j]) + latency, cpbs[j], n, request.addr,
-                request.tag, request.respond_to, now + j,
-            )
-            # Same post-pop depth _accept_one computes: one fewer
-            # queued request, this request's beats now scheduled.
-            depth += n - 1
-            if depth > peak:
-                peak = depth
-            if request.kind == "single":
-                singles += 1
-                lines_single += n
-            request.data = None
-            request.tag = None
-            request.respond_to = None
-            pool.append(request)
-        total_beats = sum(beats)
-        total_service = sum(services)
-        self._next_free = int(starts[-1]) + services[-1]
-        stats.bytes_read += total_beats * LINE_BYTES
-        stats.busy_cycles += total_service
-        stats.reads_single += singles
-        stats.reads_burst += k - singles
-        stats.lines_single += lines_single
-        stats.lines_burst += total_beats - lines_single
-        stats.peak_queue = peak
 
     def _schedule(self, ready_time, response, respond_to):
         if self._scheduled and ready_time < self._tail_ready():

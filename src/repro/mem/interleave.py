@@ -7,8 +7,6 @@ local address) pair and can split multi-granule bursts into the
 per-channel pieces they touch.
 """
 
-from repro.sim.kernels import channels_of_batch
-
 DEFAULT_GRANULE = 2048
 
 
@@ -26,14 +24,6 @@ class AddressInterleaver:
     def channel_of(self, addr):
         """Channel that owns global byte address *addr*."""
         return (addr // self.granule) % self.n_channels
-
-    def channels_of(self, addrs):
-        """Owning channel per address in *addrs*, as an int64 array.
-
-        The columnar form of :meth:`channel_of`: one integer-arithmetic
-        numpy pass instead of a per-address division loop.
-        """
-        return channels_of_batch(addrs, self.granule, self.n_channels)
 
     def to_local(self, addr):
         """Translate a global address to (channel, channel-local address)."""

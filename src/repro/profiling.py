@@ -16,7 +16,7 @@ Output is three tables:
   machinery's tick fraction, and steady-state token allocations per
   simulated cycle (near zero when the freelists are circulating).
 
-The perf work in this tree (SoA channels, token pooling, batched
+The perf work in this tree (ring channels, token pooling, columnar
 kernels) is measured against exactly this view; keep using it before
 and after any hot-path change.
 """

@@ -9,13 +9,25 @@ component tick order.  :class:`DelayLine` models fixed-latency pipes
 component is stalled on a pending latency are skipped in O(log timers).
 """
 
-from repro.sim.channel import Channel, DelayLine, SoaChannel
+from repro.sim.channel import Channel, DelayLine
 from repro.sim.engine import (
     Component,
     CycleLimitError,
     DeadlockError,
     Engine,
 )
+
+_NUMPY_HELP = (
+    "numpy is required by the repro core simulator: the functional "
+    "memory store is a numpy byte buffer and the MOMS/DRAM/PE batch "
+    "kernels operate on numpy arrays.  There is no numpy-free "
+    "fallback.  Install it with `pip install numpy`."
+)
+
+try:
+    import numpy
+except ImportError as exc:  # pragma: no cover - exercised only sans numpy
+    raise ImportError(_NUMPY_HELP) from exc
 
 __all__ = [
     "Channel",
@@ -24,5 +36,4 @@ __all__ = [
     "DeadlockError",
     "DelayLine",
     "Engine",
-    "SoaChannel",
 ]

@@ -23,13 +23,9 @@ On top of the generic object FIFO sits a *fields API*
 (:meth:`push_request` / :meth:`front_request` / :meth:`pop_request`,
 the ``response`` equivalents, :meth:`pop_line` and :meth:`drop`): hot
 producers and consumers exchange plain field values instead of token
-objects.  On a plain :class:`Channel` the fields API recycles pooled
-``MomsRequest`` / ``MomsResponse`` objects (see
-:mod:`repro.core.messages`); on a :class:`SoaChannel` the fields go
-straight into struct-of-arrays columns and no token object exists at
-all.  Both ends of a channel must agree on the convention, which the
-hierarchy builder guarantees by only using :class:`SoaChannel` on
-direct point-to-point PE<->bank paths.
+objects.  The fields API recycles pooled ``MomsRequest`` /
+``MomsResponse`` objects (see :mod:`repro.core.messages`), so a steady
+stream of tokens allocates nothing.
 
 For the demand-driven engine, channels are also the wake fabric:
 components subscribe to *data* (tokens visible) and *space* (capacity
@@ -41,7 +37,7 @@ actual token movement.
 
 from collections import deque
 
-# Token classes and freelists for the object-mode fields API.  Bound by
+# Token classes and freelists for the fields API.  Bound by
 # repro.core.messages at its import time (a direct import here would be
 # circular: repro.core.bank imports repro.sim).  While unbound, the
 # fresh-construction fallback below performs the import, which triggers
@@ -439,167 +435,6 @@ class Channel:
     def pending(self):
         """Total tokens in flight (visible + staged)."""
         return self._visible + self._staged_n
-
-
-class SoaChannel(Channel):
-    """Struct-of-arrays channel for direct point-to-point token paths.
-
-    Field values live in parallel preallocated columns (``addr`` /
-    ``size`` / ``port`` integers, plus object columns for ``req_id``
-    and response ``data``), indexed by the same ring arithmetic as the
-    base class; no token object exists between producer and consumer.
-    Used by the hierarchy builder for the PE<->L1 request and response
-    ports of the private and two-level organizations, where one bank
-    owns both ends.  Paths through arbiters, crossbars, or die
-    crossings move tokens opaquely and stay on plain channels.
-
-    The generic object API (:meth:`push` / :meth:`front` / :meth:`pop`)
-    still works -- tokens are decomposed into, and rebuilt from, the
-    columns -- so harness code and fault tooling see a normal channel.
-    ``kind`` ("request" or "response") only matters to that compat
-    layer; the fields API addresses the columns directly.
-    """
-
-    def __init__(self, capacity, name="", kind="request"):
-        if kind not in ("request", "response"):
-            raise ValueError(f"unknown SoA channel kind {kind!r}")
-        super().__init__(capacity, name)
-        self.kind = kind
-        size = self._mask + 1
-        self._ring = None  # the object ring is replaced by columns
-        self._col_addr = [0] * size
-        self._col_size = [0] * size
-        self._col_rid = [None] * size
-        self._col_port = [0] * size
-        self._col_data = [None] * size
-
-    def _grow_ring(self, capacity):
-        count = self._visible + self._staged_n
-        old_mask, head = self._mask, self._head
-        size = _ring_size_for(capacity)
-        for attr in ("_col_addr", "_col_size", "_col_rid", "_col_port",
-                     "_col_data"):
-            old = getattr(self, attr)
-            fresh = ([0] * size if attr in ("_col_addr", "_col_size",
-                                            "_col_port") else [None] * size)
-            for i in range(count):
-                fresh[i] = old[(head + i) & old_mask]
-            setattr(self, attr, fresh)
-        self._mask = size - 1
-        self._head = 0
-
-    # -- fields API against the columns -------------------------------------
-
-    def _stage_slot(self):
-        staged = self._staged_n
-        if self._occ + staged >= self.capacity:
-            raise OverflowError(f"push to full channel {self.name!r}")
-        self._staged_n = staged + 1
-        self.total_pushed += 1
-        engine = self._engine
-        if engine is not None and not self._dirty:
-            self._dirty = True
-            engine._dirty_channels.append(self)
-        return (self._head + self._visible + staged) & self._mask
-
-    def _advance(self):
-        visible = self._visible
-        if not visible:
-            raise IndexError(f"pop from empty channel {self.name!r}")
-        head = self._head
-        self._head = (head + 1) & self._mask
-        self._visible = visible - 1
-        self.total_popped += 1
-        engine = self._engine
-        if engine is not None and not self._dirty:
-            self._dirty = True
-            engine._dirty_channels.append(self)
-        return head
-
-    def push_request(self, addr, size, req_id, port):
-        i = self._stage_slot()
-        self._col_addr[i] = addr
-        self._col_size[i] = size
-        self._col_rid[i] = req_id
-        self._col_port[i] = port
-
-    def front_request(self):
-        if not self._visible:
-            raise IndexError(f"front of empty channel {self.name!r}")
-        i = self._head
-        return (self._col_addr[i], self._col_size[i],
-                self._col_rid[i], self._col_port[i])
-
-    def pop_request(self):
-        i = self._advance()
-        return (self._col_addr[i], self._col_size[i],
-                self._col_rid[i], self._col_port[i])
-
-    def push_response(self, req_id, addr, data, port):
-        i = self._stage_slot()
-        self._col_rid[i] = req_id
-        self._col_addr[i] = addr
-        self._col_data[i] = data
-        self._col_port[i] = port
-
-    def front_response(self):
-        if not self._visible:
-            raise IndexError(f"front of empty channel {self.name!r}")
-        i = self._head
-        return (self._col_rid[i], self._col_addr[i],
-                self._col_data[i], self._col_port[i])
-
-    def pop_response(self):
-        i = self._advance()
-        return (self._col_rid[i], self._col_addr[i],
-                self._col_data[i], self._col_port[i])
-
-    def drop(self):
-        self._advance()
-
-    def pop_line(self):
-        i = self._advance()
-        return (self._col_addr[i], self._col_data[i])
-
-    # -- object-API compatibility layer --------------------------------------
-
-    def push(self, item):
-        if self.kind == "request":
-            self.push_request(item.addr, item.size, item.req_id, item.port)
-        else:
-            self.push_response(item.req_id, item.addr, item.data, item.port)
-
-    def push_many(self, items):
-        if not self.can_push_n(len(items)):
-            raise OverflowError(
-                f"push of {len(items)} tokens to full channel {self.name!r}"
-            )
-        for item in items:
-            # simlint: disable=R2 -- this IS the bulk API: one capacity
-            # check above, then self.push routes each token into the
-            # SoA field columns (object-API compatibility shim).
-            self.push(item)
-
-    def _rebuild(self, i):
-        if self.kind == "request":
-            return _new_request(self._col_addr[i], self._col_size[i],
-                                self._col_rid[i], self._col_port[i])
-        return _new_response(self._col_rid[i], self._col_addr[i],
-                             self._col_data[i], self._col_port[i])
-
-    def front(self):
-        if not self._visible:
-            raise IndexError(f"front of empty channel {self.name!r}")
-        return self._rebuild(self._head)
-
-    def pop(self):
-        return self._rebuild(self._advance())
-
-    def pop_many(self, limit=None):
-        n = self._visible
-        if limit is not None and limit < n:
-            n = limit
-        return [self.pop() for _ in range(n)]
 
 
 class DelayLine:

@@ -1,13 +1,15 @@
-"""Differential tests: batch kernels vs the per-element steps they batch.
+"""Differential tests: columnar structures vs the per-element models.
 
-Every columnar structure is bit-identical to the one-element-at-a-time
-model it replaces (DESIGN.md 6.6).  These tests enforce that the hard
-way: seeded random operation sequences (>=10k ops per structure) drive
-a batch kernel and its per-element reference and assert equal state
-after every step -- same tables, same stats, same delivered beats on
-the same cycles -- and whole systems reproduce the state the
-per-element (scalar) kernels recorded before they were retired,
-including under fault plans (MSHR-full windows, DRAM blackouts).
+The subentry store keeps its chains as field columns and the DRAM
+schedule keeps read bursts as arithmetic-progression segments; each is
+bit-identical to the one-element-at-a-time model it replaces
+(DESIGN.md 6.6).  These tests enforce that the hard way: seeded random
+operation sequences (>=10k ops) drive the columnar structure and its
+per-element reference and assert equal state after every step -- same
+rows, same delivered beats on the same cycles -- and whole systems
+reproduce the state the per-element (scalar) kernels recorded before
+they were retired, including under fault plans (MSHR-full windows,
+DRAM blackouts).
 """
 
 import dataclasses
@@ -19,7 +21,6 @@ import pytest
 
 from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
-from repro.core.mshr import CuckooMshrFile
 from repro.core.subentry import SubentryStore
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.faults import FaultPlan
@@ -27,7 +28,6 @@ from repro.faults.plan import FaultState
 from repro.graph import web_graph
 from repro.mem import LINE_BYTES, DramTimings, MemRequest, MemorySystem
 from repro.sim import Channel, Component, Engine
-from repro.sim.kernels import splitmix64_slots
 
 SEED = 20210614  # ISCA'21 -- any fixed seed works, this one is ours
 
@@ -58,66 +58,6 @@ SCALAR_FAULTED = {
         41931,
         "ab66905160a5450b1431411d4e25515490d635a4292072f20f36a0ac683c1493"),
 }
-
-
-# -- MSHR: batch splitmix64 slots vs the scalar chain ----------------------
-
-
-class TestMshrKernels:
-    def test_batch_slots_match_scalar_chain(self):
-        """10k+ line addresses, batch kernel vs per-address chain."""
-        file = CuckooMshrFile(capacity=4096, n_ways=4, seed=7)
-        rng = np.random.default_rng(SEED)
-        addrs = np.unique(np.concatenate([
-            rng.integers(0, 1 << 20, 6000),
-            rng.integers(0, 1 << 44, 6000),  # >32-bit lines too
-        ]))
-        assert len(addrs) >= 10_000
-        batch = splitmix64_slots(addrs, file._multipliers, file.way_size)
-        for i, line_addr in enumerate(addrs.tolist()):
-            assert tuple(batch[i].tolist()) == file._slots(line_addr)
-
-    def test_primed_file_evolves_identically(self):
-        """Random lookup/insert/remove sequence, primed vs lazy memo.
-
-        ``prime_slots`` (the bank's deep-backlog batch hash) must be a
-        pure precomputation -- the primed file's tables,
-        occupancy, stats, and PRNG state stay equal to the lazy file's
-        after every operation.
-        """
-        lazy = CuckooMshrFile(capacity=512, n_ways=4, seed=3)
-        primed = CuckooMshrFile(capacity=512, n_ways=4, seed=3)
-        rng = np.random.default_rng(SEED + 1)
-        live = []
-        ops = 0
-        while ops < 12_000:
-            batch = rng.integers(0, 4096, rng.integers(1, 32)).tolist()
-            primed.prime_slots(batch)
-            for line_addr in batch:
-                ops += 1
-                roll = rng.random()
-                if live and roll < 0.35:
-                    victim = live.pop(rng.integers(0, len(live)))
-                    assert (lazy.remove(victim).line_addr
-                            == primed.remove(victim).line_addr)
-                elif lazy.lookup(line_addr) is None:
-                    primed.lookup(line_addr)
-                    a = lazy.insert(line_addr)
-                    b = primed.insert(line_addr)
-                    assert (a is None) == (b is None)
-                    if a is not None:
-                        live.append(line_addr)
-                else:
-                    primed.lookup(line_addr)
-                assert lazy.occupancy == primed.occupancy
-                assert lazy._victim_state == primed._victim_state
-                assert lazy.stats.as_dict() == primed.stats.as_dict()
-        snapshot = lambda f: [  # noqa: E731 - local shorthand
-            [e.line_addr if e is not None else None for e in table]
-            for table in f._tables
-        ]
-        assert snapshot(lazy) == snapshot(primed)
-        assert lazy.stats.insert_failures > 0  # sequence stressed kicks
 
 
 # -- Subentry store: columnar chains vs linked rows ------------------------

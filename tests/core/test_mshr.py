@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core import AssociativeMshrFile, CuckooMshrFile
 from repro.core import mshr as mshr_module
-from repro.core.mshr import MshrEntry
-from repro.sim.kernels import lcg_jump
+from repro.core.mshr import MshrEntry, lcg_jump
 
 _LCG_A = 6364136223846793005
 _LCG_C = 1442695040888963407
@@ -214,6 +213,29 @@ class TestDeadEnd:
         if dead:
             assert want == budget
 
+    @given(_cuckoo_files(), st.integers(0, 1 << 20), st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_failing_run_matches_per_cycle_inserts(self, mshrs, offset,
+                                                   budget):
+        """``failing_insert_run`` commits exactly the failures that
+        per-cycle ``insert`` calls make before the first success.
+
+        Budgets above 124 cross every chunk boundary (4 + 8 + 16 + 32 +
+        64 attempts) of the batched victim-way draws the overlay walk
+        once used.
+        """
+        line = 1 << 30 | offset
+        probe, ref = copy.deepcopy(mshrs), copy.deepcopy(mshrs)
+        k = mshrs.failing_insert_run(line, budget)
+        failures = 0
+        while failures < budget and probe.insert(line) is None:
+            failures += 1
+        assert failures == k
+        for _ in range(k):
+            assert ref.insert(line) is None
+        # Tables as line addresses, victim state, occupancy and stats.
+        assert _snapshot(mshrs) == _snapshot(ref)
+
     def test_full_table_is_a_dead_end(self):
         mshrs = CuckooMshrFile(16, n_ways=2)
         _fill_slots(mshrs, _empty_slots(mshrs), 0)
@@ -230,7 +252,7 @@ class TestDeadEnd:
 
     def test_proven_run_commits_without_drawing(self, monkeypatch):
         """A proven dead-end run is one PRNG jump, however long: no
-        victim-way batch is generated for any of its attempts."""
+        victim way is drawn for any of its attempts."""
         mshrs = CuckooMshrFile(16, n_ways=2, max_kicks=32)
         empty = _empty_slots(mshrs)
         _fill_slots(mshrs, empty[1:], 0)
@@ -238,9 +260,9 @@ class TestDeadEnd:
         line = next(la for la in range(1 << 30, (1 << 30) + 10_000)
                     if mshrs._dead_end(la))
         calls = []
-        real = mshr_module.victim_ways_batch
+        real = mshr_module._lcg_step
         monkeypatch.setattr(
-            mshr_module, "victim_ways_batch",
+            mshr_module, "_lcg_step",
             lambda *args: calls.append(args) or real(*args))
         tables, state = _snapshot(mshrs)[0], mshrs._victim_state
         assert mshrs.failing_insert_run(line, 100_000) == 100_000
