@@ -114,6 +114,16 @@ class TestPushManyBoundaries:
         assert ch.pending == 1
         assert ch.total_pushed == 1
 
+    def test_push_many_checks_capacity_once(self):
+        """A batch of request objects that overflows is refused whole:
+        none of its leading entries are staged."""
+        _, ch = engine_with_channel(2)
+        with pytest.raises(OverflowError):
+            ch.push_many([MomsRequest(0, 4), MomsRequest(4, 4),
+                          MomsRequest(8, 4)])
+        assert ch.pending == 0
+        assert ch.total_pushed == 0
+
     def test_boundary_counts_one_around_capacity(self):
         _, ch = engine_with_channel(5)
         assert ch.can_push_n(5)
