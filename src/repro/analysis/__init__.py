@@ -3,8 +3,7 @@
 The reproduction's central claim -- bit-identical cycle counts across
 engines, pooling, telemetry, and fault replays -- rests on coding
 contracts (no wall-clock in tick paths, bulk channel APIs, freelist
-pooling, is-None-gated hooks, silent fused cycles) that this package
-enforces statically.  See DESIGN.md 6.5 for the catalog and policy,
+pooling, slotted tokens) that this package enforces statically.  See DESIGN.md 6.5 for the catalog and policy,
 and ``python -m repro lint --list-rules`` for the live inventory.
 
 Public surface:

@@ -3,7 +3,7 @@
 Runs the simlint rule catalog (DESIGN.md 6.5) over the source tree::
 
     python -m repro lint                          # text report, src tree
-    python -m repro lint --rules R2,R4            # subset of the catalog
+    python -m repro lint --rules R2,R6            # subset of the catalog
     python -m repro lint --format sarif > out.sarif
     python -m repro lint --fail-on warning        # stricter gate
     python -m repro lint --quick                  # self-check + hot tree
@@ -26,7 +26,7 @@ def add_lint_arguments(parser):
     parser.add_argument(
         "--rules", default=None, metavar="SPEC",
         help="comma-separated rule ids/names to run (default: all; "
-             "e.g. R2,R4 or single-token-channel)",
+             "e.g. R2,R6 or single-token-channel)",
     )
     parser.add_argument(
         "--format", default="text", choices=("text", "json", "sarif"),

@@ -6,8 +6,8 @@ The pipeline is deliberately boring and deterministic:
    paths against the repo root);
 2. parse each exactly once into a :class:`~repro.analysis.source.
    SourceFile` (unparseable files become result errors, not crashes);
-3. build the shared indexes -- the call-graph hot-path classifier and
-   the pooled-token class set -- once for the whole tree;
+3. build the shared indexes -- the hot-path classifier and the
+   pooled-token class set -- once for the whole tree;
 4. run the selected rules, dedup, apply inline suppressions, sort.
 
 Byte-identical output across runs is a tested property: no wall-clock,
@@ -16,7 +16,6 @@ no hash-order dependence, no absolute paths in findings.
 
 import pathlib
 
-from repro.analysis.callgraph import CallGraph
 from repro.analysis.findings import LintResult
 from repro.analysis.hotpath import HOT_PACKAGES, HotPathIndex
 from repro.analysis.rules import discover_pooled_classes, select_rules
@@ -28,22 +27,14 @@ LINT_SCHEMA = 2
 
 
 class LintContext:
-    """Shared read-only state every rule check receives.
+    """Shared read-only state every rule check receives."""
 
-    ``memo`` is a scratch dict for whole-program passes: a rule that
-    computes a tree-wide analysis (R13's fused regions) stashes it here
-    keyed by rule id, because rule instances are shared module
-    singletons while the context is rebuilt per run.
-    """
-
-    __slots__ = ("sources", "hot", "pooled_classes", "callgraph", "memo")
+    __slots__ = ("sources", "hot", "pooled_classes")
 
     def __init__(self, sources, hot, pooled_classes):
         self.sources = sources
         self.hot = hot
         self.pooled_classes = pooled_classes
-        self.callgraph = CallGraph(sources, include_all=hot.force_hot)
-        self.memo = {}
 
     def in_hot_package(self, source):
         """Package-level scope test (fixture trees count as hot)."""
@@ -144,8 +135,8 @@ def run_rules(sources, rules, ctx):
 def lint_paths(paths=None, rules=None, root=None, force_hot=False):
     """Lint files/directories; the main library entry point.
 
-    *rules* is a comma-separated spec ("R2,R4" / "ungated-hook") or a
-    sequence of rule instances; ``None`` runs the whole catalog.
+    *rules* is a comma-separated spec ("R2,R6" / "mutable-default-arg")
+    or a sequence of rule instances; ``None`` runs the whole catalog.
     """
     paths = list(paths) if paths else default_paths()
     if rules is None or isinstance(rules, str):

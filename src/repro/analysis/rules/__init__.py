@@ -2,7 +2,7 @@
 
 Rules are ordered by id; DESIGN.md 6.5 documents the catalog with the
 rationale each rule carries in code.  Selection accepts either the id
-("R4") or the slug name ("ungated-hook"), case-insensitively.
+("R6") or the slug name ("mutable-default-arg"), case-insensitively.
 """
 
 from repro.analysis.rules.channels import SingleTokenChannelRule
@@ -10,24 +10,21 @@ from repro.analysis.rules.determinism import (
     FloatCycleCompareRule,
     NondeterminismRule,
 )
-from repro.analysis.rules.hooks import MutableDefaultRule, UngatedHookRule
+from repro.analysis.rules.defaults import MutableDefaultRule
 from repro.analysis.rules.pooling import (
     DirectTokenConstructionRule,
     MissingSlotsRule,
     discover_pooled_classes,
 )
-from repro.analysis.rules.fusion import FusionPurityRule
 
 ALL_RULES = tuple(sorted(
     (
         NondeterminismRule(),
         SingleTokenChannelRule(),
         DirectTokenConstructionRule(),
-        UngatedHookRule(),
         FloatCycleCompareRule(),
         MutableDefaultRule(),
         MissingSlotsRule(),
-        FusionPurityRule(),
     ),
     key=lambda rule: int(rule.id[1:]),
 ))

@@ -11,7 +11,7 @@ import ast
 import re
 
 
-# ``# simlint: disable=R1,R4 -- justification`` -- trailing on the
+# ``# simlint: disable=R1,R5 -- justification`` -- trailing on the
 # offending line, or standalone on the line directly above it.  The
 # justification after ``--`` is required by policy (DESIGN.md 6.5) but
 # not enforced mechanically; review enforces it.

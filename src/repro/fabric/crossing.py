@@ -46,11 +46,6 @@ class DieCrossing(Component):
         inp.subscribe_data(self)
         self._line.subscribe_data(self)
 
-    def _credits_available(self):
-        # Tokens in the registers plus tokens already waiting in the
-        # output queue must never exceed the queue capacity.
-        return len(self._line) + self.out.pending < self.out.capacity
-
     def tick(self, engine):
         # Hot path: runs every cycle for every crossing; reach into the
         # primitives directly to avoid method-call overhead.
@@ -69,7 +64,10 @@ class DieCrossing(Component):
             else:
                 out.request_space_wake(self)
         if self.inp._visible:
-            if len(flight) + out._visible + out._staged_n < out.capacity:
+            # Credits count the receive queue's registered occupancy,
+            # which a same-cycle pop by its consumer does not lower, so
+            # admission does not depend on registration order.
+            if len(flight) + out._occ + out._staged_n < out.capacity:
                 line.push(self.inp.pop())
             else:
                 # Credits exhausted: they free when the receive queue
@@ -79,10 +77,6 @@ class DieCrossing(Component):
 
     def is_idle(self):
         return len(self._line) == 0
-
-    def next_event_time(self):
-        """Cycle at which the head register token matures, or None."""
-        return self._line.next_event_time()
 
 
 def cross_link(engine, capacity, hops, name="link"):

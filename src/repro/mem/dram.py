@@ -427,18 +427,11 @@ class DramChannel(Component):
         return delivered
 
     def _accept(self, engine):
-        if self.req._visible:
-            self._accept_one(engine.now)
-
-    def _accept_one(self, now):
-        """Accept the head request at cycle *now* (one per cycle).
-
-        Factored out of :meth:`_accept` so a fused run can replay the
-        exact per-cycle accept with each silent cycle's clock value --
-        *now* is a parameter precisely so ``step_n`` never reads
-        ``engine.now`` per element.
-        """
+        """Accept the head request, if any (one per cycle)."""
         req = self.req
+        if not req._visible:
+            return
+        now = engine.now
         request = req.pop()
         timings = self.timings
         stats = self.stats
@@ -500,70 +493,6 @@ class DramChannel(Component):
         request.tag = None
         request.respond_to = None
         MemRequest._pool.append(request)
-
-    def step_n(self, engine, budget):
-        """Fused-tick protocol (see ``repro.sim.Component.step_n``).
-
-        The multi-cycle run a DRAM channel performs under a stable
-        singleton wake set is the accept drain: one queued request
-        popped per cycle while no response beat is deliverable -- the
-        schedule head is either still maturing (the engine's timer
-        horizon already bounds *budget* below it) or head-of-line
-        blocked on a full requester FIFO that nothing can drain during
-        silent cycles.  The batch stops before the first write (store
-        writes and ack scheduling stay per-cycle), keeps at least one
-        request visible so the queue's per-cycle commit wake chain
-        stays intact, and replays each accept with its own cycle value
-        via :meth:`_accept_one` -- the per-cycle accept itself, so the
-        fused run has no second implementation to keep in step.
-        """
-        if self._probe is not None or self._fault is not None:
-            return 0
-        req = self.req
-        visible = req._visible
-        if visible < 2 or req._space_subs or req._space_requests:
-            return 0
-        now = engine.now
-        limit = budget
-        scheduled = self._scheduled
-        if scheduled:
-            head = scheduled[0]
-            if type(head) is tuple:
-                head_time, _, respond_to = head
-            else:
-                head_time, respond_to = head.t_next, head.respond_to
-            if head_time <= now:
-                # Due head: fusable only while head-of-line blocked on
-                # a full requester FIFO; deliverable or evaporating
-                # heads do real work every cycle.
-                if respond_to is None or respond_to.free_slots() > 0:
-                    return 0
-            elif head_time - now < limit:
-                # Belt and braces: _arm's wake_at already put this
-                # maturity in the engine's timer heap, which clamps the
-                # budget -- but don't depend on that invariant here.
-                limit = head_time - now
-        else:
-            # Empty schedule: newly accepted beats mature no earlier
-            # than now + latency + 1, past any in-window cycle.
-            if self.timings.latency < limit:
-                limit = self.timings.latency
-        m = visible - 1
-        if limit < m:
-            m = limit
-        if m < 1:
-            return 0
-        ring = req._ring
-        head_i = req._head
-        mask = req._mask
-        k = 0
-        while k < m and not ring[(head_i + k) & mask].is_write:
-            k += 1
-        if k < 1:
-            return 0
-        for j in range(k):
-            self._accept_one(now + j)
-        return k
 
     def _schedule(self, ready_time, response, respond_to):
         if self._scheduled and ready_time < self._tail_ready():

@@ -2,7 +2,7 @@
 
 This replaces tests/test_hot_path_lint.py: the one ad-hoc AST rule it
 carried (single-token channel calls in hot loops) is now simlint R2,
-generalized to the call-graph hot set, and the whole catalog runs
+generalized to the hot-path classifier's hot set, and the whole catalog runs
 repo-wide.  A regression shows up as a named file:line in the assert
 message instead of a slow benchmark or a flaky replay.
 """

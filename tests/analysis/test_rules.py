@@ -178,114 +178,6 @@ class TestPoolingR3:
         assert not lint_text(good, rules="R3").findings
 
 
-class TestHookGatingR4:
-    def test_alias_guard_recognized(self):
-        good = (
-            "def tick(self, engine):\n"
-            "    probe = self._probe\n"
-            "    if probe is not None:\n"
-            "        probe.bank_tick(self, engine.now)\n"
-        )
-        assert not lint_text(good, rules="R4").findings
-
-    def test_boolop_guard_recognized(self):
-        good = (
-            "def tick(self, engine):\n"
-            "    if self._fault is not None and self._fault.blocked():\n"
-            "        return\n"
-        )
-        assert not lint_text(good, rules="R4").findings
-
-    def test_ternary_is_none_guard_recognized(self):
-        good = (
-            "def tick(self, engine):\n"
-            "    extra = 0 if self._fault is None "
-            "else self._fault.extra_latency(engine.now)\n"
-        )
-        assert not lint_text(good, rules="R4").findings
-
-    def test_wrong_branch_flagged(self):
-        bad = (
-            "def tick(self, engine):\n"
-            "    if self._probe is None:\n"
-            "        self._probe.bank_tick(self, engine.now)\n"
-        )
-        assert lint_text(bad, rules="R4").findings
-
-    def test_truthiness_guard_not_accepted(self):
-        bad = (
-            "def tick(self, engine):\n"
-            "    if self._probe:\n"
-            "        self._probe.bank_tick(self, engine.now)\n"
-        )
-        assert lint_text(bad, rules="R4").findings
-
-    def test_instrumentation_packages_exempt(self):
-        code = (
-            "def check(self, engine):\n"
-            "    self._probe.pe_verify(engine)\n"
-        )
-        assert lint_text(code, rules="R4",
-                         rel="repro/faults/ledger.py").findings == []
-        assert lint_text(code, rules="R4",
-                         rel="repro/core/bank.py").findings
-
-    def test_hook_passed_as_argument_flagged(self):
-        # A helper that dereferences its parameter hides the same
-        # AttributeError one call away; the hand-off needs the gate.
-        bad = (
-            "def emit(probe, event):\n"
-            "    probe.record(event)\n"
-            "def tick(self, engine):\n"
-            "    emit(self._probe, 'bank')\n"
-        )
-        finding = _only(lint_text(bad, rules="R4"))
-        assert finding.line == 4
-        assert "'self._probe' passed to 'emit'" in finding.message
-        guarded = bad.replace(
-            "    emit(self._probe, 'bank')\n",
-            "    if self._probe is not None:\n"
-            "        emit(self._probe, 'bank')\n",
-        )
-        assert not lint_text(guarded, rules="R4").findings
-
-    def test_two_hop_forwarding_flagged(self):
-        text = (
-            "def emit(probe, event):\n"
-            "    probe.record(event)\n"
-            "def relay(sink, event):\n"
-            "    emit(sink, event)\n"
-            "class Bank:\n"
-            "    def tick(self, engine):\n"
-            "        relay(self._probe, 'bank')\n"
-        )
-        finding = _only(lint_text(text, rules="R4"))
-        assert "self._probe" in finding.message
-        assert "'relay'" in finding.message
-
-    def test_keyword_and_alias_arguments_flagged(self):
-        bad = (
-            "def tick(self, engine):\n"
-            "    fault = self._fault\n"
-            "    emit(event='bank', hook=fault)\n"
-        )
-        finding = _only(lint_text(bad, rules="R4"))
-        assert "'_fault'" in finding.message
-
-    def test_hook_argument_in_instrumentation_packages_exempt(self):
-        text = (
-            "def emit(probe, event):\n"
-            "    probe.record(event)\n"
-            "class Bank:\n"
-            "    def tick(self, engine):\n"
-            "        emit(self._probe, 'bank')\n"
-        )
-        assert lint_text(text, rules="R4",
-                         rel="repro/core/bank.py").findings
-        assert not lint_text(text, rules="R4",
-                             rel="repro/telemetry/probe.py").findings
-
-
 class TestFloatCompareR5:
     def test_division_equality_flagged(self):
         finding = _only(lint_text(
@@ -336,86 +228,3 @@ class TestSlotsR7:
             "        self.ways = 4\n"
         )
         assert not lint_text(good, rules="R7").findings
-
-
-class TestFusionPurityStepNBodyR13:
-    """R13's frozen-clock clause on the ``step_n`` body itself."""
-
-    def test_loop_read_in_step_n_flagged(self):
-        bad = (
-            "def step_n(self, engine, budget):\n"
-            "    m = 0\n"
-            "    for _ in range(budget):\n"
-            "        self.trace.append(engine.now + m)\n"
-            "        m += 1\n"
-            "    return m\n"
-        )
-        finding = _only(lint_text(bad, rules="R13"))
-        assert finding.line == 4
-        assert "frozen" in finding.message
-
-    def test_window_base_read_clean(self):
-        good = (
-            "def step_n(self, engine, budget):\n"
-            "    base = engine.now\n"
-            "    m = self.mshrs.failing_insert_run(self.addr, budget,\n"
-            "                                      vec=True)\n"
-            "    self.trace.extend(base + i for i in range(m))\n"
-            "    self.stats.stall_mshr += m\n"
-            "    return m\n"
-        )
-        assert not lint_text(good, rules="R13").findings
-
-    def test_while_loop_read_flagged(self):
-        bad = (
-            "def step_n(self, engine, budget):\n"
-            "    m = 0\n"
-            "    while m < budget:\n"
-            "        self.stamp(engine.now)\n"
-            "        m += 1\n"
-            "    return m\n"
-        )
-        finding = _only(lint_text(bad, rules="R13"))
-        assert "frozen" in finding.message
-
-    def test_comprehension_read_flagged(self):
-        bad = (
-            "def step_n(self, engine, budget):\n"
-            "    self.trace.extend(engine.now for _ in range(budget))\n"
-            "    return budget\n"
-        )
-        assert lint_text(bad, rules="R13").findings
-
-    def test_first_generator_source_allowed(self):
-        good = (
-            "def step_n(self, engine, budget):\n"
-            "    rows = [row for row in self.window(engine.now)]\n"
-            "    return len(rows)\n"
-        )
-        assert not lint_text(good, rules="R13").findings
-
-    def test_loop_condition_read_flagged(self):
-        bad = (
-            "def step_n(self, engine, budget):\n"
-            "    while engine.now < self.deadline:\n"
-            "        self.advance()\n"
-            "    return 0\n"
-        )
-        assert lint_text(bad, rules="R13").findings
-
-    def test_per_cycle_tick_not_covered(self):
-        good = (
-            "def tick(self, engine):\n"
-            "    for item in self.backlog:\n"
-            "        self.stamp(engine.now, item)\n"
-        )
-        assert not lint_text(good, rules="R13").findings
-
-    def test_renamed_engine_param_tracked(self):
-        bad = (
-            "def step_n(self, eng, budget):\n"
-            "    for _ in range(budget):\n"
-            "        self.stamp(eng.now)\n"
-            "    return budget\n"
-        )
-        assert lint_text(bad, rules="R13").findings

@@ -4,7 +4,7 @@ import pytest
 
 from repro.fabric import DieCrossing
 from repro.fabric.crossing import cross_link
-from repro.sim import Channel, Engine
+from repro.sim import Channel, Component, Engine
 
 
 def build(hops=1, out_capacity=4):
@@ -86,6 +86,72 @@ class TestDieCrossing:
                 received.append(out.pop())
             engine._step()
         assert received == items
+
+    def test_admission_independent_of_registration_order(self):
+        """Credits read the receive queue's registered occupancy.
+
+        A consumer ticked before the crossing pops in the same cycle;
+        registered channels make that pop invisible to the crossing's
+        credit check, so every token enters the registers on the same
+        cycle whichever of the two is registered first.
+        """
+        assert _entry_cycles(crossing_first=False) == \
+            _entry_cycles(crossing_first=True)
+
+
+class _Source(Component):
+    """Pushes tokens 0..n-1 into *out* as fast as it has space."""
+
+    def __init__(self, out, n):
+        self.out = out
+        self.n = n
+        self.sent = 0
+
+    def tick(self, engine):
+        if self.sent < self.n and self.out.can_push():
+            self.out.push(self.sent)
+            self.sent += 1
+        if self.sent < self.n:
+            engine.wake(self)
+
+
+class _EvenSink(Component):
+    """Pops one token on every even cycle."""
+
+    def __init__(self, inp):
+        self.inp = inp
+        self.received = []
+
+    def tick(self, engine):
+        if engine.now % 2 == 0 and self.inp.can_pop():
+            self.received.append(self.inp.pop())
+        engine.wake(self)
+
+
+def _entry_cycles(crossing_first, n=12):
+    """Cycle at which each token entered the crossing's registers."""
+    engine = Engine()
+    inp = engine.add_channel(Channel(2, name="in"))
+    out = engine.add_channel(Channel(4, name="out"))
+    engine.add_component(_Source(inp, n))
+    sink = _EvenSink(out)
+    if crossing_first:
+        crossing = DieCrossing(engine, inp, out, hops=1)
+        engine.add_component(sink)
+    else:
+        engine.add_component(sink)
+        crossing = DieCrossing(engine, inp, out, hops=1)
+    cycles = []
+    push = crossing._line.push
+
+    def recording_push(item):
+        cycles.append(engine.now)
+        push(item)
+
+    crossing._line.push = recording_push
+    engine.run(done=lambda: len(sink.received) == n, max_cycles=500)
+    assert sink.received == list(range(n))
+    return cycles
 
 
 class TestCrossLink:

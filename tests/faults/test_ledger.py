@@ -89,6 +89,18 @@ class TestSystemChecks:
             for scope in checked_system.ledger.snapshot().values()
         )
 
+    def test_drain_checks_run_only_under_a_ledger(self, monkeypatch):
+        """An unchecked run never pays for the end-of-iteration drain
+        check, and the check itself runs with no ledger attached."""
+        contexts = []
+        monkeypatch.setattr("repro.faults.check_drained",
+                            lambda system, context: contexts.append(context))
+        system = _small_system("bfs")
+        system.run()
+        assert contexts == []
+        system._check_iteration_drained(1)
+        assert contexts == ["end of iteration 1"]
+
     def test_mutation_smoke_is_caught_by_ledger(self):
         """A corrupted response ID must die in the ledger, not corrupt."""
         system = _small_system(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.faults.plan import FaultPlan, FaultState, Window
 from repro.mem import (
     LINE_BYTES,
     DramTimings,
@@ -151,6 +152,34 @@ class TestDramChannel:
             engine._step()
         assert len(resp) == 1
         assert mem.channels[0].pending == 3
+
+    def test_unfaulted_read_is_one_segment(self):
+        """Without a fault plan a read's beats are scheduled as one
+        arithmetic ``_Segment`` record, not one tuple per beat."""
+        engine, mem = make_system()
+        channel = mem.channels[0]
+        resp = engine.add_channel(Channel(8))
+        channel.req.push(MemRequest(addr=0, nbytes=256, kind="burst",
+                                    respond_to=resp))
+        engine.run(done=lambda: bool(channel._scheduled), max_cycles=10)
+        (segment,) = channel._scheduled
+        assert type(segment) is not tuple and segment.n == 4
+
+    @pytest.mark.parametrize("faulted", (False, True))
+    def test_fire_and_forget_read_evaporates(self, faulted):
+        """Beats of a read with no requester evaporate, from a segment
+        or, under a fault plan, from per-beat tuples, with no observer
+        attached."""
+        engine, mem = make_system()
+        channel = mem.channels[0]
+        if faulted:
+            plan = FaultPlan(dram_latency=Window(100, 10),
+                             dram_extra_latency=5)
+            channel._fault = FaultState(plan, engine)
+        channel.req.push(MemRequest(addr=0, nbytes=128, kind="burst"))
+        engine.run()
+        assert channel.pending == 0
+        assert channel.stats.lines_burst == 2
 
 
 class TestMemorySystem:
