@@ -28,7 +28,7 @@ from collections import deque
 import numpy as np
 
 from repro.graph.encoding import EDGE_DST_BITS, EDGE_SRC_BITS, TERMINATOR_BIT
-from repro.mem.dram import LINE_BYTES, MemResponse, _acquire_request
+from repro.mem.dram import LINE_BYTES, MemRequest
 from repro.sim import Component
 
 IDLE = "idle"
@@ -47,8 +47,8 @@ class BurstRequester:
     """Issues (possibly channel-spanning) bursts into per-channel ports.
 
     Works directly off the address interleaver's piece list, so the
-    capacity probe and beat count allocate nothing; ``issue`` draws its
-    piece requests from the :class:`MemRequest` freelist.
+    capacity probe and beat count allocate nothing; ``issue`` pushes
+    one :class:`MemRequest` per piece.
     """
 
     def __init__(self, mem, channel_ports, respond_to):
@@ -97,9 +97,10 @@ class BurstRequester:
             if is_write:
                 offset = global_addr - addr
                 piece_data = data[offset:offset + piece_bytes]
-            request = _acquire_request(global_addr, piece_bytes, "burst",
-                                       is_write, tag, respond_to, piece_data)
-            ports[channel].push(request)
+            ports[channel].push(MemRequest(
+                global_addr, piece_bytes, "burst", is_write, tag,
+                respond_to, piece_data,
+            ))
         return len(pieces)
 
 
@@ -155,11 +156,6 @@ class PEStats:
         self.jobs_completed = 0
         self.local_reads = 0
         self.moms_reads = 0
-        self.busy_cycles = 0
-        self.cycles_by_phase = {}
-
-    def note_phase(self, phase):
-        self.cycles_by_phase[phase] = self.cycles_by_phase.get(phase, 0) + 1
 
 
 class ProcessingElement(Component):
@@ -239,9 +235,6 @@ class ProcessingElement(Component):
             self._tick_stream(engine)
         elif phase == WRITEBACK:
             self._tick_writeback(engine)
-        if phase != IDLE:
-            self.stats.busy_cycles += 1
-            self.stats.note_phase(phase)
         self._arm(engine)
 
     def _arm(self, engine):
@@ -332,21 +325,16 @@ class ProcessingElement(Component):
     def step_n(self, engine, budget):
         """Fused-tick protocol (see ``repro.sim.Component.step_n``).
 
-        Two PE runs are silently repeatable under a stable singleton
-        wake set: the INIT apply tail (draining the BRAM-apply backlog
-        at the port rate with no DMA traffic this window) and the
-        STREAM decode-under-stall run (one beat decoded per cycle
-        while the head edge stalls on a full MOMS port, an empty ID
-        pool, or a RAW hazard).  Everything else -- burst issue, MOMS
+        The one PE run that is silently repeatable under a stable
+        singleton wake set is the INIT apply tail: draining the
+        BRAM-apply backlog at the port rate with no DMA traffic this
+        window.  Everything else -- burst issue, edge decode, MOMS
         dispatch, response serving, phase transitions -- does real
         per-cycle work and falls through to normal ticks.
         """
         if self._probe is not None:
             return 0
-        phase = self._phase
-        if phase == STREAM:
-            return self._step_n_stream(engine, budget)
-        if phase in (INIT_CONST, INIT_VIN):
+        if self._phase in (INIT_CONST, INIT_VIN):
             return self._step_n_init(budget)
         return 0
 
@@ -356,9 +344,9 @@ class ProcessingElement(Component):
         Fusable only while no beat is waiting in the DMA queue and the
         next burst cannot issue yet (one in flight, or all requested),
         so each cycle's whole effect is ``init_nodes_per_cycle`` words
-        applied plus the busy/phase counters.  At least one word is
-        left behind: the completion transition and the possibly
-        partial final apply happen on the real tick that follows.
+        applied.  At least one word is left behind: the completion
+        transition and the possibly partial final apply happen on the
+        real tick that follows.
         """
         if self.dma_resp._visible:
             return 0
@@ -392,79 +380,6 @@ class ProcessingElement(Component):
                 backlog.popleft()
             else:
                 backlog[0] = (start + take, vals[take:])
-        stats = self.stats
-        stats.busy_cycles += m
-        phase = self._phase
-        stats.cycles_by_phase[phase] = \
-            stats.cycles_by_phase.get(phase, 0) + m
-        return m
-
-    def _step_n_stream(self, engine, budget):
-        """Fused STREAM run: whole-run edge decode under a head stall.
-
-        Each silent cycle pops and decodes exactly one DMA beat into
-        the edge backlog while the head edge re-stalls the dispatcher
-        -- MOMS request port full, ID pool empty, or RAW hazard -- all
-        conditions nothing can clear during the window (the blocking
-        structures drain only through components that are asleep, and
-        the gather pipeline's next commit is past the engine's timer
-        horizon).  One beat stays in the queue and the run stops
-        before any burst issue could resume, so the real tick that
-        follows sees exactly the state the per-cycle path would.
-        """
-        dma_resp = self.dma_resp
-        visible = dma_resp._visible
-        if visible < 2 or dma_resp._space_subs or dma_resp._space_requests:
-            return 0
-        if self.moms_resp._visible or not self._edges_queued:
-            return 0
-        if self._stream_cursor < len(self._shards):
-            return 0  # _request_edge_bursts could do real work mid-run
-        m = visible - 1
-        if budget < m:
-            m = budget
-        pipeline = self._pipeline
-        if pipeline:
-            # Belt and braces: _arm's wake_at already put this commit
-            # cycle in the engine's timer heap, which bounds the
-            # budget -- but don't depend on that invariant here.
-            h = pipeline[0][0] - engine.now
-            if h < m:
-                m = h
-        if m < 1:
-            return 0
-        cols = self._edge_queue
-        head = cols.head
-        local = cols.local[head]
-        dst_off = cols.dst[head]
-        moms_full = False
-        if local:
-            if not self._raw_hazard(dst_off):
-                return 0  # head would dispatch into the gather slot
-        else:
-            moms_req = self.moms_req
-            moms_full = (moms_req._occ + moms_req._staged_n
-                         >= moms_req.capacity)
-            if not moms_full and not (self.spec.weighted
-                                      and not self._free_ids):
-                return 0  # head would issue into the MOMS
-        for _ in range(m):
-            self._decode_edge_beats()
-        stats = self.stats
-        if local:
-            stats.raw_stalls += m
-        elif moms_full:
-            # Same precedence as _process_edges: a full request port
-            # is counted before the ID pool is even consulted.  The
-            # space-wake re-registrations those cycles would perform
-            # are deferred to the real tick, which runs the same stall
-            # before any commit can fire the one-shot.
-            stats.moms_request_stalls += m
-        else:
-            stats.id_stalls += m
-        stats.busy_cycles += m
-        stats.cycles_by_phase[STREAM] = \
-            stats.cycles_by_phase.get(STREAM, 0) + m
         return m
 
     def is_idle(self):
@@ -521,18 +436,15 @@ class ProcessingElement(Component):
                 self._rd_requested += nbytes
                 self._rd_burst_outstanding = beats
         # Drain all arriving beats into the apply backlog in one bulk
-        # pop; the beats are fully consumed here, so they recycle to
-        # the freelist immediately.
+        # pop.
         beats = self.dma_resp.pop_all()
         if beats:
-            pool = MemResponse._pool
             base = self._rd_base
             n_local = self._n_local
             backlog = self._apply_backlog
             # One numpy pass per 16-word beat: widen (and for
             # INIT_VIN, init) the whole beat now; the budget loop
-            # below only slices.  astype/init_vec copy, so the beat
-            # recycles immediately.
+            # below only slices.
             const_phase = self._phase == INIT_CONST
             init_vec = self.spec.init_vec
             const_bram = self._const_bram
@@ -545,8 +457,6 @@ class ProcessingElement(Component):
                 else:
                     vals = init_vec(const_bram[start:start + count], words)
                 backlog.append((start, vals))
-                beat.data = None
-                pool.append(beat)
             self._rd_burst_outstanding -= len(beats)
             self._rd_received += len(beats)
         # Apply at the BRAM port rate (4 node writes per cycle).
@@ -593,13 +503,7 @@ class ProcessingElement(Component):
                 self.dma.issue(base, nbytes, tag=("ptrs",))
                 self._ptr_requested = True
             return
-        beats = self.dma_resp.pop_all()
-        if beats:
-            self._ptr_beats_received += len(beats)
-            pool = MemResponse._pool
-            for beat in beats:
-                beat.data = None
-                pool.append(beat)
+        self._ptr_beats_received += len(self.dma_resp.pop_all())
         if self._ptr_beats_received < self._ptr_beats_expected:
             return
         # Parse the pointers (bit-identical to the transferred beats).
@@ -713,8 +617,6 @@ class ProcessingElement(Component):
         n = int(term[0]) if term.size else len(edge_words)
         cols = self._edge_queue
         if n:
-            # .tolist() copies out of the beat's buffer, so the beat
-            # recycles below with the columns already materialized.
             ew = edge_words[:n].astype(np.int64)
             srcs = (s * self._ns) + ((ew >> EDGE_DST_BITS) & _SRC_MASK)
             cols.src.extend(srcs.tolist())
@@ -730,8 +632,6 @@ class ProcessingElement(Component):
             else:
                 cols.local.extend([False] * n)
             cols.addr.extend((self.layout.v_in_addr + srcs * 4).tolist())
-        beat.data = None
-        MemResponse._pool.append(beat)
         self._edges_queued += n
         shard = self._shard_by_s[s]
         shard["edges_decoded"] += n
@@ -770,10 +670,8 @@ class ProcessingElement(Component):
         if self._raw_hazard(dst_off):
             self.stats.raw_stalls += 1
             return False  # gather slot wasted on the stall
-        # unpack copies the word out, so the peeked data slice is done
-        # with before drop() consumes (and recycles) the response.
         word = _U32.unpack_from(data)[0]
-        moms_resp.drop()
+        moms_resp.pop()
         self._outstanding_moms -= 1
         if self._probe is not None:
             self._probe.pe_retire(self, req_id, _addr, self._engine.now)
@@ -860,11 +758,9 @@ class ProcessingElement(Component):
     def _tick_writeback(self, engine):
         acks = self.dma_resp.pop_all()
         if acks:
-            pool = MemResponse._pool
             for ack in acks:
                 if not ack.is_write_ack:
                     raise AssertionError("unexpected read beat in writeback")
-                pool.append(ack)
             self._wb_acks_received += len(acks)
         # The BRAM read port feeds 4 node values per cycle into the DMA.
         self._wb_ready_budget = min(

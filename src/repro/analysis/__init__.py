@@ -1,10 +1,11 @@
 """simlint: AST-based static analysis for the simulator's contracts.
 
 The reproduction's central claim -- bit-identical cycle counts across
-engines, pooling, telemetry, and fault replays -- rests on coding
-contracts (no wall-clock in tick paths, bulk channel APIs, freelist
-pooling, slotted tokens) that this package enforces statically.  See DESIGN.md 6.5 for the catalog and policy,
-and ``python -m repro lint --list-rules`` for the live inventory.
+engines, telemetry, and fault replays -- rests on coding contracts (no
+wall-clock in tick paths, bulk channel APIs, slotted tokens) that this
+package enforces statically.  See DESIGN.md 6.5 for the catalog and
+policy, and ``python -m repro lint --list-rules`` for the live
+inventory.
 
 Public surface:
 

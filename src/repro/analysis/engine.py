@@ -6,8 +6,8 @@ The pipeline is deliberately boring and deterministic:
    paths against the repo root);
 2. parse each exactly once into a :class:`~repro.analysis.source.
    SourceFile` (unparseable files become result errors, not crashes);
-3. build the shared indexes -- the hot-path classifier and the
-   pooled-token class set -- once for the whole tree;
+3. build the shared index -- the hot-path classifier -- once for the
+   whole tree;
 4. run the selected rules, dedup, apply inline suppressions, sort.
 
 Byte-identical output across runs is a tested property: no wall-clock,
@@ -18,7 +18,7 @@ import pathlib
 
 from repro.analysis.findings import LintResult
 from repro.analysis.hotpath import HOT_PACKAGES, HotPathIndex
-from repro.analysis.rules import discover_pooled_classes, select_rules
+from repro.analysis.rules import select_rules
 from repro.analysis.source import parse_source
 
 # Version stamped into the JSON emitter's envelope; bump on layout
@@ -29,12 +29,11 @@ LINT_SCHEMA = 2
 class LintContext:
     """Shared read-only state every rule check receives."""
 
-    __slots__ = ("sources", "hot", "pooled_classes")
+    __slots__ = ("sources", "hot")
 
-    def __init__(self, sources, hot, pooled_classes):
+    def __init__(self, sources, hot):
         self.sources = sources
         self.hot = hot
-        self.pooled_classes = pooled_classes
 
     def in_hot_package(self, source):
         """Package-level scope test (fixture trees count as hot)."""
@@ -99,7 +98,6 @@ def build_context(sources, force_hot=False):
     return LintContext(
         sources=sources,
         hot=HotPathIndex(sources, force_hot=force_hot),
-        pooled_classes=discover_pooled_classes(sources),
     )
 
 

@@ -3,8 +3,8 @@
 The engine's per-cycle work is ``Engine._step``: tick every runnable
 component (``component.tick(self)``), then commit dirty channels.  Any
 function reachable from ``_step`` or ``wake`` therefore runs O(cycles)
-times and must obey the hot-path contracts (bulk channel APIs, pooled
-tokens, no wall-clock, is-None-gated hooks).
+times and must obey the hot-path contracts (bulk channel APIs, no
+wall-clock, is-None-gated hooks).
 
 Python's dynamic dispatch makes an exact call graph impossible from
 the AST alone, so the classifier over-approximates deliberately:

@@ -11,17 +11,12 @@ from repro.analysis.rules.determinism import (
     NondeterminismRule,
 )
 from repro.analysis.rules.defaults import MutableDefaultRule
-from repro.analysis.rules.pooling import (
-    DirectTokenConstructionRule,
-    MissingSlotsRule,
-    discover_pooled_classes,
-)
+from repro.analysis.rules.slots import MissingSlotsRule
 
 ALL_RULES = tuple(sorted(
     (
         NondeterminismRule(),
         SingleTokenChannelRule(),
-        DirectTokenConstructionRule(),
         FloatCycleCompareRule(),
         MutableDefaultRule(),
         MissingSlotsRule(),
@@ -61,5 +56,4 @@ __all__ = [
     "ALL_RULES",
     "RULES_BY_KEY",
     "select_rules",
-    "discover_pooled_classes",
 ]

@@ -1,8 +1,8 @@
 """Base class for simlint rules.
 
 A rule is stateless: ``check(source, ctx)`` yields findings for one
-parsed file, reading shared indexes (hot-path classification, pooled
-token classes) from the :class:`~repro.analysis.engine.LintContext`.
+parsed file, reading the shared hot-path classification from the
+:class:`~repro.analysis.engine.LintContext`.
 Each rule carries a ``POSITIVE`` and a ``NEGATIVE`` snippet -- the
 engine's self-check (``python -m repro lint --quick``) and the fixture
 tests both assert the positive fires and the negative stays clean, so

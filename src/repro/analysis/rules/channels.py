@@ -4,8 +4,8 @@ Migrated from the standalone ``tests/test_hot_path_lint.py`` walker
 (PR 4) into the rule framework: the kernelization pass moved every
 hot-path producer/consumer from element-at-a-time ``Channel.push`` /
 ``pop`` loops to the bulk (``push_many`` / ``pop_many`` / ``pop_all``)
-and fields (``push_request`` / ``front_request`` / ``drop`` ...) APIs,
-and this rule keeps them there.
+and fields (``push_request`` / ``front_request`` / ``pop_line`` ...)
+APIs, and this rule keeps them there.
 
 Deliberately out of scope (inherited from the original test):
 
@@ -55,7 +55,7 @@ class SingleTokenChannelRule(Rule):
         "it statically names the file:line instead."
     )
     hint = ("use push_many/pop_many/pop_all or the fields API "
-            "(push_request/front_request/drop ...) on hot channels")
+            "(push_request/front_request/pop_line ...) on hot channels")
 
     POSITIVE = (
         "def tick(self, engine):\n"

@@ -1,7 +1,7 @@
 """R1/R5: nondeterminism sources and float equality in cycle math.
 
 The reproduction's headline invariant is that a (graph, config, seed)
-point produces *bit-identical* cycle counts across engines, pooling,
+point produces *bit-identical* cycle counts across engines,
 telemetry, and fault replays.  Anything that lets wall-clock time,
 process entropy, or hash/iteration order leak into a tick path breaks
 that silently -- the run still "works", the cycle counts just stop

@@ -19,12 +19,6 @@ The *protocol* every stateful component implements is therefore:
 
 Deliberately *not* part of a snapshot (and why it is sound):
 
-* **Token freelists** (``MomsRequest._pool`` and friends) -- class
-  attributes, so pickle never touches them.  Pooling is
-  semantics-neutral by construction (PR 4): a resumed run simply
-  refills its freelists from fresh allocations.
-* **Pool counters** (:func:`repro.core.messages.pool_stats`) --
-  process-local allocation telemetry, not simulated state.
 * **Probe bindings** (:class:`~repro.sim.probe.Probe`) -- per-event
   closures over the observers; the probe pickles as its observer
   tuple and rebinds on restore.
@@ -77,7 +71,6 @@ def _register_all():
         MshrEntry,
         MshrStats,
     )
-    from repro.core.messages import MomsRequest, MomsResponse
     from repro.core.subentry import ColumnarChain, SubentryStats, SubentryStore
     from repro.fabric.arbiter import RoundRobinArbiter
     from repro.fabric.area import AreaModel
@@ -108,7 +101,12 @@ def _register_all():
     )
     from repro.mem.interleave import AddressInterleaver
     from repro.mem.system import MemorySystem
-    from repro.sim.channel import Channel, DelayLine
+    from repro.sim.channel import (
+        Channel,
+        DelayLine,
+        MomsRequest,
+        MomsResponse,
+    )
     from repro.sim.engine import Engine
     from repro.sim.probe import Probe
     from repro.telemetry.collector import (

@@ -11,7 +11,6 @@ traditional non-blocking cache baseline, and the shared / private /
 two-level hierarchy compositions of paper Fig. 8.
 """
 
-from repro.core.messages import MomsRequest, MomsResponse
 from repro.core.mshr import AssociativeMshrFile, CuckooMshrFile, MshrEntry
 from repro.core.subentry import SubentryStore
 from repro.core.cache import CacheArray
@@ -28,8 +27,6 @@ __all__ = [
     "CuckooMshrFile",
     "MemoryHierarchy",
     "MomsBank",
-    "MomsRequest",
-    "MomsResponse",
     "MshrEntry",
     "SubentryStore",
     "build_hierarchy",

@@ -17,8 +17,8 @@ Response path: on line return, free the MSHR, fill the cache (if any),
 then serve the pending subentries one per cycle.
 
 The bank moves tokens exclusively through the channel *fields API*
-(``front_request`` / ``push_response`` / ``pop_line``), so its
-tokens are pooled and recycled rather than allocated per request.
+(``front_request`` / ``push_response`` / ``pop_line``), so it reads
+and writes plain field values rather than token objects.
 All backpressure stalls arm one-shot space wakes on the specific full
 channel instead of subscribing statically, so a draining response port
 no longer wakes a bank with nothing to send.
@@ -71,7 +71,6 @@ class BankStats:
     primary_misses: int = 0
     responses: int = 0
     lines_returned: int = 0
-    busy_cycles: int = 0
     stall_mshr: int = 0
     stall_subentry: int = 0
     stall_downstream: int = 0
@@ -93,8 +92,8 @@ class BankStats:
 class MomsBank(Component):
     """A single bank of a miss-optimized memory system.
 
-    ``req_in`` receives :class:`~repro.core.messages.MomsRequest`;
-    ``resp_out`` emits :class:`~repro.core.messages.MomsResponse`.
+    ``req_in`` receives :class:`~repro.sim.MomsRequest`;
+    ``resp_out`` emits :class:`~repro.sim.MomsResponse`.
     ``line_in`` receives returned lines (objects with ``addr`` and
     ``data``) from DRAM or from a next-level MOMS.  ``downstream`` is a
     strategy with ``can_accept(line_addr)`` / ``issue(line_addr)`` used
@@ -150,7 +149,6 @@ class MomsBank(Component):
             self._probe.bank_tick(self, engine.now)
         if self._drain_chain is not None:
             self._drain_one()
-            self.stats.busy_cycles += 1
             if self._drain_chain is not None:
                 # Mid-drain: keep stepping while the port has room; a
                 # port that is full (whether this cycle's push filled
@@ -167,7 +165,6 @@ class MomsBank(Component):
             return
         if self.line_in._visible:
             self._begin_drain(*self.line_in.pop_line())
-            self.stats.busy_cycles += 1
             if self.resp_out.can_push():
                 engine.wake(self)
             else:
@@ -176,10 +173,7 @@ class MomsBank(Component):
                 self.resp_out.request_space_wake(self)
             return
         if self.req_in._visible:
-            outcome = self._handle_request()
-            if outcome is _PROGRESS:
-                self.stats.busy_cycles += 1
-            elif outcome is _RETRY:
+            if self._handle_request() is _RETRY:
                 # A cuckoo insert ran and failed (or succeeded and was
                 # rolled back for a missing subentry row): the victim-way
                 # generator and possibly the table layout advanced, so
@@ -188,7 +182,8 @@ class MomsBank(Component):
                 # would, or a different attempt would succeed and
                 # change the cycle results.
                 engine.wake(self)
-            # else _SLEEP: the stall touched no architectural state, and
+            # A _PROGRESS pop re-fires req_in's data subscription at
+            # commit.  A _SLEEP stall touched no architectural state, and
             # every event that can unblock it fires a wake -- line_in
             # data (frees MSHRs, subentry rows, and fills the cache) or
             # the one-shot armed on the full channel at the stall site.
@@ -230,8 +225,7 @@ class MomsBank(Component):
             return 0
         # Bulk form of m identical retry ticks: probe miss (counted
         # only when a cache array exists -- CacheArray.probe gates its
-        # stats on presence), lookup miss, MSHR stall.  busy_cycles
-        # stays untouched, exactly like per-cycle _RETRY ticks.
+        # stats on presence), lookup miss, MSHR stall.
         if self.cache.present:
             self.cache.stats.probes += m
         mshrs.stats.lookups += m
@@ -333,7 +327,7 @@ class MomsBank(Component):
                 stats.stall_response_port += 1
                 resp_out.request_space_wake(self)
                 return _SLEEP
-            req_in.drop()
+            req_in.pop()
             resp_out.push_response(
                 req_id, addr, self.store.read_bytes(addr, size), port
             )
@@ -356,7 +350,7 @@ class MomsBank(Component):
                 stats.stall_subentry += 1
                 return _SLEEP
             entry.subentry_count += 1
-            req_in.drop()
+            req_in.pop()
             stats.requests += 1
             stats.secondary_misses += 1
             if self._probe is not None:
@@ -386,7 +380,7 @@ class MomsBank(Component):
         if self._probe is not None:
             self._probe.bank_alloc(self, req_id, port, line_addr,
                                    self._engine.now)
-        req_in.drop()
+        req_in.pop()
         stats.requests += 1
         stats.primary_misses += 1
         return _PROGRESS

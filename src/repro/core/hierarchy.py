@@ -29,7 +29,7 @@ from repro.fabric.design import (
     MOMS_TRADITIONAL,
     MOMS_TWO_LEVEL,
 )
-from repro.mem.dram import LINE_BYTES, _acquire_request
+from repro.mem.dram import LINE_BYTES, MemRequest
 from repro.sim import Channel
 
 
@@ -68,9 +68,9 @@ class DramDownstream:
     def issue(self, line_addr):
         addr = line_addr * LINE_BYTES
         channel = self.mem.channel_of(addr)
-        request = _acquire_request(addr, LINE_BYTES, "single", False, None,
-                                   self.respond_to, None)
-        self.request_ports[channel].push(request)
+        self.request_ports[channel].push(MemRequest(
+            addr, LINE_BYTES, "single", False, None, self.respond_to, None,
+        ))
         self.lines_requested += 1
 
 

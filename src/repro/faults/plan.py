@@ -236,8 +236,6 @@ class FaultController(Component):
         self._backpressure_on = False
 
     def _wake_channel_waiters(self, engine, channel):
-        for component in channel._space_subs:
-            engine.wake(component)
         if channel._space_requests:
             for component in channel._space_requests:
                 engine.wake(component)

@@ -44,8 +44,6 @@ def build_stall_report(engine, reason=""):
                 _component_label(c) for c in channel._data_subs
             ],
             "space_waiters": [
-                _component_label(c) for c in channel._space_subs
-            ] + [
                 _component_label(c) for c in channel._space_requests
             ],
         })

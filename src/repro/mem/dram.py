@@ -127,49 +127,6 @@ class MemResponse:
     issued_at: int = -1
 
 
-def _acquire_response(tag, addr, beat, last, is_write_ack, issued_at):
-    """Pooled MemResponse acquisition (see repro.core.messages)."""
-    pool = MemResponse._pool
-    if pool:
-        response = pool.pop()
-        response.tag = tag
-        response.addr = addr
-        response.data = None
-        response.beat = beat
-        response.last = last
-        response.is_write_ack = is_write_ack
-        response.issued_at = issued_at
-        return response
-    MemResponse._fresh += 1
-    return MemResponse(tag=tag, addr=addr, beat=beat, last=last,
-                       is_write_ack=is_write_ack, issued_at=issued_at)
-
-
-def _acquire_request(addr, nbytes, kind, is_write, tag, respond_to, data):
-    """Pooled MemRequest acquisition (see repro.core.messages).
-
-    The one sanctioned construction site for hot-path MemRequests
-    (simlint R3): issuers that used to inline the pool-or-construct
-    fallback call this instead, so the freelist is always consulted
-    first and the pool-miss accounting stays in one place.
-    """
-    pool = MemRequest._pool
-    if pool:
-        request = pool.pop()
-        request.addr = addr
-        request.nbytes = nbytes
-        request.kind = kind
-        request.is_write = is_write
-        request.tag = tag
-        request.respond_to = respond_to
-        request.data = data
-        return request
-    MemRequest._fresh += 1
-    return MemRequest(addr=addr, nbytes=nbytes, kind=kind,
-                      is_write=is_write, tag=tag, respond_to=respond_to,
-                      data=data)
-
-
 @dataclass
 class DramStats:
     bytes_read: int = 0
@@ -341,7 +298,7 @@ class DramChannel(Component):
                 respond_to = head.respond_to
                 if respond_to is None:
                     # Fire-and-forget beats evaporate without ever
-                    # materializing (their release point).
+                    # materializing.
                     take = min(n_due, limit - delivered)
                     if probe is not None:
                         for i in range(take):
@@ -363,16 +320,14 @@ class DramChannel(Component):
                     issued_at = head.issued_at
                     batch = []
                     for i in range(take):
-                        response = _acquire_response(
-                            tag, addr, beat, beat == last_index, False,
-                            issued_at,
-                        )
-                        response.data = \
-                            blob[i * LINE_BYTES:(i + 1) * LINE_BYTES]
                         if probe is not None:
                             probe.dram_deliver(self, respond_to, addr,
                                                issued_at, now)
-                        batch.append(response)
+                        batch.append(MemResponse(
+                            tag, addr,
+                            blob[i * LINE_BYTES:(i + 1) * LINE_BYTES],
+                            beat, beat == last_index, False, issued_at,
+                        ))
                         addr += LINE_BYTES
                         beat += 1
                     respond_to.push_many(batch)
@@ -389,13 +344,12 @@ class DramChannel(Component):
                 break
             _, response, respond_to = head
             if respond_to is None:
-                # Fire-and-forget request: the beat evaporates here, so
-                # this is its release point (data was never attached).
+                # Fire-and-forget request: the beat evaporates here
+                # (data was never attached).
                 scheduled.popleft()
                 self._sched_beats -= 1
                 if probe is not None:
                     probe.dram_evaporate(self, response.addr)
-                MemResponse._pool.append(response)
                 delivered += 1
                 continue
             space = respond_to.free_slots()
@@ -441,8 +395,6 @@ class DramChannel(Component):
         addr = request.addr
         respond_to = request.respond_to
         if self._probe is not None:
-            # Before the accept-side recycle below clears respond_to,
-            # which the tracer uses to attribute the fetch to a bank.
             self._probe.dram_accept(self, request, now)
         extra_latency = 0 if self._fault is None \
             else self._fault.dram_extra_latency(now)
@@ -455,7 +407,7 @@ class DramChannel(Component):
             stats.lines_written += beats
             stats.busy_cycles += service
             if respond_to is not None:
-                ack = _acquire_response(tag, addr, 0, True, True, now)
+                ack = MemResponse(tag, addr, None, 0, True, True, now)
                 self._schedule(
                     start + service + timings.latency + extra_latency,
                     ack, respond_to)
@@ -468,9 +420,9 @@ class DramChannel(Component):
             else:
                 last = beats - 1
                 for beat in range(beats):
-                    response = _acquire_response(
-                        tag, addr + beat * LINE_BYTES, beat, beat == last,
-                        False, now,
+                    response = MemResponse(
+                        tag, addr + beat * LINE_BYTES, None, beat,
+                        beat == last, False, now,
                     )
                     self._schedule(ready_base + (beat + 1) * cpb, response,
                                    respond_to)
@@ -486,13 +438,6 @@ class DramChannel(Component):
             queue_depth = req._visible + self._sched_beats
             if queue_depth > stats.peak_queue:
                 stats.peak_queue = queue_depth
-        # The channel is a request's single consumer; recycle it (the
-        # write payload reference is dropped so pooled tokens never pin
-        # a node-value array).
-        request.data = None
-        request.tag = None
-        request.respond_to = None
-        MemRequest._pool.append(request)
 
     def _schedule(self, ready_time, response, respond_to):
         if self._scheduled and ready_time < self._tail_ready():
@@ -538,11 +483,3 @@ class DramChannel(Component):
     def is_idle(self):
         return not self._scheduled and not self.req.pending
 
-
-# The DRAM tokens circulate through the same freelist machinery as the
-# MOMS tokens.  Imported at module bottom: repro.core's package init
-# pulls in the hierarchy, which imports this module's classes.
-from repro.core.messages import register_pool  # noqa: E402
-
-register_pool(MemRequest)
-register_pool(MemResponse)

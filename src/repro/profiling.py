@@ -12,13 +12,12 @@ Output is three tables:
   hot" is one glance instead of a pstats session;
 * **top functions** -- the usual self-time leaderboard, restricted to
   the simulator's own code by default (``--all-functions`` lifts that);
-* **engine + pool summary** -- simulated cycles per second, the wake
-  machinery's tick fraction, and steady-state token allocations per
-  simulated cycle (near zero when the freelists are circulating).
+* **engine summary** -- simulated cycles per second, the wake
+  machinery's tick fraction, and the macro-tick fusion counts.
 
-The perf work in this tree (ring channels, token pooling, columnar
-kernels) is measured against exactly this view; keep using it before
-and after any hot-path change.
+The perf work in this tree (ring channels, columnar kernels) is
+measured against exactly this view; keep using it before and after any
+hot-path change.
 """
 
 import cProfile
@@ -98,21 +97,18 @@ def run_profile(args, log=print):
     """Profile one quick point; prints the tables, returns an exit code."""
     # Imported here: the CLI parser must stay importable without the
     # simulation stack (same convention as the trace subcommand).
-    from repro.core import messages
     from repro.core.stats import EngineActivity
     from repro.experiments.common import cli_point
     from repro.report import format_table
 
     graph, system, budget = cli_point(args, _org_constant(args.org))
 
-    messages.reset_pool_counters()
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
     result = system.run(max_iterations=budget)
     profiler.disable()
     wall = time.perf_counter() - start
-    fresh = messages.fresh_allocations()
 
     stats = pstats.Stats(profiler)
     if args.pstats_out:
@@ -164,7 +160,7 @@ def run_profile(args, log=print):
 
     activity = EngineActivity.from_engine(system.engine)
     log("")
-    log(f"engine: {activity.summary_line()}")
+    log(activity.summary_line())
     aborts = ", ".join(
         f"{reason}={activity.fusion_abort_reasons[reason]}"
         for reason in sorted(activity.fusion_abort_reasons)
@@ -172,10 +168,6 @@ def run_profile(args, log=print):
     log(f"fusion: {activity.fused_runs} fused runs covering "
         f"{activity.fused_cycles:,} cycles "
         f"(mean {activity.mean_run_len:.1f}); aborts: {aborts}")
-    per_cycle = fresh / result.cycles if result.cycles else 0.0
-    log(f"tokens: {fresh} fresh constructions over {result.cycles:,} "
-        f"cycles = {per_cycle:.4f} allocations/cycle "
-        f"(pools: {messages.pool_stats()})")
     if args.pstats_out:
         log(f"raw stats written to {args.pstats_out}")
     return 0

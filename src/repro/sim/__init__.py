@@ -9,7 +9,7 @@ component tick order.  :class:`DelayLine` models fixed-latency pipes
 component is stalled on a pending latency are skipped in O(log timers).
 """
 
-from repro.sim.channel import Channel, DelayLine
+from repro.sim.channel import Channel, DelayLine, MomsRequest, MomsResponse
 from repro.sim.engine import (
     Component,
     CycleLimitError,
@@ -36,4 +36,6 @@ __all__ = [
     "DeadlockError",
     "DelayLine",
     "Engine",
+    "MomsRequest",
+    "MomsResponse",
 ]

@@ -20,50 +20,47 @@ ring size) -- measurably cheaper and harmless for the token objects the
 simulator moves.
 
 On top of the generic object FIFO sits a *fields API*
-(:meth:`push_request` / :meth:`front_request` / :meth:`pop_request`,
-the ``response`` equivalents, :meth:`pop_line` and :meth:`drop`): hot
-producers and consumers exchange plain field values instead of token
-objects.  The fields API recycles pooled ``MomsRequest`` /
-``MomsResponse`` objects (see :mod:`repro.core.messages`), so a steady
-stream of tokens allocates nothing.
+(:meth:`push_request` / :meth:`front_request`, the ``response``
+equivalents and :meth:`pop_line`): hot producers and consumers exchange
+plain field values, and the channel builds and reads the
+:class:`MomsRequest` / :class:`MomsResponse` tokens behind them.
 
 For the demand-driven engine, channels are also the wake fabric:
-components subscribe to *data* (tokens visible) and *space* (capacity
-free) conditions, and every end-of-cycle :meth:`Channel.commit` wakes
-the subscribers whose condition holds.  Because commits only run on
-channels touched during the cycle, wake traffic is proportional to
-actual token movement.
+consumers subscribe to *data* (tokens visible), producers arm one-shot
+*space* wakes (capacity free) where they stall, and every end-of-cycle
+:meth:`Channel.commit` wakes the components whose condition holds.
+Because commits only run on channels touched during the cycle, wake
+traffic is proportional to actual token movement.
 """
 
 from collections import deque
-
-# Token classes and freelists for the fields API.  Bound by
-# repro.core.messages at its import time (a direct import here would be
-# circular: repro.core.bank imports repro.sim).  While unbound, the
-# fresh-construction fallback below performs the import, which triggers
-# the binding as a side effect.
-_MomsRequest = None
-_MomsResponse = None
-_request_pool = None
-_response_pool = None
+from dataclasses import dataclass
 
 
-def _new_request(addr, size, req_id, port):
-    cls = _MomsRequest
-    if cls is None:
-        import repro.core.messages  # noqa: F401  (binds the globals)
-        cls = _MomsRequest
-    cls._fresh += 1
-    return cls(addr, size, req_id, port)
+@dataclass(slots=True)
+class MomsRequest:
+    """A short irregular read (a node value, or a full line at L2).
+
+    ``req_id`` is opaque to the memory system and returned verbatim --
+    the PE uses it to recover the suspended edge state (Fig. 10); for
+    unweighted graphs it *is* the destination-node offset.  ``port``
+    identifies the requester for response routing.
+    """
+
+    addr: int
+    size: int
+    req_id: object = None
+    port: int = 0
 
 
-def _new_response(req_id, addr, data, port):
-    cls = _MomsResponse
-    if cls is None:
-        import repro.core.messages  # noqa: F401  (binds the globals)
-        cls = _MomsResponse
-    cls._fresh += 1
-    return cls(req_id, addr, data, port)
+@dataclass(slots=True)
+class MomsResponse:
+    """Data for one request: the ``size`` bytes at ``addr``."""
+
+    req_id: object
+    addr: int
+    data: object  # numpy uint8 slice of length `size`
+    port: int = 0
 
 
 def _ring_size_for(capacity):
@@ -102,7 +99,6 @@ class Channel:
         self._engine = None
         self._dirty = False  # touched this cycle -> needs commit
         self._data_subs = []  # consumers woken when tokens are visible
-        self._space_subs = []  # producers woken when capacity is free
         self._space_requests = []  # one-shot space wakes
         # Lifetime statistics, useful for utilization reports.
         self.total_pushed = 0
@@ -120,19 +116,12 @@ class Channel:
             self._data_subs.append(component)
         return self
 
-    def subscribe_space(self, component):
-        """Wake *component* whenever a commit leaves free capacity."""
-        if component not in self._space_subs:
-            self._space_subs.append(component)
-        return self
-
     def request_space_wake(self, component):
         """One-shot: wake *component* at the next commit with free space.
 
-        The workhorse of the demand engine's backpressure handling: a
-        producer that found this channel full arms exactly one wake
-        instead of subscribing statically, so commits with free space
-        stop waking producers that have nothing to send.
+        The demand engine's backpressure handling: a producer that found
+        this channel full arms exactly one wake, so commits with free
+        space never wake producers that have nothing to send.
         """
         if component not in self._space_requests:
             self._space_requests.append(component)
@@ -311,80 +300,36 @@ class Channel:
         """Consume every visible token (see :meth:`pop_many`)."""
         return self.pop_many()
 
-    def drop(self):
-        """Consume the head token and recycle it to its freelist.
-
-        For consumers that already read everything they need via
-        :meth:`front` / :meth:`front_request` / :meth:`front_response`:
-        the token returns to its pool without another field round trip.
-        """
-        item = self.pop()
-        type(item)._pool.append(item)
-
     # -- fields API (see module docstring) ----------------------------------
 
     def push_request(self, addr, size, req_id, port):
-        """Stage a MOMS request given as plain fields (pooled token)."""
-        pool = _request_pool
-        if pool:
-            token = pool.pop()
-            token.addr = addr
-            token.size = size
-            token.req_id = req_id
-            token.port = port
-        else:
-            token = _new_request(addr, size, req_id, port)
-        self.push(token)
+        """Stage a MOMS request given as plain fields."""
+        self.push(MomsRequest(addr, size, req_id, port))
 
     def front_request(self):
         """Peek the head request as an ``(addr, size, req_id, port)`` tuple."""
         token = self.front()
         return (token.addr, token.size, token.req_id, token.port)
 
-    def pop_request(self):
-        """Consume the head request; returns its field tuple."""
-        token = self.pop()
-        fields = (token.addr, token.size, token.req_id, token.port)
-        _request_pool.append(token)
-        return fields
-
     def push_response(self, req_id, addr, data, port):
-        """Stage a MOMS response given as plain fields (pooled token)."""
-        pool = _response_pool
-        if pool:
-            token = pool.pop()
-            token.req_id = req_id
-            token.addr = addr
-            token.data = data
-            token.port = port
-        else:
-            token = _new_response(req_id, addr, data, port)
-        self.push(token)
+        """Stage a MOMS response given as plain fields."""
+        self.push(MomsResponse(req_id, addr, data, port))
 
     def front_response(self):
         """Peek the head response as a ``(req_id, addr, data, port)`` tuple."""
         token = self.front()
         return (token.req_id, token.addr, token.data, token.port)
 
-    def pop_response(self):
-        """Consume the head response; returns its field tuple."""
-        token = self.pop()
-        fields = (token.req_id, token.addr, token.data, token.port)
-        _response_pool.append(token)
-        return fields
-
     def pop_line(self):
         """Consume a returned memory line as ``(addr, data)``.
 
         Line fills arrive as either ``MemResponse`` (from DRAM) or
-        ``MomsResponse`` (from a next-level MOMS); both are recycled to
-        their own freelists by type, so the bank never needs to know
-        which kind it received.
+        ``MomsResponse`` (from a next-level MOMS); both carry ``addr``
+        and ``data``, so the bank never needs to know which kind it
+        received.
         """
         token = self.pop()
-        fields = (token.addr, token.data)
-        type(token)._pool.append(token)
-        return fields
+        return (token.addr, token.data)
 
     # -- end of cycle -------------------------------------------------------
 
@@ -410,22 +355,15 @@ class Channel:
                     wake[order] = component
                     engine.component_wakes += 1
                     component.wakes += 1
-        if occupancy < self.capacity:
-            for component in self._space_subs:
+        requests = self._space_requests
+        if requests and occupancy < self.capacity:
+            for component in requests:
                 order = component._engine_order
                 if order not in wake:
                     wake[order] = component
                     engine.component_wakes += 1
                     component.wakes += 1
-            requests = self._space_requests
-            if requests:
-                for component in requests:
-                    order = component._engine_order
-                    if order not in wake:
-                        wake[order] = component
-                        engine.component_wakes += 1
-                        component.wakes += 1
-                requests.clear()
+            requests.clear()
 
     def __len__(self):
         """Number of tokens currently visible to the consumer."""

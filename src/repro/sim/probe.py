@@ -35,10 +35,10 @@ EVENTS = (
     "bank_replay",     # (bank, req_id, port, line_addr, now) -- subentry
     # crossbar and DRAM
     "xbar_hop",        # (xbar, token, now)
-    "dram_accept",     # (channel, request, now) -- before the recycle
+    "dram_accept",     # (channel, request, now) -- request popped
     "dram_schedule",   # (channel, addr, beats) -- response beats announced
     "dram_deliver",    # (channel, respond_to, addr, issued_at, now)
-    "dram_evaporate",  # (channel, addr) -- fire-and-forget beat released
+    "dram_evaporate",  # (channel, addr) -- fire-and-forget beat dropped
 )
 
 

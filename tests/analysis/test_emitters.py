@@ -85,7 +85,7 @@ class TestEmitterGoldens:
         assert log["version"] == "2.1.0"
         run = log["runs"][0]
         rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-        assert rule_ids == {"R1", "R2", "R3", "R5", "R6", "R7"}
+        assert rule_ids == {"R1", "R2", "R5", "R6", "R7"}
         results = run["results"]
         # Active findings carry no suppressions; the inline-suppressed
         # one is present but marked.

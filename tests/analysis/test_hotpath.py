@@ -1,6 +1,6 @@
 """The call-graph hot-path classifier against the real tree.
 
-Pins the property the hot-scoped rules (R1/R2/R3) depend on: the
+Pins the property the hot-scoped rules (R1/R2) depend on: the
 engine seeds exist, every per-cycle component module is classified
 hot, and the O(1)-per-sweep-point layers (experiments, graph
 preprocessing, baselines) never are.
@@ -73,7 +73,3 @@ class TestHotPathIndex:
             "src/repro/accel/scheduler.py",
         ):
             assert legacy in hot_files, legacy
-
-    def test_pooled_classes_discovered_from_tree(self):
-        assert {"MomsRequest", "MomsResponse",
-                "MemRequest", "MemResponse"} <= self.ctx.pooled_classes

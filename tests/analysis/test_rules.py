@@ -147,37 +147,6 @@ class TestChannelDisciplineR2:
         assert not exempt.findings
 
 
-class TestPoolingR3:
-    def test_register_pool_discovery_drives_the_rule(self):
-        unregistered = (
-            "class SpillRequest:\n"
-            "    pass\n"
-            "def tick(self, engine):\n"
-            "    return SpillRequest()\n"
-        )
-        assert not lint_text(unregistered, rules="R3").findings
-        registered = (
-            "from repro.core.messages import register_pool\n"
-            + unregistered.replace(
-                "class SpillRequest:\n    pass\n",
-                "class SpillRequest:\n    pass\n"
-                "register_pool(SpillRequest)\n",
-            )
-        )
-        assert lint_text(registered, rules="R3").findings
-
-    def test_acquire_helpers_allowed(self):
-        good = (
-            "from repro.core.messages import register_pool\n"
-            "class SpillRequest:\n"
-            "    pass\n"
-            "register_pool(SpillRequest)\n"
-            "def _acquire_spill(addr):\n"
-            "    return SpillRequest(addr)\n"
-        )
-        assert not lint_text(good, rules="R3").findings
-
-
 class TestFloatCompareR5:
     def test_division_equality_flagged(self):
         finding = _only(lint_text(

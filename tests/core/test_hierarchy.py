@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import MomsRequest, build_hierarchy
+from repro.core import build_hierarchy
 from repro.fabric import AWS_F1_FLOORPLAN
 from repro.fabric.design import (
     MOMS_PRIVATE,
@@ -13,7 +13,7 @@ from repro.fabric.design import (
     DesignDescription,
 )
 from repro.mem import DramTimings, MemorySystem
-from repro.sim import Component, Engine
+from repro.sim import Component, Engine, MomsRequest
 
 
 class RequestDriver(Component):
@@ -25,7 +25,6 @@ class RequestDriver(Component):
         self.resp_port = resp_port
         self.to_send = list(enumerate(addrs))
         self.responses = []
-        req_port.subscribe_space(self)
         resp_port.subscribe_data(self)
 
     def tick(self, engine):
@@ -35,6 +34,8 @@ class RequestDriver(Component):
                 MomsRequest(addr=addr, size=4, req_id=(self.pe_index, i),
                             port=self.pe_index)
             )
+        if self.to_send:
+            self.req_port.request_space_wake(self)
         while self.resp_port.can_pop():
             self.responses.append(self.resp_port.pop())
 

@@ -38,14 +38,15 @@ def _sha(obj):
 
 #: (cycles, SHA-256 of the JSON end state) of whole-system runs,
 #: recorded from the per-element scalar kernels before they were
-#: retired.
+#: retired, and re-hashed without the bank stats' unread
+#: ``busy_cycles`` field when it was deleted (every other field equal).
 SCALAR_STATE = {
     "pagerank": (
         19393,
-        "d1a05d0e3c225b385e17a5ec257eee0823eaa2af286678487e33f747f10f83c1"),
+        "c1aa556d4460f02b55cd7fb9123e1ece054e5e3041dffc549921541549bc5d5b"),
     "bfs": (
         15735,
-        "9b7539f392de7da8118c21b15d3aa541bc352bc431bb44f757bbb2c589c9f3dc"),
+        "78eff70488da93bdfa3d87abf4a265c7d428d9430f9902ce1734c81cb49da8fc"),
 }
 
 #: (cycles, SHA-256 of the JSON value list) of faulted BFS runs under
@@ -133,7 +134,6 @@ class _ScriptedProducer(Component):
         self.script = script
         self.idx = 0
         engine.add_component(self)
-        req.subscribe_space(self)
         engine.wake(self)
 
     def tick(self, engine):
@@ -143,7 +143,8 @@ class _ScriptedProducer(Component):
                 engine.wake_at(self, when)
                 return
             if not self.req.can_push():
-                return  # space wake re-arms
+                self.req.request_space_wake(self)
+                return
             self.req.push(make())
             self.idx += 1
 

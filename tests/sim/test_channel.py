@@ -4,8 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.messages import MomsRequest, MomsResponse
-from repro.sim import Channel, DelayLine, Engine
+from repro.sim import Channel, DelayLine, Engine, MomsRequest, MomsResponse
 from repro.sim.engine import Component
 
 
@@ -195,8 +194,8 @@ class TestThrottleInteraction:
         assert not ch.can_push()
         with pytest.raises(OverflowError):
             ch.push_request(8, 4, "c", 2)
-        assert ch.pop_request()[2] == "a"
-        assert ch.pop_request()[2] == "b"
+        assert ch.pop().req_id == "a"
+        assert ch.pop().req_id == "b"
         ch.restore()
         assert ch.capacity == 4
         ch.validate()
@@ -206,7 +205,7 @@ class TestThrottleInteraction:
         # Rotate the ring first so _head != 0 when the ring grows.
         ch.push_request(0, 4, "x", 0)
         ch.commit()
-        assert ch.pop_request()[2] == "x"
+        assert ch.pop().req_id == "x"
         ch.commit()
         ch.push_request(10, 4, "a", 1)
         ch.push_request(20, 4, "b", 2)
@@ -215,7 +214,7 @@ class TestThrottleInteraction:
         for index in range(4):
             ch.push_request(30 + index, 4, ("new", index), 3)
         ch.commit()
-        ids = [ch.pop_request()[2] for _ in range(6)]
+        ids = [ch.pop().req_id for _ in range(6)]
         assert ids == ["a", "b", ("new", 0), ("new", 1),
                        ("new", 2), ("new", 3)]
 
@@ -224,7 +223,7 @@ class TestThrottleInteraction:
         for spin in range(3):  # wrap the 2-slot ring
             ch.push_request(spin, 4, spin, 0)
             ch.commit()
-            assert ch.pop_request()[2] == spin
+            assert ch.pop().req_id == spin
             ch.commit()
         ch.push_request(99, 4, "keep", 0)
         ch.commit()
@@ -233,7 +232,7 @@ class TestThrottleInteraction:
         assert ch.front_request()[2] == "keep"
         ch.restore()
         assert ch.can_push()
-        assert ch.pop_request()[2] == "keep"
+        assert ch.pop().req_id == "keep"
         ch.validate()
 
 
@@ -247,7 +246,8 @@ class TestFieldsRoundTrip:
                                 ("id", round_index, lane), lane)
             ch.commit()
             for lane in range(3):
-                addr, size, req_id, port = ch.pop_request()
+                addr, size, req_id, port = ch.front_request()
+                ch.pop()
                 assert addr == 4 * (round_index + lane)
                 assert size == 4
                 assert req_id == ("id", round_index, lane)
@@ -264,7 +264,7 @@ class TestFieldsRoundTrip:
             assert (req_id, addr, data, port) == (
                 index, 64 + index, payload, index % 4
             )
-            ch.drop()
+            ch.pop()
             ch.commit()
 
     def test_pop_line_returns_addr_and_data(self):
@@ -274,27 +274,20 @@ class TestFieldsRoundTrip:
         assert ch.pop_line() == (128, b"\x01\x02")
 
     def test_pop_line_recycles_across_ring_wraparound(self):
+        """The ring slots are reused as the 2-slot ring wraps; every
+        line still comes out with its own fields."""
         _, ch = engine_with_channel(2)
-        pool = MomsResponse._pool
-        ch.push_response(None, 0, b"", 0)  # make sure one token is pooled
-        ch.commit()
-        ch.pop_line()
-        ch.commit()
-        fresh = MomsResponse._fresh
         for index in range(9):
             ch.push_response(index, 64 * index, bytes([index]), 0)
             ch.commit()
-            token = ch.front()
             assert ch.pop_line() == (64 * index, bytes([index]))
-            assert pool[-1] is token
             ch.commit()
-        assert MomsResponse._fresh == fresh  # every push reused a token
 
     def test_object_push_pops_as_request_fields(self):
         _, ch = engine_with_channel(4)
         ch.push(MomsRequest(24, 4, req_id=7, port=2))
         ch.commit()
-        assert ch.pop_request() == (24, 4, 7, 2)
+        assert ch.front_request() == (24, 4, 7, 2)
 
     def test_fields_push_pops_as_response_object(self):
         _, ch = engine_with_channel(4)
@@ -332,7 +325,7 @@ class TestSpaceWakeOneShots:
         ch.request_space_wake(waker)
         engine._step()  # full channel committed nothing: no wake yet
         assert waker.ticked == 0
-        ch.pop_request()
+        ch.pop()
         engine._step()  # pop commits -> space -> one-shot fires
         engine._step()  # waker ticks
         assert waker.ticked == 1
@@ -356,7 +349,7 @@ class TestSpaceWakeOneShots:
         ch.push_request(0, 4, "a", 0)
         engine._step()
         ch.request_space_wake(waker)
-        ch.pop_request()
+        ch.pop()
         engine._step()
         engine._step()
         assert waker.ticked == 1

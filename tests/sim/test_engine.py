@@ -12,12 +12,13 @@ class Producer(Component):
         self.out = out
         self.count = count
         self.sent = 0
-        out.subscribe_space(self)
 
     def tick(self, engine):
         if self.sent < self.count and self.out.can_push():
             self.out.push(self.sent)
             self.sent += 1
+        if self.sent < self.count:
+            self.out.request_space_wake(self)
 
     def is_idle(self):
         return self.sent == self.count
@@ -45,13 +46,14 @@ class LatencyRelay(Component):
         self.out = out
         inp.subscribe_data(self)
         line.subscribe_data(self)
-        out.subscribe_space(self)
 
     def tick(self, engine):
         if self.inp.can_pop():
             self.line.push(self.inp.pop())
         if self.line.can_pop() and self.out.can_push():
             self.out.push(self.line.pop())
+        if self.line.can_pop():
+            self.out.request_space_wake(self)
 
 
 class TestEngine:

@@ -12,10 +12,8 @@ Every point here is a *structure-starved* point of the golden corpus
 whose fingerprints were recorded per cycle with fusion disabled, so
 fused retry/drain runs actually occur and are checked against the
 per-cycle schedule.  Each fused leg asserts nonzero coverage, so the
-suite cannot green-wash by silently never fusing.  The PE's STREAM
-kernel fuses on none of them, so it has its own point, checked against
-a fusion-off run of itself.  The telemetry legs check that observed
-components keep declining fusion.
+suite cannot green-wash by silently never fusing.  The telemetry leg
+checks that observed components keep declining fusion.
 """
 
 import hashlib
@@ -23,14 +21,10 @@ import json
 
 import pytest
 
-from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
-from repro.accel.pe import ProcessingElement
 from repro.accel.system import AcceleratorSystem
 from repro.checkpoint import load_snapshot, read_header
 from repro.core.bank import MomsBank
-from repro.fabric.design import MOMS_TRADITIONAL
 from repro.faults.plan import NAMED_PLANS
-from repro.graph.datasets import BENCHMARKS
 from repro.telemetry import TelemetryConfig
 from repro.tracing import SpansConfig
 from repro.tracing.export import spans_jsonl_bytes
@@ -169,69 +163,20 @@ class TestSpanStream:
         _assert_matches_corpus(per_cycle, "pagerank", "two-level")
 
 
-def _stream_point(fusion_cap=None, **system_kwargs):
-    """The smallest point found where the PE's STREAM kernel fuses.
-
-    None of the starved points above fuses a STREAM decode-under-stall
-    run (their PE fusion is all INIT apply tails); this two-PE
-    traditional PageRank point on the UK stand-in does, 66 cycles.
-    """
-    config = ArchitectureConfig(
-        _design(2, 2, MOMS_TRADITIONAL, "pagerank", n_channels=2),
-        **SCALED_DEFAULTS,
-    )
-    system = AcceleratorSystem(BENCHMARKS["UK"].generate(0, shrink=24),
-                               "pagerank", config, **system_kwargs)
-    if fusion_cap is not None:
-        system.engine._fusion_cap = fusion_cap
-    return system, system.run(max_iterations=2)
-
-
-class TestStreamDecodeRun:
-    def test_fused_stream_run_matches_per_cycle(self, monkeypatch):
-        """Fused STREAM runs reproduce the per-cycle run, and each one
-        declines while the DMA response queue has a space watcher: a
-        silent pop would skip the watcher's wake.  No run reaches the
-        kernel with a watcher registered (a pop on the real tick
-        before the window fires it), so the watcher is planted."""
-        fused_cycles = []
-        kernel = ProcessingElement._step_n_stream
-
-        def checked(pe, engine, budget):
-            watchers = pe.dma_resp._space_requests
-            watchers.append(pe)
-            try:
-                assert kernel(pe, engine, budget) == 0
-            finally:
-                watchers.remove(pe)
-            m = kernel(pe, engine, budget)
-            fused_cycles.append(m)
-            return m
-
-        monkeypatch.setattr(ProcessingElement, "_step_n_stream", checked)
-        _, fused = _stream_point()
-        assert sum(fused_cycles) > 0, "STREAM runs stopped fusing here"
-        _, per_cycle = _stream_point(fusion_cap=0)
-        assert result_fingerprint(fused) == result_fingerprint(per_cycle)
-
-
 class TestTelemetry:
-    @pytest.mark.parametrize("point", ("bank-and-init", "stream"))
+    @pytest.mark.parametrize("point", ("bank-and-init",))
     def test_summary_unchanged_with_fusion_off(self, point):
         """Telemetry settles a stall account on every ``bank_tick`` and
         ``pe_tick``, so its summary is exact only while probed
         components decline fusion: with that decline it equals the
         fusion-off run's summary in everything but the engine's own
-        fusion counters.  The first point fuses bank retry spins and
-        PE INIT tails when unobserved, the second a STREAM run."""
+        fusion counters.  The point fuses bank retry spins and PE INIT
+        tails when unobserved."""
 
         def leg(fusion_cap):
             telemetry = TelemetryConfig(sample_interval=64)
-            if point == "stream":
-                system, _ = _stream_point(fusion_cap, telemetry=telemetry)
-            else:
-                system, _ = _run("pagerank", "private",
-                                 fusion_cap=fusion_cap, telemetry=telemetry)
+            system, _ = _run("pagerank", "private",
+                             fusion_cap=fusion_cap, telemetry=telemetry)
             summary = system.telemetry.summary()
             summary.pop("fusion")
             return summary

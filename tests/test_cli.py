@@ -48,3 +48,12 @@ class TestCli:
         # The trace command subsumed the old spans command.
         with pytest.raises(SystemExit):
             main(["spans"])
+
+    def test_profile_subcommand_prints_its_tables(self, capsys):
+        assert main(["profile", "--graph", "24", "--algorithm", "pagerank",
+                     "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "per-component self time (repro modules)" in out
+        assert "top 3 functions by self time" in out
+        assert "\nengine: " in out and "cycles simulated" in out
+        assert "\nfusion: " in out
