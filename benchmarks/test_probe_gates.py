@@ -27,6 +27,7 @@ import pytest
 
 from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
+from repro.core.bank import MomsBank
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.sim.probe import EventCounter
@@ -87,50 +88,57 @@ def _overhead_config():
     return graph, config
 
 
-def _gate_census(graph, config, system_off):
+def _gate_census(graph, config, system_off, monkeypatch):
     """Count the disabled-path gate executions of one unprobed run.
 
     * **probe** -- an :class:`EventCounter` installed as the probe
       counts how often each event site's ``_probe`` gate passes.  A
-      probed run never fuses, so it ticks at least every cycle the
-      unprobed run ticks and its count bounds the unprobed run's.
-    * **engine_poll** -- the watchdog/sampler/checkpointer tests: three
-      per engine step and three per fusion attempt.
+      probe observes without waking anyone, so the probed run makes
+      exactly the unprobed run's ticks and its count is the unprobed
+      run's gate count.
+    * **engine_poll** -- the watchdog/sampler/checkpointer tests, three
+      per engine step.
     * **fault** -- the ``_fault`` tests: one per DRAM tick, two per
-      DRAM accept, one per response schedule, one per MSHR insert, one
-      per subentry replay, and the step_n fusion declines (three tests
-      per ``step_n`` call).
+      DRAM accept, one per response schedule, one per MSHR insert
+      call (the retries a bank slept through settle without one), one
+      per subentry replay, and one per hopeless MSHR failure, where
+      the bank tests the MSHR file's slot before it sleeps.
     """
     counter = EventCounter()
     probed = AcceleratorSystem(graph, "bfs", config)
     probed.install_probe([counter])
+    settles = []
+    settle = MomsBank._settle_spin
+
+    def counted(bank, now):
+        settles.append(now - bank._spin_since - 1)
+        settle(bank, now)
+
+    # Every sleep ends in exactly one settle: a finished run has no
+    # request left for a bank to sleep on.
+    monkeypatch.setattr(MomsBank, "_settle_spin", counted)
     probed.run()
-    # The probe term is a bound only while probed components decline
-    # fusion; a probe event that covers a fused run breaks the premise.
-    assert probed.engine.fused_cycles == 0, (
-        f"the probed census run fused {probed.engine.fused_cycles} "
-        f"cycles, so its event count no longer bounds the unprobed gates"
+    monkeypatch.undo()
+    engine = system_off.engine
+    assert probed.engine.activity() == engine.activity(), (
+        "the probed census run ticked differently from the unprobed "
+        "run, so its event count is no longer the unprobed gate count"
     )
     events = counter.counts
 
-    engine = system_off.engine
-    aborts = engine.fusion_abort_reasons
-    steps = engine.cycles_simulated - engine.fused_cycles
-    attempts = engine.fused_runs + sum(aborts.values())
-    step_n_calls = engine.fused_runs + aborts.get("component", 0)
-    inserts = sum(bank.mshrs.stats.inserts + bank.mshrs.stats.insert_failures
-                  for bank in system_off.hierarchy.banks)
+    attempts = sum(bank.mshrs.stats.inserts + bank.mshrs.stats.insert_failures
+                   for bank in system_off.hierarchy.banks)
     channels = system_off.mem.channels
     sites = {
         "probe": sum(events.values()),
-        "engine_poll": 3 * steps + 3 * attempts,
+        "engine_poll": 3 * engine.cycles_simulated,
         "fault": (
             sum(channel.ticks for channel in channels)
             + 2 * events["dram_accept"]
             + events["dram_schedule"]
-            + inserts
+            + attempts - sum(settles)
             + events["bank_replay"]
-            + 3 * step_n_calls
+            + len(settles)
         ),
     }
     sites["total"] = sum(sites.values())
@@ -163,9 +171,9 @@ def legs(tmp_path_factory):
     return graph, config, system_off, walls, cycles
 
 
-def test_disabled_gates_under_budget(legs, capsys):
+def test_disabled_gates_under_budget(legs, capsys, monkeypatch):
     graph, config, system_off, walls, _cycles = legs
-    sites, events = _gate_census(graph, config, system_off)
+    sites, events = _gate_census(graph, config, system_off, monkeypatch)
     gate_ns = _gate_cost_ns()
     wall_off = min(walls["off"])
     implied = sites["total"] * gate_ns * 1e-9 / wall_off

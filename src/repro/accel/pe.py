@@ -322,66 +322,6 @@ class ProcessingElement(Component):
         backlog = self._edges_queued + self._beats_outstanding * 16
         return backlog <= self._decoded_backlog_limit
 
-    def step_n(self, engine, budget):
-        """Fused-tick protocol (see ``repro.sim.Component.step_n``).
-
-        The one PE run that is silently repeatable under a stable
-        singleton wake set is the INIT apply tail: draining the
-        BRAM-apply backlog at the port rate with no DMA traffic this
-        window.  Everything else -- burst issue, edge decode, MOMS
-        dispatch, response serving, phase transitions -- does real
-        per-cycle work and falls through to normal ticks.
-        """
-        if self._probe is not None:
-            return 0
-        if self._phase in (INIT_CONST, INIT_VIN):
-            return self._step_n_init(budget)
-        return 0
-
-    def _step_n_init(self, budget):
-        """Fused INIT run: apply backlog words at the BRAM port rate.
-
-        Fusable only while no beat is waiting in the DMA queue and the
-        next burst cannot issue yet (one in flight, or all requested),
-        so each cycle's whole effect is ``init_nodes_per_cycle`` words
-        applied.  At least one word is left behind: the completion
-        transition and the possibly partial final apply happen on the
-        real tick that follows.
-        """
-        if self.dma_resp._visible:
-            return 0
-        if (self._rd_burst_outstanding == 0
-                and self._rd_requested < self._rd_total):
-            return 0  # this cycle would issue the next DMA burst
-        backlog = self._apply_backlog
-        if not backlog:
-            return 0
-        per = self.config.init_nodes_per_cycle
-        total = 0
-        for _, chunk in backlog:
-            total += len(chunk)
-        m = (total - 1) // per
-        if budget < m:
-            m = budget
-        if m < 1:
-            return 0
-        # The per-cycle apply loop with an m-cycle budget: identical
-        # word order and chunk trimming, one loop instead of m.
-        budget_words = m * per
-        target = (self._const_bram if self._phase == INIT_CONST
-                  else self._bram)
-        while budget_words > 0 and backlog:
-            start, vals = backlog[0]
-            take = min(budget_words, len(vals))
-            target[start:start + take] = vals[:take]
-            self._applied += take
-            budget_words -= take
-            if take == len(vals):
-                backlog.popleft()
-            else:
-                backlog[0] = (start + take, vals[take:])
-        return m
-
     def is_idle(self):
         return self._phase == IDLE
 

@@ -364,18 +364,12 @@ class AcceleratorSystem:
             # with the activity counters and a stall report attached.
             # A resumed iteration gets only the unused remainder of its
             # budget, so interrupting cannot extend the allowance.
-            # stable_done: _iteration_done reads scheduler queues and
-            # PE phases, all of which flip only through channel pushes
-            # or phase transitions on real ticks -- never inside a
-            # silent cycle -- so macro-tick fusion is licensed for the
-            # accelerator run loop.
             self.engine.run(
                 done=self._iteration_done,
                 max_cycles=self._run_budget
                 - (self.engine.now - self._run_iter_start),
                 raise_on_limit=True,
                 resume=engine_resume,
-                stable_done=True,
             )
             self._run_in_iteration = False
             if self.ledger is not None:
@@ -440,13 +434,6 @@ class AcceleratorSystem:
         (``stats["telemetry"]``).
         """
         design = self.config.design
-        # Per-run stats are an architectural fingerprint (replay and
-        # chaos compare them across hook configurations bit for bit),
-        # so the fusion bookkeeping, which varies with hook cadence,
-        # stays out; EngineActivity and the telemetry summary carry it.
-        engine_activity = self.engine.activity()
-        for key in self.engine.FUSION_BOOKKEEPING_KEYS:
-            engine_activity.pop(key, None)
         stats = {
             "raw_stalls": sum(pe.stats.raw_stalls for pe in self.pes),
             "moms_request_stalls": sum(
@@ -464,7 +451,7 @@ class AcceleratorSystem:
             "stall_breakdown": self.hierarchy.stall_breakdown(),
             "organization": design.organization,
             "cycles_skipped": self.engine.cycles_skipped,
-            "engine": engine_activity,
+            "engine": self.engine.activity(),
         }
         # MSHR merge rate -- merged (secondary) misses over all misses,
         # the paper's key coalescing-efficiency figure (Fig. 12).

@@ -15,7 +15,7 @@ Deliberately out of scope (inherited from the original test):
 * subscripted receivers like ``ports[channel].push(...)`` -- the
   target channel varies per iteration, which no bulk call on a single
   channel can express;
-* freelist-style receivers (``pool.pop()`` and friends) -- LIFO list
+* stack-style receivers (``pending.pop()`` and friends) -- LIFO list
   pops, not channels.
 """
 
@@ -26,7 +26,7 @@ from repro.analysis.rules.base import Rule
 # Object-API methods that move one token per call.
 SINGLE_TOKEN = ("push", "front")
 # Receiver base names that are not channels.
-ALLOWED_RECEIVERS = ("pool", "pending", "path", "stack", "heap")
+ALLOWED_RECEIVERS = ("pending", "path", "stack", "heap")
 
 
 def _receiver_name(node):
@@ -67,7 +67,6 @@ class SingleTokenChannelRule(Rule):
         "    self.resp_out.push_many(batch)\n"
         "    for channel, item in pieces:\n"
         "        ports[channel].push(item)\n"
-        "        token = pool.pop()\n"
     )
 
     def check(self, source, ctx):

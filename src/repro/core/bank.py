@@ -22,6 +22,13 @@ and writes plain field values rather than token objects.
 All backpressure stalls arm one-shot space wakes on the specific full
 channel instead of subscribing statically, so a draining response port
 no longer wakes a bank with nothing to send.
+
+A cuckoo insert that fails must be retried every cycle, since each
+attempt advances the victim-way PRNG.  When the MSHR file proves the
+failure hopeless (no empty slot in the line's kick closure), every
+retry until a line returns repeats the same failure, so the bank
+sleeps instead and settles the retries it slept through in bulk on its
+next tick (DESIGN 6.1).
 """
 
 from dataclasses import dataclass, field
@@ -35,6 +42,7 @@ from repro.sim import Component
 _PROGRESS = "progress"  # head request completed
 _SLEEP = "sleep"  # stalled without touching architectural state
 _RETRY = "retry"  # stalled after a cuckoo insert mutated PRNG/table state
+_SPIN = "spin"  # _RETRY that the MSHR file proved hopeless (see tick)
 
 
 @dataclass
@@ -104,6 +112,9 @@ class MomsBank(Component):
     # unfaulted path pays one "is None" test per site.  Observers see
     # the bank through the one ``_probe`` slot (repro.sim.probe).
     _fault = None
+    # Cycle of the hopeless retry this bank sleeps after, or None.  A
+    # class default, so snapshots written before the sleep existed load.
+    _spin_since = None
 
     def __init__(self, params, req_in, resp_out, line_in, downstream,
                  store, name="bank", seed=1):
@@ -145,6 +156,8 @@ class MomsBank(Component):
     def tick(self, engine):
         # Hot path: direct occupancy-int checks avoid method-call
         # overhead on the (frequent) idle cycles.
+        if self._spin_since is not None:
+            self._settle_spin(engine.now)
         if self._probe is not None:
             self._probe.bank_tick(self, engine.now)
         if self._drain_chain is not None:
@@ -173,7 +186,8 @@ class MomsBank(Component):
                 self.resp_out.request_space_wake(self)
             return
         if self.req_in._visible:
-            if self._handle_request() is _RETRY:
+            outcome = self._handle_request()
+            if outcome is _RETRY:
                 # A cuckoo insert ran and failed (or succeeded and was
                 # rolled back for a missing subentry row): the victim-way
                 # generator and possibly the table layout advanced, so
@@ -182,55 +196,36 @@ class MomsBank(Component):
                 # would, or a different attempt would succeed and
                 # change the cycle results.
                 engine.wake(self)
+            elif outcome is _SPIN:
+                # Every retry until a line returns fails the same way:
+                # only this bank pops req_in, fills the cache, changes
+                # the MSHR table and pushes the downstream port.  Sleep
+                # until line_in or req_in data wakes the bank, or the
+                # fault controller does as it throttles that port.
+                self._spin_since = engine.now
             # A _PROGRESS pop re-fires req_in's data subscription at
             # commit.  A _SLEEP stall touched no architectural state, and
             # every event that can unblock it fires a wake -- line_in
             # data (frees MSHRs, subentry rows, and fills the cache) or
             # the one-shot armed on the full channel at the stall site.
 
-    def step_n(self, engine, budget):
-        """Fused-tick protocol (see ``repro.sim.Component.step_n``).
+    def _settle_spin(self, now):
+        """Commit the hopeless retries slept through since ``_spin_since``.
 
-        The only multi-cycle run a bank performs under a stable
-        singleton wake set is the cuckoo retry spin: the head request
-        re-attempting the same failing MSHR insert every cycle, each
-        tick re-arming ``engine.wake(self)``.  Such a cycle's exact
-        effects -- cache probe miss, MSHR lookup miss, the failing
-        insert's PRNG/stat advance, ``stall_mshr`` -- are replicated in
-        bulk via :meth:`CuckooMshrFile.failing_insert_run`, which
-        commits a run that ``_dead_end`` proves hopeless (no empty slot
-        in the line's kick closure) as one PRNG jump and dry-runs any
-        other; every other bank state returns 0 and stays on real
-        per-cycle ticks.
+        A bank ticked every cycle would have retried on each of the
+        ``now - since - 1`` cycles in between, each attempt a cache
+        probe miss (counted only when a cache array exists), an MSHR
+        lookup miss, a failing insert and an MSHR stall.
         """
-        if self._probe is not None or self._fault is not None:
-            return 0
-        if self._drain_chain is not None or self.line_in._visible:
-            return 0
-        req_in = self.req_in
-        if not req_in._visible or not self._stateful_mshrs:
-            return 0
-        mshrs = self.mshrs
-        if mshrs._fault is not None:
-            return 0
-        addr = req_in.front_request()[0]
-        line_addr = addr // self.params.line_bytes
-        if (self.cache.contains(line_addr)
-                or mshrs.peek(line_addr) is not None):
-            return 0
-        if not self.downstream.can_accept(line_addr):
-            return 0
-        m = mshrs.failing_insert_run(line_addr, budget)
-        if not m:
-            return 0
-        # Bulk form of m identical retry ticks: probe miss (counted
-        # only when a cache array exists -- CacheArray.probe gates its
-        # stats on presence), lookup miss, MSHR stall.
-        if self.cache.present:
-            self.cache.stats.probes += m
-        mshrs.stats.lookups += m
-        self.stats.stall_mshr += m
-        return m
+        n = now - self._spin_since - 1
+        self._spin_since = None
+        if n:
+            if self.cache.present:
+                self.cache.stats.probes += n
+            mshrs = self.mshrs
+            mshrs.stats.lookups += n
+            mshrs.fail_hopeless(n)
+            self.stats.stall_mshr += n
 
     def is_idle(self):
         return (
@@ -312,7 +307,9 @@ class MomsBank(Component):
         one-shot wake (or a line return) fires.  ``_RETRY`` stalls ran
         a cuckoo insert first and must be retried every cycle to keep
         the victim-way generator sequence that of a bank ticked every
-        cycle.
+        cycle.  ``_SPIN`` is a ``_RETRY`` insert failure the MSHR file
+        proved hopeless while the file has no fault hook (a forced-full
+        window opening mid-sleep would fail a retry without drawing).
         """
         stats = self.stats
         req_in = self.req_in
@@ -365,13 +362,18 @@ class MomsBank(Component):
             stats.stall_downstream += 1
             downstream.request_wake(line_addr, self)
             return _SLEEP
-        new_entry = self.mshrs.insert(line_addr)
+        mshrs = self.mshrs
+        new_entry = mshrs.insert(line_addr)
         if new_entry is None:
             stats.stall_mshr += 1
-            return _RETRY if self._stateful_mshrs else _SLEEP
+            if not self._stateful_mshrs:
+                return _SLEEP
+            if mshrs.hopeless and mshrs._fault is None:
+                return _SPIN
+            return _RETRY
         chain = self.subentries.new_chain()
         if not self.subentries.append(chain, subentry):
-            self.mshrs.remove(line_addr)
+            mshrs.remove(line_addr)
             stats.stall_subentry += 1
             return _RETRY if self._stateful_mshrs else _SLEEP
         new_entry.subentry_head = chain

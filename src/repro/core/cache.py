@@ -59,18 +59,6 @@ class CacheArray:
     def _set_of(self, line_addr):
         return line_addr % self.n_sets
 
-    def contains(self, line_addr):
-        """Presence test with no LRU or stats effects (fusion oracle).
-
-        ``MomsBank.step_n`` must predict that a retry cycle's probe
-        would miss without perturbing the counters and recency order
-        the real probes will touch; misses leave both untouched, so
-        this pure read is all the prediction needs.
-        """
-        if not self.present:
-            return False
-        return line_addr in self._sets[self._set_of(line_addr)]
-
     def probe(self, line_addr):
         """True on hit; updates LRU order."""
         if not self.present:

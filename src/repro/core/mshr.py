@@ -6,7 +6,11 @@ Two implementations:
   entries, looked up by cuckoo hashing over d ways instead of a fully
   associative CAM, so it maps onto ordinary BRAM.  An insertion can
   fail after a bounded kick chain; the bank then stalls and retries,
-  which is the paper's behaviour under extreme occupancy.
+  which is the paper's behaviour under extreme occupancy.  When
+  :meth:`CuckooMshrFile._dead_end` proves that no retry can place the
+  line until an entry is removed, the failure is reported as
+  ``hopeless`` and the bank sleeps until a line returns, settling the
+  retries it slept through with :meth:`CuckooMshrFile.fail_hopeless`.
 * :class:`AssociativeMshrFile` -- the classic small fully-associative
   file (16 entries in the paper's traditional-cache baseline); misses
   block as soon as it fills, which is exactly why traditional
@@ -33,10 +37,10 @@ def lcg_jump(seed, n):
     Binary jump-ahead (Brown's algorithm): composing the affine map
     ``x -> A*x + C`` with itself squares ``A`` and folds the offset as
     ``C -> C * (A + 1)``, so any draw count is a walk over the bits of
-    *n*.  Bit-identical to *n* single advances -- this is how a fused
-    retry run that ``CuckooMshrFile._dead_end`` proves hopeless commits
-    thousands of guaranteed failing draws without generating any of
-    them.
+    *n*.  Bit-identical to *n* single advances -- this is how the
+    retries a bank slept through after ``CuckooMshrFile._dead_end``
+    proved them hopeless commit thousands of guaranteed failing draws
+    without generating any of them.
     """
     a, c = _LCG_A, _LCG_C
     ja, jc = 1, 0  # identity map, composed up to f^n
@@ -94,6 +98,9 @@ class CuckooMshrFile:
     # Fault-injection hook (repro.faults.plan.FaultState); class
     # attribute so unfaulted files pay one "is None" test per insert.
     _fault = None
+    # Set by every failing insert: True when _dead_end proved that no
+    # retry can place the line before an entry is removed.
+    hopeless = False
 
     def __init__(self, capacity, n_ways=4, max_kicks=16, seed=1):
         if capacity < n_ways:
@@ -155,14 +162,15 @@ class CuckooMshrFile:
         exists (a lookup always precedes insertion in the bank pipeline).
         When every candidate slot is occupied and :meth:`_dead_end`
         proves that no chain can place the line, the failing attempt is
-        committed without walking it: ``max_kicks + 1`` victim draws
-        (one ``lcg_jump``) and one ``insert_failures``.
+        committed without walking it (:meth:`fail_hopeless`) and
+        ``hopeless`` is set; any other failure clears it.
         """
         if self._fault is not None and self._fault.mshr_blocked():
             # Forced-full window: report failure without touching table
             # or PRNG state, so the retry after the window behaves
             # exactly like a first attempt.
             self.stats.insert_failures += 1
+            self.hopeless = False
             return None
         entry = MshrEntry(line_addr)
         carried = entry
@@ -187,10 +195,8 @@ class CuckooMshrFile:
             if not kick and self._dead_end(line_addr):
                 # Provably hopeless: the chain would only shuffle and
                 # unwind, so commit its draws and the failure directly.
-                self._victim_state = lcg_jump(
-                    self._victim_state, self.max_kicks + 1
-                )
-                self.stats.insert_failures += 1
+                self.fail_hopeless(1)
+                self.hopeless = True
                 return None
             # All full: displace a pseudo-randomly chosen victim way so
             # kick chains explore the table instead of looping.
@@ -210,7 +216,23 @@ class CuckooMshrFile:
             carried = displaced
         assert carried is entry
         self.stats.insert_failures += 1
+        self.hopeless = False
         return None
+
+    def fail_hopeless(self, n):
+        """Commit *n* failing inserts that :meth:`_dead_end` proved.
+
+        Each such attempt shuffles residents and unwinds, so it leaves
+        the table as it was and only advances the victim PRNG by
+        ``max_kicks + 1`` draws and ``insert_failures`` by one; *n* of
+        them are one ``lcg_jump``.  Exact as long as no entry is
+        removed in between: removals are the only way the closure can
+        gain an empty slot.
+        """
+        self._victim_state = lcg_jump(
+            self._victim_state, n * (self.max_kicks + 1)
+        )
+        self.stats.insert_failures += n
 
     def _dead_end(self, line_addr):
         """True when no kick chain can place *line_addr*, for any draws.
@@ -246,91 +268,14 @@ class CuckooMshrFile:
     def peek(self, line_addr):
         """The entry for *line_addr* or None, with no lookup/hit stats.
 
-        ``MomsBank.step_n`` must predict that a retry cycle's MSHR
-        lookup would miss without bumping the counters the real,
-        stats-replicated retries account for; observers read an entry
-        the same way.
+        For observers (the span tracer), which must not bump the
+        counters the bank's own lookups account for.
         """
         for table, slot in zip(self._tables, self._slots(line_addr)):
             entry = table[slot]
             if entry is not None and entry.line_addr == line_addr:
                 return entry
         return None
-
-    def failing_insert_run(self, line_addr, budget):
-        """Commit up to *budget* consecutive failing inserts of *line_addr*.
-
-        The fused-retry kernel behind ``MomsBank.step_n``: a bank
-        stalled on cuckoo insert failure re-attempts the same insert
-        every cycle, and each failing attempt leaves the table exactly
-        as before (the exact unwind in :meth:`insert`), advancing only
-        the victim PRNG by ``max_kicks + 1`` draws and
-        ``insert_failures`` by one.  When :meth:`_dead_end` proves that
-        no chain can place the line (a full table is the trivial case),
-        all *budget* attempts fail and the run commits them with one
-        ``lcg_jump``.  Otherwise consecutive attempts are *not*
-        automatically failures -- a different victim-way draw can place
-        the entry with the table unchanged -- so each attempt is
-        dry-run by :meth:`_attempt_fails`, drawing its victim ways with
-        the same LCG step as :meth:`insert`.  The run stops before the
-        first attempt that would succeed and commits the k failing
-        attempts: ``_victim_state`` after their ``k * (max_kicks + 1)``
-        draws, ``insert_failures += k``.  Returns k; the caller replays
-        the next, possibly succeeding, attempt on a real tick.
-        """
-        if self._dead_end(line_addr):
-            # Retry storm that provably cannot place (a full table, or
-            # no empty slot in the line's closure), and
-            # no slot can free up inside the silent window (removals
-            # only happen on real drain ticks): every attempt shuffles
-            # residents and unwinds.  The whole run collapses to the
-            # PRNG advance: budget * (max_kicks + 1) draws, jumped in
-            # O(log n).
-            self._victim_state = lcg_jump(
-                self._victim_state, budget * (self.max_kicks + 1)
-            )
-            self.stats.insert_failures += budget
-            return budget
-        state = self._victim_state
-        failures = 0
-        while failures < budget:
-            after = self._attempt_fails(line_addr, state)
-            if after is None:
-                break
-            state = after
-            failures += 1
-        if failures:
-            self._victim_state = state
-            self.stats.insert_failures += failures
-        return failures
-
-    def _attempt_fails(self, line_addr, state):
-        """Dry-run one :meth:`insert` of *line_addr* from victim *state*.
-
-        Displacements go to an overlay view (``(way, slot) -> carried
-        line address``); the table is not touched.  A kick only writes
-        into an occupied slot, so the empty slots are the table's own.
-        Returns the victim state after the attempt's draws if it fails,
-        None if it would place the line.
-        """
-        tables = self._tables
-        n_ways = self.n_ways
-        view = {}
-        carried = line_addr
-        for _ in range(self.max_kicks + 1):
-            slots = self._slots(carried)
-            for way, slot in enumerate(slots):
-                if tables[way][slot] is None:
-                    return None
-            state = _lcg_step(state)
-            way = (state >> 33) % n_ways
-            slot = slots[way]
-            occupant = view.get((way, slot))
-            if occupant is None:
-                occupant = tables[way][slot].line_addr
-            view[(way, slot)] = carried
-            carried = occupant
-        return state
 
     def remove(self, line_addr):
         """Free the entry for *line_addr* (line returned and drained)."""

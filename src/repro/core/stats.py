@@ -13,15 +13,14 @@ from repro.records import Record
 
 # Schema version of EngineActivity.as_dict() rows; from_dict() stays
 # tolerant in both directions so `--resume` reuses journals across
-# code changes.  v3 added the macro-tick fusion counters.
-ACTIVITY_SCHEMA_VERSION = 3
+# code changes.  v4 dropped v3's macro-tick fusion counters.
+ACTIVITY_SCHEMA_VERSION = 4
 
 ACTIVITY_RECORD = Record(
     "engine activity", "version", ACTIVITY_SCHEMA_VERSION, (
         "version", "cycles_simulated", "cycles_skipped",
         "component_ticks", "component_wakes", "all_tick_equivalent",
-        "runs", "fused_runs", "fused_cycles", "mean_run_len",
-        "fusion_abort_reasons", "by_kind",
+        "runs", "by_kind",
     ))
 
 
@@ -47,13 +46,6 @@ class EngineActivity:
     # runs with different component counts merge correctly.
     all_tick_equivalent: int = 0
     runs: int = 0
-    # Macro-tick fusion counters: fused runs issued, cycles covered by
-    # them, and why fusion attempts were abandoned ({reason: count}).
-    # Execution-strategy metadata, not architectural state -- always
-    # present (explicit zeros when nothing fused).
-    fused_runs: int = 0
-    fused_cycles: int = 0
-    fusion_abort_reasons: dict = field(default_factory=dict)
     # Per-component-class {"count", "ticks", "wakes"} rows (see
     # component_breakdown); summed across merged runs.
     by_kind: dict = field(default_factory=dict)
@@ -86,11 +78,7 @@ class EngineActivity:
         return cls(**{k: v for k, v in data.items() if k in known})
 
     def as_dict(self):
-        values = asdict(self)  # deep-copies the two maps
-        values["fusion_abort_reasons"] = dict(
-            sorted(values["fusion_abort_reasons"].items()))
-        return ACTIVITY_RECORD.row(
-            mean_run_len=round(self.mean_run_len, 2), **values)
+        return ACTIVITY_RECORD.row(**asdict(self))  # deep-copies by_kind
 
     def merge(self, other):
         """Accumulate *other* (an EngineActivity or its dict) in place."""
@@ -120,13 +108,6 @@ class EngineActivity:
     def ticks_avoided(self):
         return self.all_tick_equivalent - self.component_ticks
 
-    @property
-    def mean_run_len(self):
-        """Average cycles covered per fused macro-tick run."""
-        if not self.fused_runs:
-            return 0.0
-        return self.fused_cycles / self.fused_runs
-
     def summary_line(self, jobs=None):
         """One-line scheduler summary for reports and benchmark logs."""
         parts = [
@@ -137,12 +118,6 @@ class EngineActivity:
             f" ({100.0 * self.tick_fraction:.1f}% of all-tick)",
             f"wakes {self.component_wakes:,}",
         ]
-        if self.fused_runs:
-            parts.append(
-                f"fused {self.fused_cycles:,} cycles in "
-                f"{self.fused_runs:,} runs "
-                f"(mean {self.mean_run_len:.0f})"
-            )
         if self.runs > 1:
             parts.append(f"{self.runs} runs")
         if jobs is not None:

@@ -221,7 +221,8 @@ class FaultState:
 class FaultController(Component):
     """Drives window transitions that need an active participant.
 
-    Backpressure clamps/restores channel capacities at window edges and
+    Backpressure clamps/restores channel capacities at window edges,
+    wakes the banks asleep in a hopeless MSHR retry as it clamps, and
     re-wakes the producers that went to sleep on a throttled channel;
     MSHR windows re-wake the banks whose forced-full stall was
     idempotent (associative files sleep instead of retrying).  DRAM
@@ -251,6 +252,14 @@ class FaultController(Component):
             if active and not self._backpressure_on:
                 for channel in self.throttled:
                     channel.throttle(0)
+                # A bank asleep in a hopeless MSHR retry assumes its
+                # downstream port keeps accepting.  This controller
+                # ticks after every bank (install_faults adds it last),
+                # so a bank woken now ticks on the first cycle whose
+                # retry sees the throttle.
+                for bank in self.banks:
+                    if bank._spin_since is not None:
+                        engine.wake(bank)
                 self.state.stats["backpressure_windows"] += 1
                 self._backpressure_on = True
             elif not active and self._backpressure_on:

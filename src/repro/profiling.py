@@ -13,7 +13,7 @@ Output is three tables:
 * **top functions** -- the usual self-time leaderboard, restricted to
   the simulator's own code by default (``--all-functions`` lifts that);
 * **engine summary** -- simulated cycles per second, the wake
-  machinery's tick fraction, and the macro-tick fusion counts.
+  machinery's tick fraction and fast-forwarded cycles.
 
 The perf work in this tree (ring channels, columnar kernels) is
 measured against exactly this view; keep using it before and after any
@@ -161,13 +161,6 @@ def run_profile(args, log=print):
     activity = EngineActivity.from_engine(system.engine)
     log("")
     log(activity.summary_line())
-    aborts = ", ".join(
-        f"{reason}={activity.fusion_abort_reasons[reason]}"
-        for reason in sorted(activity.fusion_abort_reasons)
-    ) or "none"
-    log(f"fusion: {activity.fused_runs} fused runs covering "
-        f"{activity.fused_cycles:,} cycles "
-        f"(mean {activity.mean_run_len:.1f}); aborts: {aborts}")
     if args.pstats_out:
         log(f"raw stats written to {args.pstats_out}")
     return 0

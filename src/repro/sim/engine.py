@@ -15,26 +15,15 @@ ticking every component every cycle; the golden corpus
 (``tests/golden``) pins it.  The activity counters
 (``cycles_simulated``, ``component_ticks``) measure the saved work.
 
-On top of demand scheduling sits **macro-tick fusion** (DESIGN 6.9):
-when exactly one component is woken and the stability oracle proves
-the next cycles are free of timer maturities, hook points, and
-cycle-budget edges, the engine offers the component one
-``step_n(engine, budget)`` call that may advance m provably *silent*
-cycles in a single batch, then runs a completely normal tick for the
-cycle after the batch.  Silent means: the exact per-cycle state and
-stat effects, but no channel pushes, no pops from channels with space
-watchers, no wakes of other components, and no hook side effects --
-so anything observable happens on the ordinary per-cycle path and the
-state trajectory stays bit-identical to per-cycle execution.
+A component may also sleep through ticks that are not no-ops when it
+can prove each one repeats the previous tick's effects exactly, and
+settle them in bulk on its next tick: the MOMS bank does this for a
+cuckoo MSHR retry that cannot succeed until a line returns (DESIGN
+6.1).  The engine knows nothing of it; such a sleep is one more wake
+condition the component wires itself.
 """
 
 import heapq
-
-#: Cap on the length of one fused run.  The stability oracle usually
-#: clamps far below this; the cap only bounds pathological cases (a
-#: component that could run silently forever would otherwise starve
-#: the done() check).
-FUSION_DEFAULT_CAP = 4096
 
 
 class DeadlockError(RuntimeError):
@@ -79,18 +68,6 @@ class Component:
     wakes = 0
     _engine_order = -1
     _engine = None  # back-reference, set by Engine.add_component
-    # Macro-tick fusion opt-in.  Components that can batch a run of
-    # provably *silent* cycles override this with a method
-    # ``step_n(engine, budget) -> int`` returning how many cycles m
-    # (0 <= m <= budget) were advanced.  The contract (DESIGN 6.9):
-    # the m covered cycles must be exactly the state/stat effects the
-    # per-cycle ticks would have had, with NO channel pushes, pops
-    # from channels that have space watchers, wakes of other
-    # components, hook side effects, or per-cycle ``engine.now``
-    # reads (the engine advances ``now`` only after step_n returns).
-    # The engine then executes a completely normal tick for the next
-    # cycle, so anything non-silent happens on the ordinary path.
-    step_n = None
     # The one observer slot (a repro.sim.probe.Probe, set by the
     # accelerator system when any observer is attached).  Every event
     # site tests it once: ``if self._probe is not None: ...``.
@@ -152,13 +129,6 @@ class Engine:
     # run loop never polls it; it hangs here so stall/fault reports can
     # reach its observers (see repro.faults.report.build_stall_report).
     probe = None
-    # Macro-tick fusion counters (class attributes double as zero
-    # defaults for engines unpickled from pre-fusion snapshots, which
-    # also resume with fusion disabled: their snapshotted wake/timer
-    # state predates the silent-cycle bookkeeping).
-    fused_runs = 0
-    fused_cycles = 0
-    _fusion_cap = 0
 
     def __init__(self):
         self.now = 0
@@ -166,12 +136,6 @@ class Engine:
         self.cycles_skipped = 0
         self.component_ticks = 0
         self.component_wakes = 0
-        self.fused_runs = 0
-        self.fused_cycles = 0
-        self.fusion_abort_reasons = {}
-        # Instance state, so snapshots carry it: a resumed run replays
-        # with the original's fusion decisions.
-        self._fusion_cap = FUSION_DEFAULT_CAP
         self._components = []
         self._channels = []
         self._time_sources = []
@@ -273,85 +237,6 @@ class Engine:
         self.now += 1
         self.cycles_simulated += 1
 
-    # -- macro-tick fusion --------------------------------------------------
-
-    def _fuse_abort(self, reason):
-        counts = self.fusion_abort_reasons
-        counts[reason] = counts.get(reason, 0) + 1
-
-    def _try_fuse(self, stable, start, max_cycles):
-        """Attempt a fused run for the lone woken component.
-
-        The stability oracle: the wake set over the next ``budget``
-        cycles is exactly {component} as long as no timer matures
-        inside the silent window (m <= first_timer - now keeps the
-        maturing cycle on the real-step path, where ``_step`` merges
-        due timers itself), no watchdog / sampler / checkpoint hook
-        point lands inside it (each fires when post-step ``now``
-        reaches ``next_*``, so m <= next - now - 1), and the caller's
-        cycle budget is not overrun (the real step must land within
-        it: m <= start + max_cycles - 1 - now).  Channel deliveries
-        need no engine-side clamp: a silent cycle by definition makes
-        no channel push, and pops are only allowed from channels with
-        no space watchers, so no commit inside the window could wake
-        anyone -- the component's own ``step_n`` guards enforce that
-        (and return 0 otherwise).
-        """
-        component = next(iter(self._wake_next.values()))
-        if component.step_n is None:
-            self._fuse_abort("no_step_n")
-            return
-        if not stable:
-            self._fuse_abort("unstable_done")
-            return
-        now = self.now
-        budget = self._fusion_cap
-        timers = self._timers
-        if timers:
-            h = timers[0][0] - now
-            if h < budget:
-                budget = h
-        watchdog = self.watchdog
-        if watchdog is not None:
-            h = watchdog.next_check - now - 1
-            if h < budget:
-                budget = h
-        sampler = self.sampler
-        if sampler is not None:
-            h = sampler.next_sample - now - 1
-            if h < budget:
-                budget = h
-        checkpointer = self.checkpointer
-        if checkpointer is not None:
-            h = checkpointer.next_checkpoint - now - 1
-            if h < budget:
-                budget = h
-        if max_cycles is not None:
-            h = start + max_cycles - 1 - now
-            if h < budget:
-                budget = h
-        if budget < 1:
-            self._fuse_abort("horizon")
-            return
-        m = component.step_n(self, budget)
-        if not m:
-            self._fuse_abort("component")
-            return
-        # The m covered cycles each executed one tick of *component*
-        # and would each have re-armed it for the next cycle (self
-        # wake or its input channel's commit-time data wake); the
-        # preserved _wake_next singleton feeds the real step that
-        # follows.  Counter accounting keeps activity stats identical
-        # to the per-cycle schedule.
-        self.now = now + m
-        self.cycles_simulated += m
-        self.component_ticks += m
-        component.ticks += m
-        self.component_wakes += m
-        component.wakes += m
-        self.fused_runs += 1
-        self.fused_cycles += m
-
     # -- diagnosis ----------------------------------------------------------
 
     def _pending_work(self):
@@ -406,7 +291,7 @@ class Engine:
     # -- the run loop -------------------------------------------------------
 
     def run(self, done=None, max_cycles=None, raise_on_limit=False,
-            resume=False, stable_done=False):
+            resume=False):
         """Run until *done()* is true (or until globally idle).
 
         Returns the number of cycles elapsed during this call.  When no
@@ -426,17 +311,6 @@ class Engine:
         ``_wake_next``/``_timers``/watchdog state already encode them --
         re-applying either would perturb the wake counters (reported in
         run stats) away from the uninterrupted run.
-
-        ``stable_done=True`` declares that *done()* can only flip as a
-        result of a component tick's channel effects -- never during a
-        provably silent cycle -- which licenses macro-tick fusion:
-        runs of same-component silent cycles are advanced with one
-        ``step_n`` call instead of n ticks.  Callers
-        with time- or state-probing done() predicates must leave it
-        False (fusion then skips their run, counted under
-        ``fusion_abort_reasons["unstable_done"]``).  ``done=None``
-        (run to global idle) is always stable: silent cycles cannot
-        empty the wake set.
         """
         start = self.now
         if not resume:
@@ -450,8 +324,6 @@ class Engine:
             watchdog.begin(self)
         sampler = self.sampler
         checkpointer = self.checkpointer
-        fusion_cap = self._fusion_cap
-        stable = done is None or stable_done
         while True:
             if done is not None and done():
                 break
@@ -473,8 +345,6 @@ class Engine:
                 # Re-check done()/max_cycles at the new time before
                 # stepping; a bare event may have woken nobody.
                 continue
-            if fusion_cap and len(self._wake_next) == 1:
-                self._try_fuse(stable, start, max_cycles)
             self._step()
             if watchdog is not None and self.now >= watchdog.next_check:
                 watchdog.check(self)
@@ -487,39 +357,19 @@ class Engine:
 
     # -- statistics ---------------------------------------------------------
 
-    # Execution-strategy bookkeeping inside activity(): how the engine
-    # chose to advance time, not what the model computed.  These vary
-    # with hook cadence (a checkpointer or sampler clamps fusion
-    # horizons), so bit-identity contracts that compare runs across
-    # hook configurations (replay, chaos) must exclude them; see
-    # AcceleratorSystem._collect_stats.
-    FUSION_BOOKKEEPING_KEYS = (
-        "fused_runs", "fused_cycles", "mean_run_len",
-        "fusion_abort_reasons",
-    )
-
     def activity(self):
         """Scheduler-efficiency counters as a plain dict.
 
         The one reader of the engine's counters: ``EngineActivity``
-        (:mod:`repro.core.stats`) and the telemetry summary's ``fusion``
-        block build on it.  ``component_ticks`` versus ``cycles x
+        (:mod:`repro.core.stats`) and the run stats' ``engine`` entry
+        build on it.  ``component_ticks`` versus ``cycles x
         components`` is the demand-driven win; ``cycles_skipped`` the
-        idle fast-forward win; ``fused_runs``/``fused_cycles`` the
-        macro-tick win.  The fusion keys are always present -- explicit
-        zeros when nothing fused.
+        idle fast-forward win.
         """
-        runs, cycles = self.fused_runs, self.fused_cycles
-        aborts = getattr(self, "fusion_abort_reasons", None) or {}
         return {
             "cycles_simulated": self.cycles_simulated,
             "cycles_skipped": self.cycles_skipped,
             "component_ticks": self.component_ticks,
             "component_wakes": self.component_wakes,
             "n_components": len(self._components),
-            "fused_runs": runs,
-            "fused_cycles": cycles,
-            "mean_run_len": round(cycles / runs, 2) if runs else 0.0,
-            "fusion_abort_reasons": dict(sorted(aborts.items())),
         }
-

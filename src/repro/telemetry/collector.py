@@ -47,16 +47,15 @@ from repro.accel.pe import (
 )
 from repro.records import Record
 
-# v2 added the "fusion" block (macro-tick run counters, explicit
-# zeros when nothing fused); consumers are tolerant of missing keys.
-# Also versions the timeline JSONL header (repro.telemetry.export).
-TELEMETRY_SCHEMA_VERSION = 2
+# v3 dropped v2's "fusion" block (the engine no longer fuses cycles);
+# consumers are tolerant of missing keys.
+TELEMETRY_SCHEMA_VERSION = 3
 
 TELEMETRY_SUMMARY = Record(
     "telemetry summary", "version", TELEMETRY_SCHEMA_VERSION, (
         "version", "cycles", "sample_interval", "samples",
         "samples_dropped", "spans", "spans_dropped", "mshr_peak",
-        "mshr_mean", "fusion", "pe_stalls", "bank_stalls", "cache",
+        "mshr_mean", "pe_stalls", "bank_stalls", "cache",
         "moms_latency", "miss_latency", "dram_latency", "dram",
     ))
 
@@ -317,6 +316,10 @@ class Telemetry:
     simulated structure.
     """
 
+    # MSHR residency summed over the misses drained in the run window.
+    # A class default, so snapshots written before it existed load.
+    _mshr_cycles = 0
+
     def __init__(self, config=None):
         self.config = config or TelemetryConfig()
         self.sample_interval = max(1, int(self.config.sample_interval))
@@ -390,6 +393,7 @@ class Telemetry:
         """Mark the start of the accounted run window."""
         self.start_cycle = engine.now
         self.next_sample = engine.now
+        self._mshr_cycles = 0
 
     def finalize(self, engine):
         """Close the run window: settle trailing ticks, gaps and spans."""
@@ -539,6 +543,7 @@ class Telemetry:
         issued = self._miss_issue_times.pop((bank.name, line_addr), None)
         if issued is not None:
             self.miss_latency[bank.name].record(now - issued)
+            self._mshr_cycles += now - issued
 
     def dram_deliver(self, channel, respond_to, addr, issued_at, now):
         if issued_at >= 0:
@@ -598,7 +603,6 @@ class Telemetry:
     def summary(self):
         """Compact, JSON-safe digest for journal rows and reports."""
         mshr = [row["mshr_total"] for row in self.samples]
-        activity = self._system.engine.activity()
         bank_stats = [bank.stats for bank in self._banks]
         requests = sum(s.requests for s in bank_stats)
         hits = sum(s.cache_hits for s in bank_stats)
@@ -617,14 +621,12 @@ class Telemetry:
             spans=len(self.spans),
             spans_dropped=self.spans_dropped,
             mshr_peak=max(mshr, default=0),
-            mshr_mean=round(sum(mshr) / len(mshr), 2) if mshr else 0.0,
-            # Execution-strategy metadata (how the engine advanced time).
-            fusion={
-                "fused_runs": activity["fused_runs"],
-                "fused_cycles": activity["fused_cycles"],
-                "mean_run_len": activity["mean_run_len"],
-                "abort_reasons": activity["fusion_abort_reasons"],
-            },
+            # A run ends with every MSHR drained, so the residencies sum
+            # the occupancy over every cycle, fast-forwarded ones too:
+            # unlike the gauge rows (DESIGN 6.3), it is the per-cycle
+            # mean whatever the schedule.
+            mshr_mean=round(self._mshr_cycles / self.cycles, 2)
+            if self.cycles else 0.0,
             pe_stalls=self._bucket_totals(self._pe_accounts),
             bank_stalls=self._bucket_totals(self._bank_accounts),
             cache={

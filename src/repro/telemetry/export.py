@@ -16,10 +16,11 @@ import csv
 import json
 
 from repro.records import Record
-from repro.telemetry.collector import TELEMETRY_SCHEMA_VERSION
 
+# Versioned apart from the telemetry summary: the summary's v3 changed
+# nothing in this header.
 TIMELINE_META = Record(
-    "timeline meta header", "version", TELEMETRY_SCHEMA_VERSION, (
+    "timeline meta header", "version", 2, (
         "type", "version", "sample_interval", "start_cycle", "end_cycle",
         "samples", "samples_dropped", "series",
     ), type="meta")

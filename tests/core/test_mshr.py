@@ -3,7 +3,7 @@
 import copy
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import AssociativeMshrFile, CuckooMshrFile
@@ -199,39 +199,23 @@ class TestDeadEnd:
         assert _snapshot(mshrs) == _snapshot(ref)
         if dead:
             assert want is None
+        if got is None:
+            assert mshrs.hopeless == dead
 
     @given(_cuckoo_files(), st.integers(0, 1 << 20), st.integers(1, 300))
     @settings(max_examples=200, deadline=None)
-    def test_failing_run_matches_plain_walk(self, mshrs, offset, budget):
+    def test_failing_run_matches_per_cycle_inserts(self, mshrs, offset, n):
+        """``fail_hopeless(n)``, the bulk commit of a bank's slept
+        retries, leaves the state that *n* plain kick walks of a proved
+        dead end leave."""
         line = 1 << 30 | offset
+        assume(mshrs._dead_end(line))
+        proved = copy.deepcopy(mshrs)
+        assert proved.insert(line) is None
+        assert proved.hopeless
         ref = self._plain(mshrs)
-        dead = mshrs._dead_end(line)
-        got = mshrs.failing_insert_run(line, budget)
-        want = ref.failing_insert_run(line, budget)
-        assert got == want
-        assert _snapshot(mshrs) == _snapshot(ref)
-        if dead:
-            assert want == budget
-
-    @given(_cuckoo_files(), st.integers(0, 1 << 20), st.integers(1, 300))
-    @settings(max_examples=200, deadline=None)
-    def test_failing_run_matches_per_cycle_inserts(self, mshrs, offset,
-                                                   budget):
-        """``failing_insert_run`` commits exactly the failures that
-        per-cycle ``insert`` calls make before the first success.
-
-        Budgets above 124 cross every chunk boundary (4 + 8 + 16 + 32 +
-        64 attempts) of the batched victim-way draws the overlay walk
-        once used.
-        """
-        line = 1 << 30 | offset
-        probe, ref = copy.deepcopy(mshrs), copy.deepcopy(mshrs)
-        k = mshrs.failing_insert_run(line, budget)
-        failures = 0
-        while failures < budget and probe.insert(line) is None:
-            failures += 1
-        assert failures == k
-        for _ in range(k):
+        mshrs.fail_hopeless(n)
+        for _ in range(n):
             assert ref.insert(line) is None
         # Tables as line addresses, victim state, occupancy and stats.
         assert _snapshot(mshrs) == _snapshot(ref)
@@ -251,8 +235,8 @@ class TestDeadEnd:
         assert mshrs.insert(1 << 30) is not None
 
     def test_proven_run_commits_without_drawing(self, monkeypatch):
-        """A proven dead-end run is one PRNG jump, however long: no
-        victim way is drawn for any of its attempts."""
+        """A proven dead-end insert, and a bulk commit of any number of
+        them, is one PRNG jump: no victim way is drawn."""
         mshrs = CuckooMshrFile(16, n_ways=2, max_kicks=32)
         empty = _empty_slots(mshrs)
         _fill_slots(mshrs, empty[1:], 0)
@@ -265,10 +249,11 @@ class TestDeadEnd:
             mshr_module, "_lcg_step",
             lambda *args: calls.append(args) or real(*args))
         tables, state = _snapshot(mshrs)[0], mshrs._victim_state
-        assert mshrs.failing_insert_run(line, 100_000) == 100_000
+        assert mshrs.insert(line) is None
+        mshrs.fail_hopeless(100_000)
         assert calls == []
-        assert mshrs.stats.insert_failures == 100_000
-        assert mshrs._victim_state == lcg_jump(state, 100_000 * 33)
+        assert mshrs.stats.insert_failures == 100_001
+        assert mshrs._victim_state == lcg_jump(state, 100_001 * 33)
         assert _snapshot(mshrs)[0] == tables
 
 

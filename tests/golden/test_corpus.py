@@ -5,14 +5,14 @@
 seed=7)`` with 2 PEs, 2 banks, 1 DRAM channel and 2 iterations.  The
 ``scaled`` configuration uses ``SCALED_DEFAULTS``; the ``starved`` one
 is an MSHR-starved point (structure scale 1/256 against a 300-cycle,
-256-deep DRAM queue) on which macro-tick fusion engages.
+256-deep DRAM queue) on which banks sleep through hopeless MSHR
+retries.
 
 Each point records:
 
 * ``cycles`` and ``iterations``;
-* ``full`` -- SHA-256 of the run stats (which already exclude the
-  engine's fusion bookkeeping), so it also pins scheduler activity
-  and the stalled-tick counters;
+* ``full`` -- SHA-256 of the run stats, so it also pins scheduler
+  activity and the stalled-tick counters;
 * ``model`` -- SHA-256 of the stats without the execution-strategy
   fields (:data:`STRATEGY_KEYS`): what any correct schedule of the
   same model must reproduce;

@@ -33,7 +33,7 @@ PINS = {
     "timeline.jsonl":
         "9b31bc785065a0c74ada147d49aaecdd09167673f8bc57ea30940a91da0af9b4",
     "summary.json":
-        "90edb8211b91d80fa41902fb97cb3f1332beb64de781e0860cb0deed0cf4f7a6",
+        "b2bc8cd074fff4df1cc6305e1e338aff41a0df1dae9d69c326595a809f954179",
     "spans.jsonl":
         "ed47b4fd8316f502ac9b7b68a154f21db224311e0fcbb8ab900ed078808171ca",
     "spansummary.json":

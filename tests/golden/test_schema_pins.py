@@ -11,8 +11,8 @@ row from one small run and asserts two things:
   :data:`PINS`, so a key added, renamed or dropped without a version
   bump fails here, and so does a bump that was not re-pinned.
 
-Maps keyed by data (component kinds, abort reasons, stall buckets,
-span stages, bank ids) are opaque: their keys are values, not schema.
+Maps keyed by data (component kinds, stall buckets, span stages, bank
+ids) are opaque: their keys are values, not schema.
 Re-pin an entry only together with its version bump::
 
     PYTHONPATH=src python -m tests.golden.test_schema_pins
@@ -47,10 +47,9 @@ from repro.tracing.spans import SPAN_SUMMARY
 # name -> (the record's key table in src, opaque map paths).
 RECORDS = {
     "engine-activity": (
-        ACTIVITY_RECORD, ("by_kind", "fusion_abort_reasons")),
+        ACTIVITY_RECORD, ("by_kind",)),
     "telemetry-summary": (
-        TELEMETRY_SUMMARY,
-        ("fusion.abort_reasons", "pe_stalls", "bank_stalls")),
+        TELEMETRY_SUMMARY, ("pe_stalls", "bank_stalls")),
     "telemetry-timeline-meta": (TIMELINE_META, ()),
     "journal-row-ok": (JOURNAL_OK, ()),
     "journal-row-fail": (JOURNAL_FAIL, ()),
@@ -60,11 +59,10 @@ RECORDS = {
 
 # name -> (version, sorted dotted key paths).
 PINS = {
-    "engine-activity": (3, [
+    "engine-activity": (4, [
         "all_tick_equivalent", "by_kind", "component_ticks",
-        "component_wakes", "cycles_simulated", "cycles_skipped",
-        "fused_cycles", "fused_runs", "fusion_abort_reasons",
-        "mean_run_len", "runs", "version",
+        "component_wakes", "cycles_simulated", "cycles_skipped", "runs",
+        "version",
     ]),
     "journal-row-fail": (2, [
         "attempt", "error", "fingerprint", "index", "point", "schema",
@@ -82,15 +80,13 @@ PINS = {
         "recorder.recorded", "requests_seen", "sample_rate", "schema",
         "spans_completed", "spans_live", "spans_sampled", "stages",
     ]),
-    "telemetry-summary": (2, [
+    "telemetry-summary": (3, [
         "bank_stalls", "cache", "cache.hits", "cache.merge_rate",
         "cache.no_dram_fraction", "cache.primary_misses",
         "cache.requests", "cache.secondary_misses", "cycles", "dram",
         "dram.effective_bw_ratio", "dram.single_line_fraction",
         "dram_latency", "dram_latency.count", "dram_latency.max",
-        "dram_latency.p50", "dram_latency.p99", "fusion",
-        "fusion.abort_reasons", "fusion.fused_cycles",
-        "fusion.fused_runs", "fusion.mean_run_len", "miss_latency",
+        "dram_latency.p50", "dram_latency.p99", "miss_latency",
         "miss_latency.count", "miss_latency.max", "miss_latency.p50",
         "miss_latency.p99", "moms_latency", "moms_latency.count",
         "moms_latency.max", "moms_latency.p50", "moms_latency.p99",

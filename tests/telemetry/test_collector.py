@@ -68,6 +68,31 @@ class TestTimelines:
         summary = system.telemetry.summary()
         assert summary["mshr_peak"] == peak
 
+    def test_mshr_mean_counts_every_cycle(self):
+        """With a row on every simulated cycle, holding each row through
+        the fast-forwarded cycles after it gives the per-cycle occupancy
+        series; ``mshr_mean`` is its mean, from residencies alone."""
+        graph = web_graph(300, 1500, seed=5)
+        config = ArchitectureConfig(
+            _design(2, 2, MOMS_TWO_LEVEL, "pagerank", n_channels=1),
+            **SCALED_DEFAULTS,
+        )
+        system = AcceleratorSystem(
+            graph, "pagerank", config,
+            telemetry=TelemetryConfig(sample_interval=1),
+        )
+        result = system.run(max_iterations=1)
+        telemetry = system.telemetry
+        rows = telemetry.samples
+        assert system.engine.cycles_skipped > 0
+        assert rows[0]["cycle"] == telemetry.start_cycle + 1
+        ends = [row["cycle"] for row in rows[1:]] + [telemetry.end_cycle + 1]
+        held = sum(row["mshr_total"] * (until - row["cycle"])
+                   for row, until in zip(rows, ends))
+        assert held > 0
+        assert telemetry.summary()["mshr_mean"] == round(
+            held / result.cycles, 2)
+
     def test_samples_cover_run_and_are_monotonic(self, traced_run):
         system, result = traced_run
         cycles = [row["cycle"] for row in system.telemetry.samples]

@@ -11,13 +11,13 @@ from repro.accel.system import AcceleratorSystem
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.telemetry import (
-    TELEMETRY_SCHEMA_VERSION,
     TelemetryConfig,
     validate_timeline_jsonl,
     write_summary_json,
     write_timeline_csv,
     write_timeline_jsonl,
 )
+from repro.telemetry.export import TIMELINE_META
 from repro.timeline import validate_trace, write_trace
 
 
@@ -74,8 +74,8 @@ class TestTimelineJsonl:
         with pytest.raises(ValueError, match="meta"):
             validate_timeline_jsonl(path)
 
-    @pytest.mark.parametrize("version", [TELEMETRY_SCHEMA_VERSION + 97,
-                                         TELEMETRY_SCHEMA_VERSION - 1])
+    @pytest.mark.parametrize("version", [TIMELINE_META.version + 97,
+                                         TIMELINE_META.version - 1])
     def test_rejects_other_schema_version(self, telemetry, tmp_path,
                                           version):
         path = tmp_path / "bad.jsonl"

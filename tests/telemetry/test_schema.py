@@ -52,6 +52,24 @@ class TestActivitySchema:
         assert clone.cycles_simulated == 3
         assert clone.by_kind == {}
 
+    def test_from_dict_reads_v3_rows(self):
+        """v3 rows carried the macro-tick fusion counters v4 dropped."""
+        row = {
+            "version": 3, "cycles_simulated": 9, "cycles_skipped": 4,
+            "component_ticks": 12, "component_wakes": 11,
+            "all_tick_equivalent": 36, "runs": 1, "fused_runs": 2,
+            "fused_cycles": 6, "mean_run_len": 3.0,
+            "fusion_abort_reasons": {"horizon": 1},
+            "by_kind": {"Pe": {"count": 4, "ticks": 12, "wakes": 11}},
+        }
+        clone = EngineActivity.from_dict(row)
+        assert clone.as_dict() == dict(
+            {key: row[key] for key in (
+                "cycles_simulated", "cycles_skipped", "component_ticks",
+                "component_wakes", "all_tick_equivalent", "runs",
+                "by_kind")},
+            version=ACTIVITY_SCHEMA_VERSION)
+
     def test_merge_sums_by_kind(self):
         a = EngineActivity(by_kind={"Pe": {"count": 1, "ticks": 5,
                                            "wakes": 2}})

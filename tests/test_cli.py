@@ -56,4 +56,4 @@ class TestCli:
         assert "per-component self time (repro modules)" in out
         assert "top 3 functions by self time" in out
         assert "\nengine: " in out and "cycles simulated" in out
-        assert "\nfusion: " in out
+        assert "fusion" not in out and "fused" not in out

@@ -2,15 +2,17 @@
 
 Three contracts from DESIGN 6.8:
 
-* the exported span JSONL is **byte-identical** whether or not the
-  engine may fuse cycles (sampling depends only on schedule-determined
-  (pe, seq) coordinates), and pinned by the SHA-256 that the retired
-  all-tick engine and scalar kernels produced too;
+* the exported span JSONL is **byte-identical** whether or not banks
+  sleep through hopeless MSHR retries (sampling depends only on
+  schedule-determined (pe, seq) coordinates), and pinned by the
+  SHA-256 that the retired all-tick engine and scalar kernels produced
+  too;
 * that identity survives an active fault plan (a DRAM-spike plan
   shifts every timestamp, but shifts them identically either way);
 * attaching a tracer changes nothing the model computes.
 """
 
+import contextlib
 import hashlib
 
 import pytest
@@ -22,6 +24,7 @@ from repro.faults.plan import FaultPlan, install_faults
 from repro.graph import web_graph
 from repro.tracing import SpansConfig
 from repro.tracing.export import spans_jsonl_bytes
+from tests.sim.per_cycle import retry_every_cycle
 
 GRAPH = web_graph(900, 4500, seed=11)
 
@@ -38,7 +41,7 @@ PINNED_SHA = {
 }
 
 
-def _run(algorithm, spans=True, fault_plan=None, fusion_cap=None):
+def _run(algorithm, spans=True, fault_plan=None):
     config = ArchitectureConfig(
         _design(4, 4, MOMS_TWO_LEVEL, algorithm, n_channels=2),
         **SCALED_DEFAULTS,
@@ -49,8 +52,6 @@ def _run(algorithm, spans=True, fault_plan=None, fusion_cap=None):
     )
     if fault_plan is not None:
         install_faults(system, fault_plan)
-    if fusion_cap is not None:
-        system.engine._fusion_cap = fusion_cap
     result = system.run(max_iterations=2)
     return system, result
 
@@ -74,14 +75,16 @@ class TestSpanStreamDeterminism:
     @pytest.mark.parametrize("algorithm", ["pagerank", "bfs"])
     def test_byte_identical_across_engines_and_kernels(self, algorithm):
         streams = {}
-        for leg, cap in (("fused", None), ("per-cycle", 0)):
-            system, result = _run(algorithm, fusion_cap=cap)
+        for leg, schedule in (("sleeping", contextlib.nullcontext()),
+                              ("per-cycle", retry_every_cycle())):
+            with schedule:
+                system, result = _run(algorithm)
             streams[leg] = (result.cycles,
                             spans_jsonl_bytes(system.tracer))
         # Not vacuous: the stream carries actual sampled spans.
-        assert streams["fused"][1].count(b"\n") > 10
-        assert streams["fused"] == streams["per-cycle"]
-        assert _sha(streams["fused"][1]) == PINNED_SHA[algorithm]
+        assert streams["sleeping"][1].count(b"\n") > 10
+        assert streams["sleeping"] == streams["per-cycle"]
+        assert _sha(streams["sleeping"][1]) == PINNED_SHA[algorithm]
 
     def test_byte_identical_under_dram_fault_plan(self):
         system, _result = _run("pagerank",
