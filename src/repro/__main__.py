@@ -12,8 +12,6 @@ Usage::
                                      # plus timeline/summary/span files
     python -m repro profile --graph RV --org two-level \
                                      # cProfile one point, component table
-    python -m repro lint --format sarif --fail-on error \
-                                     # static contract analysis (simlint)
 
 Resilience flags (any of them activates the hardened sweep runner;
 see ``repro.experiments.common.SweepPolicy``)::
@@ -115,12 +113,6 @@ def main(argv=None):
         "profile options (for the 'profile' command)"
     )
     add_profile_arguments(profile_group)
-    from repro.analysis.cli import add_lint_arguments
-
-    lint_group = parser.add_argument_group(
-        "lint options (for the 'lint' command)"
-    )
-    add_lint_arguments(lint_group)
     args = parser.parse_args(argv)
 
     if args.experiment == "list":
@@ -129,7 +121,6 @@ def main(argv=None):
         print(f"{'faultsmoke':10s} repro.faults.smoke")
         print(f"{'trace':10s} repro.telemetry.cli")
         print(f"{'profile':10s} repro.profiling")
-        print(f"{'lint':10s} repro.analysis.cli")
         print(f"{'replay':10s} repro.checkpoint.runner")
         print(f"{'chaos':10s} repro.checkpoint.chaos")
         return 0
@@ -168,11 +159,6 @@ def main(argv=None):
         from repro.profiling import run_profile
 
         return run_profile(args)
-
-    if args.experiment == "lint":
-        from repro.analysis.cli import run_lint
-
-        return run_lint(args)
 
     if args.experiment == "faultsmoke":
         from repro.faults.smoke import run_fault_smoke

@@ -73,9 +73,6 @@ def pagerank_spec():
         lanes are discarded.
         """
         with np.errstate(divide="ignore", invalid="ignore"):
-            # simlint: disable=R5 -- not cycle math: the sink test
-            # compares V_const lanes that hold exact integer
-            # out-degrees, mirroring apply()'s `const_c == 0`.
             y = np.where(const != 0.0, DAMPING * (base + bram) / const, 0.0)
         return y.astype(np.float32).view(np.uint32)
 

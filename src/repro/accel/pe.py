@@ -65,10 +65,6 @@ class BurstRequester:
         needed = {}
         for channel, _local, _nbytes, _global_addr in pieces:
             needed[channel] = needed.get(channel, 0) + 1
-        # simlint: disable=R1 -- filled in piece order just above, and
-        # dict iteration is insertion-ordered; also order-insensitive
-        # (an all-must-pass capacity check), so no cycle decision rides
-        # on it.
         for channel, count in needed.items():
             if not ports[channel].can_push_n(count):
                 return False

@@ -53,9 +53,6 @@ class Crossbar(Component):
             return
         pointers = self._pointers
         rearm = False
-        # simlint: disable=R1 -- buckets fills in input-index order in
-        # the scan above; dict iteration is insertion-ordered, so the
-        # grant order is deterministic by construction.
         for out_index, contenders in buckets.items():
             output = self.outputs[out_index]
             if output._occ + output._staged_n >= output.capacity:

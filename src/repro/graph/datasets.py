@@ -153,16 +153,7 @@ def load_benchmark(key, seed_offset=0, shrink=1):
     cache_key = (key, seed_offset, shrink)
     graph = _cache.get(cache_key)
     if graph is None:
-        # Second-level disk cache (opt-in via REPRO_GRAPH_CACHE): sweep
-        # worker processes share generated graphs instead of each
-        # regenerating the same arrays (see repro.graph.cache).
-        from repro.graph.cache import load_cached_graph, store_cached_graph
-
-        spec = BENCHMARKS[key]
-        graph = load_cached_graph(spec, seed_offset, shrink)
-        if graph is None:
-            graph = spec.generate(seed_offset, shrink=shrink)
-            store_cached_graph(spec, seed_offset, shrink, graph)
+        graph = BENCHMARKS[key].generate(seed_offset, shrink=shrink)
         _cache[cache_key] = graph
     return graph
 

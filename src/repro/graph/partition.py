@@ -77,24 +77,6 @@ def partition_edges(graph, nodes_per_src_interval, nodes_per_dst_interval):
     """
     if nodes_per_src_interval < 1 or nodes_per_dst_interval < 1:
         raise ValueError("interval sizes must be positive")
-    # Disk memoization (opt-in via REPRO_GRAPH_CACHE): the grouping is a
-    # pure function of the edge arrays and interval sizes, so sweep
-    # workers evaluating the same (graph, layout) pair under different
-    # architectures can share it (see repro.graph.cache).
-    from repro.graph.cache import (
-        cache_dir,
-        load_cached_partition,
-        store_cached_partition,
-    )
-
-    if cache_dir() is not None:
-        cached = load_cached_partition(
-            graph, nodes_per_src_interval, nodes_per_dst_interval
-        )
-        if cached is not None:
-            order, offsets = cached
-            return Partitioning(graph, nodes_per_src_interval,
-                                nodes_per_dst_interval, order, offsets)
     q_dst = _ceil_div(graph.n_nodes, nodes_per_dst_interval)
     q_src = _ceil_div(graph.n_nodes, nodes_per_src_interval)
     shard_ids = (
@@ -105,10 +87,5 @@ def partition_edges(graph, nodes_per_src_interval, nodes_per_dst_interval):
     counts = np.bincount(shard_ids, minlength=q_src * q_dst)
     offsets = np.zeros(q_src * q_dst + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    if cache_dir() is not None:
-        store_cached_partition(
-            graph, nodes_per_src_interval, nodes_per_dst_interval,
-            order, offsets,
-        )
     return Partitioning(graph, nodes_per_src_interval,
                         nodes_per_dst_interval, order, offsets)

@@ -11,6 +11,7 @@ from repro.graph import (
     pack_edge_pointer,
     partition_edges,
     unpack_edge_pointer,
+    web_graph,
 )
 
 
@@ -57,6 +58,19 @@ class TestPartitioning:
         part = partition_edges(g, 4, 2)
         assert part.shard_sizes().sum() == g.n_edges
         assert part.dst_interval_edge_counts().sum() == g.n_edges
+
+    def test_relabeled_graph_partitions_its_own_edges(self):
+        g = web_graph(300, 1200, seed=11)
+        relabeled = g.relabel(np.arange(g.n_nodes)[::-1].copy())
+        part = partition_edges(relabeled, 32, 32)
+        offsets = part._offsets
+        assert offsets[0] == 0 and offsets[-1] == g.n_edges
+        assert np.all(np.diff(offsets) >= 0)
+        assert part.shard_sizes().sum() == g.n_edges
+        for s in range(part.q_src):
+            for d in range(part.q_dst):
+                src, dst = part.shard(s, d)
+                assert all(src // 32 == s) and all(dst // 32 == d)
 
     def test_weighted_shards_carry_weights(self):
         g = paper_fig3_graph().with_weights(np.random.default_rng(1))

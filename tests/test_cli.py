@@ -16,6 +16,14 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_lint_is_not_a_command(self, capsys):
+        # The coding contracts are a tier-1 test module,
+        # tests/analysis/test_rules.py.
+        assert main(["list"]) == 0
+        assert "lint" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["lint"])
+
     def test_runs_a_cheap_experiment(self, capsys):
         assert main(["fig17"]) == 0
         out = capsys.readouterr().out

@@ -102,4 +102,4 @@ class TestCliParser:
 
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "trace" in out and "profile" in out and "lint" in out
+        assert "trace" in out and "profile" in out
