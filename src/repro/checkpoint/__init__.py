@@ -8,19 +8,16 @@ Public surface:
   (``REPRO_CHECKPOINT="path[:interval]"``).
 * :func:`restore_system` / :func:`replay_snapshot` -- bring a snapshot
   back mid-iteration and run it to completion.
-* :func:`audit_system` / :data:`SNAPSHOT_REGISTRY` -- the Snapshot
-  protocol inventory (see :mod:`repro.checkpoint.protocol`).
 * :func:`run_chaos` -- the SIGKILL/resume harness
   (``python -m repro chaos``).
+
+A snapshot is the pickled system, so the one rule a stateful class
+obeys is that its instance state pickles; :func:`save_snapshot` raises
+:class:`SnapshotError` when it does not.  Completeness is checked by
+running: replaying a mid-run snapshot must reproduce the uninterrupted
+run bit for bit (DESIGN.md Section 6.7).
 """
 
-from repro.checkpoint.protocol import (
-    SNAPSHOT_REGISTRY,
-    SnapshotAuditError,
-    audit_system,
-    ensure_registry,
-    register,
-)
 from repro.checkpoint.runner import (
     DEFAULT_INTERVAL,
     Checkpointer,
@@ -37,18 +34,13 @@ from repro.checkpoint.snapshot import (
 )
 
 __all__ = [
-    "SNAPSHOT_REGISTRY",
     "SNAPSHOT_FORMAT",
     "SNAPSHOT_MAGIC",
-    "SnapshotAuditError",
     "SnapshotError",
     "Checkpointer",
     "DEFAULT_INTERVAL",
-    "audit_system",
-    "ensure_registry",
     "load_snapshot",
     "read_header",
-    "register",
     "replay_snapshot",
     "restore_system",
     "save_snapshot",

@@ -58,8 +58,8 @@ def save_snapshot(system, path, meta=None):
     except Exception as error:
         raise SnapshotError(
             f"system state is not snapshot-safe: {error!r}; every "
-            f"stateful component must pickle (see "
-            f"repro.checkpoint.protocol and DESIGN.md Section 6.7)"
+            f"stateful component must pickle (see DESIGN.md "
+            f"Section 6.7)"
         ) from error
     compressed = zlib.compress(payload, 1)
     header = {

@@ -37,7 +37,7 @@ def _route_by_port(response):
     """Response-crossbar route: back to the requesting PE's port.
 
     A module-level function (not a lambda) so crossbars pickle into
-    snapshots; see ``repro.checkpoint.protocol``.
+    snapshots (DESIGN.md Section 6.7).
     """
     return response.port
 

@@ -7,7 +7,9 @@ two cycles to propagate back, the receiving queue needs at least four
 slots to absorb the tokens already in the crossing registers.
 """
 
-from repro.sim import Channel, Component, DelayLine
+from collections import deque
+
+from repro.sim import Channel, Component
 
 CROSSING_LATENCY = 2
 MIN_CROSSING_QUEUE = 4
@@ -34,29 +36,32 @@ class DieCrossing(Component):
         self.out = out
         self.hops = hops
         self.name = name
-        self._line = engine.add_delay_line(
-            DelayLine(CROSSING_LATENCY * hops, name=f"{name}.regs")
-        )
+        self.latency = CROSSING_LATENCY * hops
+        # The register stages: (ready_cycle, token) in admission order;
+        # the latency is constant, so the head always matures first.
+        self._regs = deque()
         self.total_crossed = 0
+        # A time source for the stall report (pending, next_event_time).
+        engine.add_time_source(self)
         engine.add_component(self)
-        # Wake on new tokens to cross and on register stages maturing.
-        # A full receive queue (which also exhausts credits) arms a
-        # one-shot space wake only when this crossing actually blocked
-        # on it, so draining queues stop waking idle crossings.
+        # Wake on new tokens to cross, and on a register stage maturing
+        # (a timer armed at admission).  A full receive queue (which
+        # also exhausts credits) arms a one-shot space wake only when
+        # this crossing actually blocked on it, so draining queues stop
+        # waking idle crossings.
         inp.subscribe_data(self)
-        self._line.subscribe_data(self)
 
     def tick(self, engine):
-        # Hot path: runs every cycle for every crossing; reach into the
-        # primitives directly to avoid method-call overhead.
-        line = self._line
-        flight = line._in_flight
+        # Hot path: runs for every crossing token movement; reach into
+        # the channels directly to avoid method-call overhead.
+        regs = self._regs
         out = self.out
-        if flight and flight[0][0] <= engine.now:
+        now = engine.now
+        if regs and regs[0][0] <= now:
             if out._occ + out._staged_n < out.capacity:
-                out.push(flight.popleft()[1])
+                out.push(regs.popleft()[1])
                 self.total_crossed += 1
-                if flight and flight[0][0] <= engine.now:
+                if regs and regs[0][0] <= now:
                     # The next register token already matured (its wake
                     # timer fired while the queue was full); deliver it
                     # next cycle instead of waiting for new traffic.
@@ -67,16 +72,27 @@ class DieCrossing(Component):
             # Credits count the receive queue's registered occupancy,
             # which a same-cycle pop by its consumer does not lower, so
             # admission does not depend on registration order.
-            if len(flight) + out._occ + out._staged_n < out.capacity:
-                line.push(self.inp.pop())
+            if len(regs) + out._occ + out._staged_n < out.capacity:
+                ready = now + self.latency
+                regs.append((ready, self.inp.pop()))
+                engine.wake_at(self, ready)
             else:
                 # Credits exhausted: they free when the receive queue
                 # drains (space commit) or when a register delivers
                 # (this component's own maturity timer, already set).
                 out.request_space_wake(self)
 
+    @property
+    def pending(self):
+        """Tokens in the register stages."""
+        return len(self._regs)
+
+    def next_event_time(self):
+        """Cycle at which the head register token matures, or None."""
+        return self._regs[0][0] if self._regs else None
+
     def is_idle(self):
-        return len(self._line) == 0
+        return not self._regs
 
 
 def cross_link(engine, capacity, hops, name="link"):

@@ -105,10 +105,8 @@ def build_stall_report(engine, reason=""):
         "stuck_channels": channels,
         "components": components,
         "timers": [
-            {"time": t, "component": (
-                _component_label(engine._components[order])
-                if order >= 0 else "<bare event>"
-            )}
+            {"time": t,
+             "component": _component_label(engine._components[order])}
             for t, order in timers
         ],
         "time_sources": time_sources,

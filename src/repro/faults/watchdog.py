@@ -55,11 +55,11 @@ class Watchdog:
         self.checks = 0
 
     def _movement(self, engine):
+        # Every token movement pushes or pops a channel: a die crossing
+        # admits into its registers only by popping its input channel.
         total = 0
         for channel in engine._channels:
             total += channel.total_pushed + channel.total_popped
-        for source in engine._time_sources:
-            total += getattr(source, "total_pushed", 0)
         return total
 
     def begin(self, engine):

@@ -4,12 +4,13 @@ The kernel models synchronous hardware: components are ticked on the
 cycles they are woken and exchange tokens over capacity-limited
 :class:`Channel` objects whose pushes become visible on the *next*
 cycle (registered-FIFO semantics), which makes results independent of
-component tick order.  :class:`DelayLine` models fixed-latency pipes
-(e.g. DRAM access latency) and arms timers so cycles in which every
-component is stalled on a pending latency are skipped in O(log timers).
+component tick order.  A component holding a fixed latency (DRAM
+access, die-crossing registers) arms an engine timer for its end, so
+cycles in which every component waits on a pending latency are skipped
+in O(log timers).
 """
 
-from repro.sim.channel import Channel, DelayLine, MomsRequest, MomsResponse
+from repro.sim.channel import Channel, MomsRequest, MomsResponse
 from repro.sim.engine import (
     Component,
     CycleLimitError,
@@ -34,7 +35,6 @@ __all__ = [
     "Component",
     "CycleLimitError",
     "DeadlockError",
-    "DelayLine",
     "Engine",
     "MomsRequest",
     "MomsResponse",

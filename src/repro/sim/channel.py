@@ -1,11 +1,13 @@
-"""FIFO channels and fixed-latency delay lines.
+"""FIFO channels: the simulator's communication primitive.
 
-These are the only two communication primitives in the simulator.  Both
-are *registered*: a token pushed in cycle ``t`` is first visible to the
-consumer in cycle ``t + 1`` (channel) or ``t + latency`` (delay line).
-Capacity accounting is also registered -- a slot freed by a pop in cycle
-``t`` can only be reused in cycle ``t + 1`` -- so simulation results do
-not depend on the order in which components are ticked within a cycle.
+A channel is *registered*: a token pushed in cycle ``t`` is first
+visible to the consumer in cycle ``t + 1``.  Capacity accounting is
+also registered -- a slot freed by a pop in cycle ``t`` can only be
+reused in cycle ``t + 1`` -- so simulation results do not depend on the
+order in which components are ticked within a cycle.  Longer fixed
+latencies (DRAM access, die-crossing register stages) are held by the
+component that owns them, which arms an engine timer for each token's
+maturity cycle.
 
 Channels are preallocated power-of-two ring buffers.  Three integers
 describe the whole FIFO state -- ``_head`` (ring index of the oldest
@@ -14,10 +16,9 @@ pushed this cycle) -- which makes :meth:`Channel.commit`, the single
 hottest function in the simulator, integer bookkeeping instead of list
 copying.  Staged tokens live at ``(head + visible + staged_n) & mask``;
 a pop advances ``head`` and shrinks ``visible`` together, so the staging
-region never moves mid-cycle.  Slots are not cleared on pop (popped
-references are retained until the slot is overwritten, bounded by the
-ring size) -- measurably cheaper and harmless for the token objects the
-simulator moves.
+region never moves mid-cycle.  A pop clears the slots it consumes, so a
+popped token (and the DRAM line copy it may carry) is freed as soon as
+its consumer drops it instead of living on until the slot is reused.
 
 On top of the generic object FIFO sits a *fields API*
 (:meth:`push_request` / :meth:`front_request`, the ``response``
@@ -33,7 +34,6 @@ Because commits only run on channels touched during the cycle, wake
 traffic is proportional to actual token movement.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -258,7 +258,9 @@ class Channel:
         if not visible:
             raise IndexError(f"pop from empty channel {self.name!r}")
         head = self._head
-        item = self._ring[head]
+        ring = self._ring
+        item = ring[head]
+        ring[head] = None
         self._head = (head + 1) & self._mask
         self._visible = visible - 1
         self.total_popped += 1
@@ -285,8 +287,13 @@ class Channel:
         head = self._head
         if head + n <= mask + 1:
             items = ring[head:head + n]
+            ring[head:head + n] = [None] * n
         else:
-            items = [ring[(head + i) & mask] for i in range(n)]
+            items = []
+            for i in range(n):
+                index = (head + i) & mask
+                items.append(ring[index])
+                ring[index] = None
         self._head = (head + n) & mask
         self._visible -= n
         self.total_popped += n
@@ -373,76 +380,3 @@ class Channel:
     def pending(self):
         """Total tokens in flight (visible + staged)."""
         return self._visible + self._staged_n
-
-
-class DelayLine:
-    """An unbounded pipe that delivers each token ``latency`` cycles later.
-
-    Used for memory access latency and die-crossing register stages.
-    Tokens keep FIFO order because the latency is constant.  When a
-    consumer is subscribed, every push schedules a wake timer for the
-    token's maturity cycle, so the consumer sleeps through the whole
-    latency window.
-    """
-
-    def __init__(self, latency, name=""):
-        if latency < 1:
-            raise ValueError("delay line latency must be >= 1")
-        self.latency = latency
-        self.name = name
-        self._in_flight = deque()  # (ready_time, item)
-        self._engine = None
-        self._consumer = None
-        self.total_pushed = 0
-
-    def bind(self, engine):
-        self._engine = engine
-
-    def subscribe_data(self, component):
-        """Wake *component* when each token matures (one consumer)."""
-        self._consumer = component
-        return self
-
-    def push(self, item):
-        """Insert *item*; it becomes poppable ``latency`` cycles from now."""
-        engine = self._engine
-        now = engine.now if engine is not None else 0
-        ready = now + self.latency
-        self._in_flight.append((ready, item))
-        self.total_pushed += 1
-        if engine is not None:
-            if self._consumer is not None:
-                engine.wake_at(self._consumer, ready)
-            else:
-                engine.note_event_at(ready)
-
-    def can_pop(self):
-        if not self._in_flight:
-            return False
-        now = self._engine.now if self._engine is not None else 0
-        return self._in_flight[0][0] <= now
-
-    def front(self):
-        return self._in_flight[0][1]
-
-    def pop(self):
-        if not self.can_pop():
-            raise IndexError(f"pop from not-ready delay line {self.name!r}")
-        _, item = self._in_flight.popleft()
-        return item
-
-    def next_event_time(self):
-        """Cycle at which the head token becomes ready, or None if empty."""
-        if not self._in_flight:
-            return None
-        return self._in_flight[0][0]
-
-    def commit(self):
-        """Delay lines need no end-of-cycle action; kept for uniformity."""
-
-    def __len__(self):
-        return len(self._in_flight)
-
-    @property
-    def pending(self):
-        return len(self._in_flight)

@@ -1,12 +1,12 @@
 """The cycle engine: demand-driven ticking, channel commits, idle skip.
 
 A component is ticked only on cycles where it was *woken* -- by a
-channel delivering tokens or freeing space, by a delay-line token
-maturing (a timer), or by itself (``engine.wake(self)``) because it
-holds in-progress work.  Wall-clock cost is proportional to *work*,
-not cycles x components.  When no component is runnable the engine
-jumps straight to the earliest scheduled timer, so idle latency
-windows cost O(log timers).
+channel delivering tokens or freeing space, by a timer it armed with
+``engine.wake_at`` (a latency window ending), or by itself
+(``engine.wake(self)``) because it holds in-progress work.  Wall-clock
+cost is proportional to *work*, not cycles x components.  When no
+component is runnable the engine jumps straight to the earliest
+scheduled timer, so idle latency windows cost O(log timers).
 
 Demand scheduling only skips ticks that are provably no-ops (no
 visible input tokens, no freed space, no matured timer, no declared
@@ -141,7 +141,7 @@ class Engine:
         self._time_sources = []
         self._dirty_channels = []
         self._wake_next = {}  # order -> component, armed for the next step
-        self._timers = []  # heap of (time, order); order -1 = bare event
+        self._timers = []  # heap of (time, component order)
 
     # -- registration -------------------------------------------------------
 
@@ -155,11 +155,6 @@ class Engine:
         channel.bind(self)
         self._channels.append(channel)
         return channel
-
-    def add_delay_line(self, line):
-        line.bind(self)
-        self._time_sources.append(line)
-        return line
 
     def add_time_source(self, source):
         """Register any object exposing next_event_time() and .pending.
@@ -188,16 +183,6 @@ class Engine:
         else:
             heapq.heappush(self._timers, (time, component._engine_order))
 
-    def note_event_at(self, time):
-        """Record that *something* happens at cycle *time*.
-
-        Used by delay lines with no subscribed consumer: the event
-        cannot wake anyone, but it bounds how far idle fast-forward may
-        jump.
-        """
-        if time > self.now:
-            heapq.heappush(self._timers, (time, -1))
-
     # -- stepping -----------------------------------------------------------
 
     def _merge_due_timers(self):
@@ -208,7 +193,7 @@ class Engine:
         components = self._components
         while timers and timers[0][0] <= now:
             _, order = heapq.heappop(timers)
-            if order >= 0 and order not in wake:
+            if order not in wake:
                 wake[order] = components[order]
 
     def _step(self):
@@ -343,7 +328,7 @@ class Engine:
                     self.now = target
                 self._merge_due_timers()
                 # Re-check done()/max_cycles at the new time before
-                # stepping; a bare event may have woken nobody.
+                # stepping.
                 continue
             self._step()
             if watchdog is not None and self.now >= watchdog.next_check:

@@ -23,8 +23,8 @@ Three contracts, all pinned by tests:
   schedule, not of host state or engine internals -- so the stream
   does not depend on how the engine advances time.
 * **Snapshot-safe.**  Tracer state is plain data (dicts, deques,
-  ints) registered in the checkpoint ``SNAPSHOT_REGISTRY``; a traced
-  run snapshots and resumes bit-identically.
+  ints) that pickles with the system; a traced run snapshots and
+  resumes bit-identically (``tests/checkpoint/test_replay_matrix.py``).
 
 Request identity: ``req_id`` values are *reused* (unweighted requests
 use the destination offset, so two edges into the same vertex carry

@@ -1,5 +1,7 @@
 """Tests for die-crossing logic (paper Fig. 5 semantics)."""
 
+from collections import deque
+
 import pytest
 
 from repro.fabric import DieCrossing
@@ -32,8 +34,13 @@ class TestDieCrossing:
 
     def test_adds_two_cycles_per_hop(self):
         for hops, minimum in [(1, 3), (2, 5)]:
-            engine, inp, out, _ = build(hops=hops, out_capacity=8)
+            engine, inp, out, crossing = build(hops=hops, out_capacity=8)
+            assert crossing.next_event_time() is None
             inp.push("x")
+            engine._step()  # commit: "x" visible at cycle 1
+            engine._step()  # cycle 1: "x" enters the registers
+            assert crossing.next_event_time() == 1 + 2 * hops
+            assert crossing.pending == 1
             engine.run(done=lambda: out.can_pop(), max_cycles=50)
             # push visible (1) + 2*hops register stages + out commit (1)
             assert engine.now >= 2 * hops + 1
@@ -64,7 +71,7 @@ class TestDieCrossing:
                 pushed += 1
             engine._step()
         # Consumer never popped; everything must be queued, none dropped.
-        in_flight = len(crossing._line) + out.pending + inp.pending
+        in_flight = crossing.pending + out.pending + inp.pending
         assert in_flight == pushed
         # Now drain and verify order.
         received = []
@@ -142,13 +149,13 @@ def _entry_cycles(crossing_first, n=12):
         engine.add_component(sink)
         crossing = DieCrossing(engine, inp, out, hops=1)
     cycles = []
-    push = crossing._line.push
 
-    def recording_push(item):
-        cycles.append(engine.now)
-        push(item)
+    class RecordingRegs(deque):
+        def append(self, entry):
+            cycles.append(engine.now)
+            super().append(entry)
 
-    crossing._line.push = recording_push
+    crossing._regs = RecordingRegs()
     engine.run(done=lambda: len(sink.received) == n, max_cycles=500)
     assert sink.received == list(range(n))
     return cycles

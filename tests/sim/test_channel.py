@@ -1,11 +1,18 @@
-"""Unit and property tests for Channel and DelayLine."""
+"""Unit and property tests for Channel."""
+
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Channel, DelayLine, Engine, MomsRequest, MomsResponse
+from repro.sim import Channel, Engine, MomsRequest, MomsResponse
 from repro.sim.engine import Component
+
+
+class _Token:
+    """A weakly referenceable token."""
 
 
 def engine_with_channel(capacity):
@@ -66,6 +73,34 @@ class TestChannel:
         ch.commit()
         assert ch.pending == 1
         assert len(ch) == 1
+
+    def test_popped_token_is_released(self):
+        """A pop clears its slot: the channel keeps no popped token alive."""
+        _, ch = engine_with_channel(4)
+        token = _Token()
+        ref = weakref.ref(token)
+        ch.push(token)
+        ch.commit()
+        assert ch.pop() is token
+        del token
+        gc.collect()
+        assert ref() is None
+
+    def test_pop_many_releases_tokens_across_wraparound(self):
+        _, ch = engine_with_channel(4)
+        for i in range(3):  # move the head so the next batch wraps
+            ch.push(i)
+        ch.commit()
+        ch.pop_many()
+        ch.commit()
+        tokens = [_Token() for _ in range(4)]
+        refs = [weakref.ref(token) for token in tokens]
+        ch.push_many(tokens)
+        ch.commit()
+        assert ch.pop_many() == tokens
+        del tokens
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 4
 
     def test_push_registers_channel_for_commit(self):
         engine, ch = engine_with_channel(4)
@@ -353,45 +388,3 @@ class TestSpaceWakeOneShots:
         engine._step()
         engine._step()
         assert waker.ticked == 1
-
-
-class TestDelayLine:
-    def test_rejects_zero_latency(self):
-        with pytest.raises(ValueError):
-            DelayLine(0)
-
-    def test_latency_respected(self):
-        engine = Engine()
-        line = engine.add_delay_line(DelayLine(3))
-        line.push("x")
-        for _ in range(3):
-            assert not line.can_pop()
-            engine._step()
-        assert line.can_pop()
-        assert line.pop() == "x"
-
-    def test_next_event_time(self):
-        engine = Engine()
-        line = engine.add_delay_line(DelayLine(5))
-        assert line.next_event_time() is None
-        line.push("x")
-        assert line.next_event_time() == 5
-
-    def test_fifo_across_pushes_in_different_cycles(self):
-        engine = Engine()
-        line = engine.add_delay_line(DelayLine(2))
-        line.push("a")
-        engine._step()
-        line.push("b")
-        engine._step()
-        assert line.pop() == "a"
-        assert not line.can_pop()
-        engine._step()
-        assert line.pop() == "b"
-
-    def test_pop_before_ready_raises(self):
-        engine = Engine()
-        line = engine.add_delay_line(DelayLine(2))
-        line.push("a")
-        with pytest.raises(IndexError):
-            line.pop()

@@ -5,9 +5,11 @@ skip a tick that could make progress, and (c) therefore produce the
 cycle trajectory of ticking every component every cycle.
 """
 
+from collections import deque
+
 import pytest
 
-from repro.sim import Channel, Component, DelayLine
+from repro.sim import Channel, Component
 from repro.sim.engine import Engine
 
 
@@ -73,23 +75,25 @@ class TestDemandWakes:
 
     def test_demand_engine_skips_ticks(self):
         # A consumer blocked on an empty channel must not be ticked
-        # while a slow producer trickles tokens through a delay line.
+        # while a slow producer trickles tokens through a 50-cycle
+        # latency it sleeps through on timers.
         engine = Engine()
-        line = engine.add_delay_line(DelayLine(50, name="slow"))
         channel = engine.add_channel(Channel(4, name="out"))
         consumer = CountingConsumer(engine, channel)
 
         class Refiller(Component):
             def __init__(self):
                 self.sent = 0
+                self.held = deque()  # (ready_cycle, token)
                 engine.add_component(self)
-                line.subscribe_data(self)
 
             def tick(self, eng):
-                while line.can_pop():
-                    channel.push(line.pop())
-                if self.sent < 3 and not line.pending:
-                    line.push(self.sent)
+                held = self.held
+                while held and held[0][0] <= eng.now:
+                    channel.push(held.popleft()[1])
+                if self.sent < 3 and not held:
+                    held.append((eng.now + 50, self.sent))
+                    eng.wake_at(self, eng.now + 50)
                     self.sent += 1
 
             def is_idle(self):

@@ -1,8 +1,10 @@
 """Tests for the cycle engine: ticking, idle skip, deadlock detection."""
 
+from collections import deque
+
 import pytest
 
-from repro.sim import Channel, Component, DeadlockError, DelayLine, Engine
+from repro.sim import Channel, Component, DeadlockError, Engine
 
 
 class Producer(Component):
@@ -38,22 +40,29 @@ class Consumer(Component):
 
 
 class LatencyRelay(Component):
-    """Moves tokens from a channel into a delay line and back out."""
+    """Holds each token from *inp* for *latency* cycles, then forwards it.
 
-    def __init__(self, inp, line, out):
+    It sleeps through the latency on a timer armed for each token.
+    """
+
+    def __init__(self, inp, latency, out):
         self.inp = inp
-        self.line = line
+        self.latency = latency
         self.out = out
+        self.held = deque()  # (ready_cycle, token)
         inp.subscribe_data(self)
-        line.subscribe_data(self)
 
     def tick(self, engine):
         if self.inp.can_pop():
-            self.line.push(self.inp.pop())
-        if self.line.can_pop() and self.out.can_push():
-            self.out.push(self.line.pop())
-        if self.line.can_pop():
-            self.out.request_space_wake(self)
+            ready = engine.now + self.latency
+            self.held.append((ready, self.inp.pop()))
+            engine.wake_at(self, ready)
+        held = self.held
+        if held and held[0][0] <= engine.now:
+            if self.out.can_push():
+                self.out.push(held.popleft()[1])
+            else:
+                self.out.request_space_wake(self)
 
 
 class TestEngine:
@@ -88,12 +97,11 @@ class TestEngine:
         assert 95 <= cycles <= 105
 
     def test_idle_fast_forward_over_latency(self):
-        """Cycles spent waiting on a long delay line are skipped."""
+        """Cycles spent waiting on a long latency timer are skipped."""
         engine = Engine()
         inp = engine.add_channel(Channel(2))
         out = engine.add_channel(Channel(2))
-        line = engine.add_delay_line(DelayLine(500))
-        engine.add_component(LatencyRelay(inp, line, out))
+        engine.add_component(LatencyRelay(inp, 500, out))
         consumer = engine.add_component(Consumer(out))
         inp.push("x")
         inp.commit()

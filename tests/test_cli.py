@@ -1,11 +1,49 @@
 """Tests for the `python -m repro` command-line entry point."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs the CLI with the test-only dependencies made unimportable, then
+# imports every module of the package the same way.
+_WITHOUT_TEST_DEPS = """
+import importlib, pkgutil, runpy, sys
+for name in ("scipy", "networkx"):
+    sys.modules[name] = None
+sys.argv = ["repro", "list"]
+try:
+    runpy.run_module("repro", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    assert not done.code, done.code
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not info.name.endswith("__main__"):
+        importlib.import_module(info.name)
+"""
+
+
 class TestCli:
+    def test_runs_without_test_only_dependencies(self):
+        """scipy and networkx are test extras; nothing in src needs them."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(SRC), env.get("PYTHONPATH")))
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_TEST_DEPS], env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "fig01" in done.stdout
+
     def test_list_prints_all_experiments(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
