@@ -1,9 +1,9 @@
 """Disabled-gate census and enabled-observer legs on one BFS point.
 
 With no observer attached, every component event site is one
-``_probe is None`` test, the engine polls its watchdog, sampler and
-checkpointer with ``is None`` tests, and fault injection adds its
-``_fault`` tests.  :func:`test_disabled_gates_under_budget` counts those
+``_probe is None`` test, the engine tests the earliest due cycle of its
+watchdog, sampler and checkpointer once per step, and fault injection
+adds its ``_fault`` tests.  :func:`test_disabled_gates_under_budget` counts those
 gate executions exactly (:func:`_gate_census`), prices one gate with a
 micro-benchmark (:func:`_gate_cost_ns`), and asserts the implied
 observer-off overhead stays under 3% of the unprobed wall clock.
@@ -27,7 +27,9 @@ import pytest
 
 from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
+from repro.core import bank as bank_module
 from repro.core.bank import MomsBank
+from repro.core.mshr import AssociativeMshrFile, CuckooMshrFile
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.sim.probe import EventCounter
@@ -96,27 +98,36 @@ def _gate_census(graph, config, system_off, monkeypatch):
       probe observes without waking anyone, so the probed run makes
       exactly the unprobed run's ticks and its count is the unprobed
       run's gate count.
-    * **engine_poll** -- the watchdog/sampler/checkpointer tests, three
-      per engine step.
+    * **engine_poll** -- the one due-cycle test per engine step that
+      gates the watchdog, sampler and checkpointer polls.
     * **fault** -- the ``_fault`` tests: one per DRAM tick, two per
       DRAM accept, one per response schedule, one per MSHR insert
-      call (the retries a bank slept through settle without one), one
-      per subentry replay, and one per hopeless MSHR failure, where
-      the bank tests the MSHR file's slot before it sleeps.
+      call (the retries a bank sleeps through, or settles in place on
+      a wake without a line, make none), one per subentry replay, and
+      one per hopeless MSHR failure, where the bank tests the MSHR
+      file's slot before it sleeps.
     """
     counter = EventCounter()
     probed = AcceleratorSystem(graph, "bfs", config)
     probed.install_probe([counter])
-    settles = []
-    settle = MomsBank._settle_spin
+    inserts = [0]
+    sleeps = [0]
+    handle = MomsBank._handle_request
 
-    def counted(bank, now):
-        settles.append(now - bank._spin_since - 1)
-        settle(bank, now)
+    def counted_handle(bank):
+        outcome = handle(bank)
+        sleeps[0] += outcome is bank_module._SPIN
+        return outcome
 
-    # Every sleep ends in exactly one settle: a finished run has no
-    # request left for a bank to sleep on.
-    monkeypatch.setattr(MomsBank, "_settle_spin", counted)
+    monkeypatch.setattr(MomsBank, "_handle_request", counted_handle)
+    for cls in (CuckooMshrFile, AssociativeMshrFile):
+        insert = cls.insert
+
+        def counted_insert(mshrs, line_addr, insert=insert):
+            inserts[0] += 1
+            return insert(mshrs, line_addr)
+
+        monkeypatch.setattr(cls, "insert", counted_insert)
     probed.run()
     monkeypatch.undo()
     engine = system_off.engine
@@ -126,19 +137,17 @@ def _gate_census(graph, config, system_off, monkeypatch):
     )
     events = counter.counts
 
-    attempts = sum(bank.mshrs.stats.inserts + bank.mshrs.stats.insert_failures
-                   for bank in system_off.hierarchy.banks)
     channels = system_off.mem.channels
     sites = {
         "probe": sum(events.values()),
-        "engine_poll": 3 * engine.cycles_simulated,
+        "engine_poll": engine.cycles_simulated,
         "fault": (
             sum(channel.ticks for channel in channels)
             + 2 * events["dram_accept"]
             + events["dram_schedule"]
-            + attempts - sum(settles)
+            + inserts[0]
             + events["bank_replay"]
-            + len(settles)
+            + sleeps[0]
         ),
     }
     sites["total"] = sum(sites.values())

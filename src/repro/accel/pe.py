@@ -27,7 +27,6 @@ from collections import deque
 
 import numpy as np
 
-from repro.graph.encoding import EDGE_DST_BITS, EDGE_SRC_BITS, TERMINATOR_BIT
 from repro.mem.dram import LINE_BYTES, MemRequest
 from repro.sim import Component
 
@@ -38,8 +37,6 @@ POINTERS = "pointers"
 STREAM = "stream"
 WRITEBACK = "writeback"
 
-_SRC_MASK = (1 << EDGE_SRC_BITS) - 1
-_DST_MASK = (1 << EDGE_DST_BITS) - 1
 _U32 = struct.Struct("=I")  # native-endian u32, same layout numpy views use
 
 
@@ -100,49 +97,6 @@ class BurstRequester:
         return len(pieces)
 
 
-class _EdgeColumns:
-    """Columnar decoded-edge backlog.
-
-    A whole DMA beat is decoded with numpy and lands here as parallel
-    columns (source node, destination offset, weight), plus two
-    precomputed per edge so dispatch need not derive them: the
-    BRAM-local mask and the MOMS byte address of each source value.
-    Consumption stays one edge per cycle (an architectural rate), so
-    the head is an index that advances and periodically compacts
-    instead of a popleft.
-
-    ``len()``/truthiness report the undispatched count (telemetry reads
-    it).
-    """
-
-    __slots__ = ("src", "dst", "w", "local", "addr", "head")
-
-    _COMPACT_AT = 1024  # amortized O(1): drop the consumed prefix
-
-    def __init__(self):
-        self.src = []
-        self.dst = []
-        self.w = []
-        self.local = []
-        self.addr = []
-        self.head = 0
-
-    def __len__(self):
-        return len(self.src) - self.head
-
-    def advance(self):
-        """Consume the head edge."""
-        head = self.head + 1
-        if head >= self._COMPACT_AT:
-            del self.src[:head]
-            del self.dst[:head]
-            del self.w[:head]
-            del self.local[:head]
-            del self.addr[:head]
-            head = 0
-        self.head = head
-
-
 class PEStats:
     def __init__(self):
         self.edges_processed = 0
@@ -200,13 +154,13 @@ class ProcessingElement(Component):
         self._job = None
         self._engine = None
         self._pipeline = deque()  # (commit_cycle, dst_off, new, old)
-        self._edge_queue = _EdgeColumns()
-        # Mirror of len(self._edge_queue), maintained at the decode and
-        # dispatch sites.  The stream loop and _arm() test the backlog
-        # every tick; a plain int keeps that off the _EdgeColumns
-        # __len__ path (a Python-level call, ~5x a deque's C check).
-        self._edges_queued = 0
+        # Decoded edges awaiting dispatch, one [src, dst_off, weight,
+        # local] row each (see _decode_shard).
+        self._edge_queue = deque()
         self._decoded_backlog_limit = config.dma_queue_beats * 16
+        codec = layout.codec
+        self._edge_bytes = 4 * codec.words_per_edge
+        self._edges_per_beat = LINE_BYTES // self._edge_bytes
         self._outstanding_moms = 0
 
     # -- per-run configuration --------------------------------------------
@@ -221,14 +175,15 @@ class ProcessingElement(Component):
         if self._probe is not None:
             self._probe.pe_tick(self, engine.now)
         phase = self._phase
+        if phase == STREAM:
+            self._stream_tick(engine)
+            return
         if phase == IDLE:
             self._tick_idle(engine)
         elif phase in (INIT_CONST, INIT_VIN):
             self._tick_init(engine)
         elif phase == POINTERS:
             self._tick_pointers(engine)
-        elif phase == STREAM:
-            self._tick_stream(engine)
         elif phase == WRITEBACK:
             self._tick_writeback(engine)
         self._arm(engine)
@@ -238,10 +193,9 @@ class ProcessingElement(Component):
 
         Channel subscriptions cover externally-triggered progress (new
         jobs, DMA beats, MOMS responses, freed port space); this
-        re-arm covers the internal kind: BRAM apply/read-out budgets,
-        burst issue slots freeing up, decoded edges awaiting dispatch,
-        and gather-pipeline commits (a precise timer, so a PE blocked
-        only on its arithmetic pipeline sleeps until the commit cycle).
+        re-arm covers the internal kind: BRAM apply/read-out budgets
+        and burst issue slots freeing up.  The stream tick makes its
+        own wake decision (:meth:`_stream_tick`).
         """
         phase = self._phase
         if phase == IDLE:
@@ -262,43 +216,13 @@ class ProcessingElement(Component):
             if not self._ptr_requested:
                 engine.wake(self)
             return
-        if phase == STREAM:
-            if self._pipeline:
-                engine.wake_at(self, self._pipeline[0][0])
-            if (self.dma_resp._visible or self.moms_resp._visible
-                    or self._can_stream_more()):
-                # Beats to decode, responses to serve (or spin on a RAW
-                # hazard, one stall per cycle), or a
-                # burst slot worth retrying.
-                engine.wake(self)
-                return
-            if self._edges_queued:
-                # Progress on the head edge is all that remains; wake
-                # only if it can move without an external event.
-                queue = self._edge_queue
-                if queue.local[queue.head]:
-                    engine.wake(self)  # local read, gated only on gather
-                elif self.spec.weighted and not self._free_ids:
-                    pass  # IDs free only via responses -> moms_resp wake
-                elif self.moms_req.free_slots() > 0:
-                    engine.wake(self)
-                else:
-                    # Request port full: one-shot wake from its next
-                    # commit with free space (usually already armed by
-                    # the _process_edges stall this tick; dedup'd).
-                    self.moms_req.request_space_wake(self)
-            elif self._stream_done():
-                # The POINTERS->STREAM transition tick never ran
-                # _tick_stream; an already-empty stream (no active
-                # shards) still needs one tick to enter writeback.
-                engine.wake(self)
-            return
         # WRITEBACK: keep stepping while node values remain to send;
         # once everything is issued, the write acks wake us.  The
         # acks-complete clause only matters for empty intervals, whose
         # first writeback tick must still fire to report completion.
-        if self._wb_sent < self._n_local * 4 \
-                or self._wb_acks_received >= self._wb_acks_expected:
+        if phase == WRITEBACK and (
+                self._wb_sent < self._n_local * 4
+                or self._wb_acks_received >= self._wb_acks_expected):
             engine.wake(self)
 
     def _set_phase(self, phase):
@@ -308,15 +232,6 @@ class ProcessingElement(Component):
             probe.pe_phase(self, phase,
                            engine.now if engine is not None else 0)
         self._phase = phase
-
-    def _can_stream_more(self):
-        """True if _request_edge_bursts could issue on a later cycle."""
-        if self._stream_cursor >= len(self._shards):
-            return False
-        if self._bursts_outstanding >= self.config.max_outstanding_edge_bursts:
-            return False
-        backlog = self._edges_queued + self._beats_outstanding * 16
-        return backlog <= self._decoded_backlog_limit
 
     def is_idle(self):
         return self._phase == IDLE
@@ -442,20 +357,26 @@ class ProcessingElement(Component):
         self._ptr_beats_received += len(self.dma_resp.pop_all())
         if self._ptr_beats_received < self._ptr_beats_expected:
             return
-        # Parse the pointers (bit-identical to the transferred beats).
+        self._start_stream()
+        # The first stream tick always runs; it arms every later one.
+        engine.wake(self)
+
+    def _start_stream(self):
+        """Parse the pointers (bit-identical to the transferred beats)."""
+        layout = self.layout
         shards = []
-        for s in range(part.q_src):
-            addr, count, active = self.layout.read_pointer(
-                self.mem, self._job.d, s
-            )
+        for s in range(layout.partitioning.q_src):
+            addr, count, active = layout.read_pointer(
+                self.mem, self._job.d, s)
             if active and count:
                 shards.append({
                     "s": s,
                     "addr": addr,
                     "count": count,
-                    "bytes_total": self.layout.codec.shard_bytes(count),
+                    "bytes_total": layout.codec.shard_bytes(count),
                     "bytes_requested": 0,
                     "edges_decoded": 0,
+                    "rows": None,  # decoded at the shard's first burst
                 })
         self._shards = shards
         self._shard_by_s = {shard["s"]: shard for shard in shards}
@@ -464,43 +385,184 @@ class ProcessingElement(Component):
         self._beats_outstanding = 0
         self._set_phase(STREAM)
 
+    def _decode_shard(self, shard):
+        """One shard's edge-queue rows, decoded once, as a uint32 array.
+
+        The codec that wrote the shard decodes it from the memory image
+        the DMA beats copy: no run writes the edge region, so every
+        beat carries exactly these words, and a beat queues its slice
+        of the rows (:meth:`_queue_beat_edges`).  Columns: global source
+        node, destination offset, weight (0 when the algorithm is
+        unweighted) and the BRAM-local flag.  Every field fits 32 bits,
+        and 32-bit rows keep the decoded shards from raising peak RSS
+        (64-bit rows with a fifth, address column did by 0.3 MiB on
+        ``pr-starved``).
+        """
+        decoded = self.layout.codec.decode_shard(self.mem.view_u32(
+            shard["addr"], shard["bytes_total"] // 4))
+        srcs = shard["s"] * self._ns + decoded[0]
+        rows = np.zeros((len(srcs), 4), dtype=np.uint32)
+        rows[:, 0] = srcs
+        rows[:, 1] = decoded[1]
+        if self.spec.weighted:
+            rows[:, 2] = decoded[2]
+        if self.spec.use_local_src:
+            rows[:, 3] = (srcs >= self._lo) & (srcs < self._hi)
+        return rows
+
     # -- edge streaming + gather ------------------------------------------------
 
-    def _tick_stream(self, engine):
-        # The five stream sub-stages run every cycle in hardware, but in
-        # simulation most are no-ops on any given tick; guard each one
-        # inline so an idle stage costs a branch, not a function call.
+    def _stream_tick(self, engine):
+        """One STREAM cycle, ending with its own wake decision.
+
+        The stream sub-stages run every cycle in hardware: commit due
+        gather results, issue an edge burst, queue one DMA beat's edges,
+        serve one MOMS response, dispatch the head edge.  In simulation
+        most are no-ops on a given tick, so each is guarded inline
+        rather than paid for as a call.
+        """
+        now = engine.now
         pipeline = self._pipeline
-        if pipeline:
-            now = engine.now
-            if pipeline[0][0] <= now:
-                bram = self._bram
-                always_active = self.spec.always_active
-                while pipeline and pipeline[0][0] <= now:
-                    _, dst_off, new, old = pipeline.popleft()
-                    bram[dst_off] = new
-                    if always_active or new != old:
-                        self._job_updated = True
-        if self._stream_cursor < len(self._shards):
+        bram = self._bram
+        spec = self.spec
+        stats = self.stats
+        if pipeline and pipeline[0][0] <= now:
+            always_active = spec.always_active
+            while pipeline and pipeline[0][0] <= now:
+                _, dst_off, new, old = pipeline.popleft()
+                bram[dst_off] = new
+                if always_active or new != old:
+                    self._job_updated = True
+        shards = self._shards
+        if self._stream_cursor < len(shards):
             self._request_edge_bursts()
-        if self.dma_resp._visible:
-            self._decode_edge_beats()
-        if self.moms_resp._visible:
-            gather_free = self._process_response()
-        else:
-            gather_free = True
-        if self._edges_queued:
-            self._process_edges(gather_free)
-        if not (self._bursts_outstanding or self._edges_queued
-                or self._pipeline or self._outstanding_moms):
-            if self._stream_done():
-                self._start_writeback()
+        dma_resp = self.dma_resp
+        if dma_resp._visible:
+            # One beat per cycle (512-bit port): an architectural rate.
+            self._queue_beat_edges(dma_resp.pop())
+        queue = self._edge_queue
+        moms_resp = self.moms_resp
+        probe = self._probe
+        # Serving a MOMS response takes the gather slot this cycle,
+        # whether it enters the pipeline or stalls on a RAW hazard.
+        gather_free = not moms_resp._visible
+        if not gather_free:
+            token = moms_resp.front()
+            req_id = token.req_id
+            if probe is not None:
+                # Peek-time check: a corrupted or misrouted ID is
+                # flagged here, before it indexes the thread-state
+                # memory below.
+                probe.pe_verify(self, req_id)
+            if spec.weighted:
+                dst_off, weight = self._id_state[req_id]
+            else:
+                dst_off, weight = req_id, 0
+            hazard = False
+            for entry in pipeline:
+                if entry[1] == dst_off:
+                    hazard = True
+                    break
+            if hazard:
+                stats.raw_stalls += 1
+            else:
+                word = _U32.unpack_from(token.data)[0]
+                moms_resp.pop()
+                self._outstanding_moms -= 1
+                if probe is not None:
+                    probe.pe_retire(self, req_id, token.addr, now)
+                if spec.weighted:
+                    del self._id_state[req_id]
+                    self._free_ids.append(req_id)
+                old = bram[dst_off]
+                pipeline.append((
+                    now + spec.gather_latency, dst_off,
+                    spec.gather(spec.decode(word), old, weight), old,
+                ))
+                stats.edges_processed += 1
+                self._edges_this_job += 1
+        moms_req = self.moms_req
+        if queue:
+            # Dispatch the head edge: a local BRAM read into the gather
+            # pipeline, or a MOMS request that suspends the edge.
+            src, dst_off, weight, local = queue[0]
+            if local:
+                if gather_free:
+                    hazard = False
+                    for entry in pipeline:
+                        if entry[1] == dst_off:
+                            hazard = True
+                            break
+                    if hazard:
+                        stats.raw_stalls += 1
+                    else:
+                        queue.popleft()
+                        old = bram[dst_off]
+                        pipeline.append((
+                            now + spec.gather_latency, dst_off,
+                            spec.gather(bram[src - self._lo], old, weight),
+                            old,
+                        ))
+                        stats.edges_processed += 1
+                        self._edges_this_job += 1
+                        stats.local_reads += 1
+            elif moms_req._occ + moms_req._staged_n >= moms_req.capacity:
+                stats.moms_request_stalls += 1
+                moms_req.request_space_wake(self)
+            elif spec.weighted and not self._free_ids:
+                stats.id_stalls += 1
+            else:
+                if spec.weighted:
+                    req_id = self._free_ids.popleft()
+                    self._id_state[req_id] = (dst_off, weight)
+                else:
+                    req_id = dst_off
+                queue.popleft()
+                addr = self.layout.v_in_addr + src * 4
+                moms_req.push_request(addr, 4, req_id, self.pe_index)
+                if probe is not None:
+                    probe.pe_issue(self, req_id, addr, now)
+                self._outstanding_moms += 1
+                stats.moms_reads += 1
+        if not (self._bursts_outstanding or queue or pipeline
+                or self._outstanding_moms) and self._stream_done():
+            self._start_writeback()
+            engine.wake(self)
+            return
+        # The wake decision.  A PE blocked only on its gather pipeline
+        # sleeps until the head commit's cycle.
+        if pipeline:
+            engine.wake_at(self, pipeline[0][0])
+        if (dma_resp._visible or moms_resp._visible or (
+                # A burst slot worth retrying.
+                self._stream_cursor < len(shards)
+                and self._bursts_outstanding
+                < self.config.max_outstanding_edge_bursts
+                and len(queue) + self._beats_outstanding * 16
+                <= self._decoded_backlog_limit)):
+            # Beats to queue, responses to serve (or spin on a RAW
+            # hazard, one stall per cycle), or a burst to issue.
+            engine.wake(self)
+        elif queue:
+            # Progress on the head edge is all that remains; wake only
+            # if it can move without an external event.
+            if queue[0][3]:
+                engine.wake(self)  # local read, gated only on gather
+            elif spec.weighted and not self._free_ids:
+                pass  # IDs free only via responses -> moms_resp wake
+            elif moms_req._occ + moms_req._staged_n < moms_req.capacity:
+                engine.wake(self)
+            else:
+                # Request port full: one-shot wake from its next commit
+                # with free space (usually already armed by the
+                # dispatch stall this tick; dedup'd).
+                moms_req.request_space_wake(self)
 
     def _request_edge_bursts(self):
         config = self.config
         if self._bursts_outstanding >= config.max_outstanding_edge_bursts:
             return
-        backlog = self._edges_queued + self._beats_outstanding * 16
+        backlog = len(self._edge_queue) + self._beats_outstanding * 16
         if backlog > self._decoded_backlog_limit:
             return
         while self._stream_cursor < len(self._shards):
@@ -517,153 +579,42 @@ class ProcessingElement(Component):
             # per channel; each piece ends with its own last-beat.
             beats = self.dma.beats_for(addr, nbytes)
             pieces = self.dma.issue(addr, nbytes, tag=("edges", shard["s"]))
+            if not shard["bytes_requested"]:
+                shard["rows"] = self._decode_shard(shard)
             shard["bytes_requested"] += nbytes
             self._bursts_outstanding += pieces
             self._beats_outstanding += beats
             return  # one burst issued per cycle
 
-    def _decode_edge_beats(self):
-        """Decode one DMA beat of compressed edges into the backlog.
+    def _queue_beat_edges(self, beat):
+        """Queue the edges one DMA beat of a shard carries.
 
-        One beat per cycle (512-bit port) -- an architectural rate, not
-        a simulator artifact.  The terminator cut, src/dst field
-        extraction, local-source mask, and MOMS byte address are
-        whole-beat numpy passes landing straight into the
-        :class:`_EdgeColumns` backlog, so the dispatcher's per-edge
-        bound checks and address arithmetic are done here once.
+        The beat's rows are its slice of the shard's decoded rows: the
+        edges from the beat's first word up to the shard's terminator.
+        The rows are dropped once the shard's last edge is queued.
         """
-        if not self.dma_resp._visible:
-            return
-        beat = self.dma_resp.pop()
         tag = beat.tag
         if tag[0] != "edges":
             raise AssertionError(f"unexpected DMA beat {tag} in stream")
-        s = tag[1]
         if beat.last:
             self._bursts_outstanding -= 1
         self._beats_outstanding -= 1
-        words = beat.data.view(np.uint32)
-        weighted = self.spec.weighted
-        if weighted:
-            edge_words = words[0::2]
-            weight_words = words[1::2]
-        else:
-            edge_words = words
-        term = np.flatnonzero(edge_words & TERMINATOR_BIT)
-        n = int(term[0]) if term.size else len(edge_words)
-        cols = self._edge_queue
-        if n:
-            ew = edge_words[:n].astype(np.int64)
-            srcs = (s * self._ns) + ((ew >> EDGE_DST_BITS) & _SRC_MASK)
-            cols.src.extend(srcs.tolist())
-            cols.dst.extend((ew & _DST_MASK).tolist())
-            if weighted:
-                cols.w.extend(weight_words[:n].tolist())
-            else:
-                cols.w.extend([0] * n)
-            if self.spec.use_local_src:
-                cols.local.extend(
-                    ((srcs >= self._lo) & (srcs < self._hi)).tolist()
-                )
-            else:
-                cols.local.extend([False] * n)
-            cols.addr.extend((self.layout.v_in_addr + srcs * 4).tolist())
-        self._edges_queued += n
-        shard = self._shard_by_s[s]
-        shard["edges_decoded"] += n
-        if shard["edges_decoded"] > shard["count"]:
-            raise AssertionError("decoded more edges than the shard has")
-
-    def _raw_hazard(self, dst_off):
-        for _, entry_dst, _, _ in self._pipeline:
-            if entry_dst == dst_off:
-                return True
-        return False
-
-    def _enter_pipeline(self, engine, dst_off, u_value, weight):
-        old = self._bram[dst_off]
-        new = self.spec.gather(u_value, old, weight)
-        self._pipeline.append(
-            (engine.now + self.spec.gather_latency, dst_off, new, old)
-        )
-        self.stats.edges_processed += 1
-        self._edges_this_job += 1
-
-    def _process_response(self):
-        """Serve one MOMS response; returns True if the gather slot is free."""
-        moms_resp = self.moms_resp
-        if not moms_resp._visible:
-            return True
-        req_id, _addr, data, _port = moms_resp.front_response()
-        if self._probe is not None:
-            # Peek-time check: a corrupted or misrouted ID is flagged
-            # here, before it indexes the thread-state memory below.
-            self._probe.pe_verify(self, req_id)
-        if self.spec.weighted:
-            dst_off, weight = self._id_state[req_id]
-        else:
-            dst_off, weight = req_id, 0
-        if self._raw_hazard(dst_off):
-            self.stats.raw_stalls += 1
-            return False  # gather slot wasted on the stall
-        word = _U32.unpack_from(data)[0]
-        moms_resp.pop()
-        self._outstanding_moms -= 1
-        if self._probe is not None:
-            self._probe.pe_retire(self, req_id, _addr, self._engine.now)
-        if self.spec.weighted:
-            del self._id_state[req_id]
-            self._free_ids.append(req_id)
-        self._enter_pipeline(self._engine, dst_off, self.spec.decode(word),
-                             weight)
-        return False
-
-    def _process_edges(self, gather_free):
-        """Dispatch the head edge: a local BRAM read into the gather
-        pipeline, or a MOMS request that suspends the edge."""
-        if not self._edges_queued:
-            return
-        cols = self._edge_queue
-        h = cols.head
-        dst_off = cols.dst[h]
-        if cols.local[h]:
-            if not gather_free:
-                return
-            if self._raw_hazard(dst_off):
-                self.stats.raw_stalls += 1
-                return
-            u_value = self._bram[cols.src[h] - self._lo]
-            weight = cols.w[h]
-            cols.advance()
-            self._edges_queued -= 1
-            self._enter_pipeline(self._engine, dst_off, u_value, weight)
-            self.stats.local_reads += 1
-            return
-        # Remote source: suspend the edge into the MOMS.
-        moms_req = self.moms_req
-        if moms_req._occ + moms_req._staged_n >= moms_req.capacity:
-            self.stats.moms_request_stalls += 1
-            moms_req.request_space_wake(self)
-            return
-        if self.spec.weighted:
-            if not self._free_ids:
-                self.stats.id_stalls += 1
-                return
-            req_id = self._free_ids.popleft()
-            self._id_state[req_id] = (dst_off, cols.w[h])
-        else:
-            req_id = dst_off
-        addr = cols.addr[h]
-        cols.advance()
-        self._edges_queued -= 1
-        moms_req.push_request(addr, 4, req_id, self.pe_index)
-        if self._probe is not None:
-            self._probe.pe_issue(self, req_id, addr, self._engine.now)
-        self._outstanding_moms += 1
-        self.stats.moms_reads += 1
+        shard = self._shard_by_s[tag[1]]
+        first = (beat.addr - shard["addr"]) // self._edge_bytes
+        n = min(self._edges_per_beat, shard["count"] - first)
+        if n > 0:
+            decoded = shard["edges_decoded"] + n
+            if decoded > shard["count"]:
+                raise AssertionError(
+                    "decoded more edges than the shard has")
+            self._edge_queue.extend(
+                shard["rows"][first:first + n].tolist())
+            shard["edges_decoded"] = decoded
+            if decoded == shard["count"]:
+                shard["rows"] = None
 
     def _stream_done(self):
-        if self._bursts_outstanding or self._edges_queued or self._pipeline:
+        if self._bursts_outstanding or self._edge_queue or self._pipeline:
             return False
         if self._outstanding_moms > 0:
             return False

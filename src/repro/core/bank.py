@@ -156,10 +156,21 @@ class MomsBank(Component):
     def tick(self, engine):
         # Hot path: direct occupancy-int checks avoid method-call
         # overhead on the (frequent) idle cycles.
-        if self._spin_since is not None:
+        spinning = self._spin_since is not None
+        if spinning:
             self._settle_spin(engine.now)
         if self._probe is not None:
             self._probe.bank_tick(self, engine.now)
+        if spinning and not self.line_in._visible \
+                and self.downstream.can_accept(
+                    self.req_in.front().addr // self.params.line_bytes):
+            # Woken with no line returned (a new request behind the
+            # head, or a throttle that left the downstream port open):
+            # this cycle's retry fails as the slept ones did, so commit
+            # it as one more and sleep on (DESIGN 6.1).
+            self._fail_retries(1)
+            self._spin_since = engine.now
+            return
         if self._drain_chain is not None:
             self._drain_one()
             if self._drain_chain is not None:
@@ -220,12 +231,16 @@ class MomsBank(Component):
         n = now - self._spin_since - 1
         self._spin_since = None
         if n:
-            if self.cache.present:
-                self.cache.stats.probes += n
-            mshrs = self.mshrs
-            mshrs.stats.lookups += n
-            mshrs.fail_hopeless(n)
-            self.stats.stall_mshr += n
+            self._fail_retries(n)
+
+    def _fail_retries(self, n):
+        """Commit *n* retries of a head request proved hopeless."""
+        if self.cache.present:
+            self.cache.stats.probes += n
+        mshrs = self.mshrs
+        mshrs.stats.lookups += n
+        mshrs.fail_hopeless(n)
+        self.stats.stall_mshr += n
 
     def is_idle(self):
         return (

@@ -361,7 +361,7 @@ class Channel:
                 if order not in wake:
                     wake[order] = component
                     engine.component_wakes += 1
-                    component.wakes += 1
+                    engine._wake_counts[order] += 1
         requests = self._space_requests
         if requests and occupancy < self.capacity:
             for component in requests:
@@ -369,7 +369,7 @@ class Channel:
                 if order not in wake:
                     wake[order] = component
                     engine.component_wakes += 1
-                    component.wakes += 1
+                    engine._wake_counts[order] += 1
             requests.clear()
 
     def __len__(self):

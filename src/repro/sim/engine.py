@@ -25,6 +25,8 @@ condition the component wires itself.
 
 import heapq
 
+_NEVER = float("inf")
+
 
 class DeadlockError(RuntimeError):
     """Raised when no component can make progress but work remains.
@@ -62,16 +64,32 @@ class Component:
     entry.
     """
 
-    # Activity counters (class attributes double as zero defaults; the
-    # first increment creates the instance attribute).
-    ticks = 0
-    wakes = 0
-    _engine_order = -1
-    _engine = None  # back-reference, set by Engine.add_component
+    # Registration index and back-reference, set by Engine.add_component.
+    # Waking a component that was never registered fails on the None.
+    _engine_order = None
+    _engine = None
     # The one observer slot (a repro.sim.probe.Probe, set by the
     # accelerator system when any observer is attached).  Every event
     # site tests it once: ``if self._probe is not None: ...``.
     _probe = None
+
+    # Activity counters: the engine keeps them per registration order
+    # (Engine._tick_counts / _wake_counts), so its dispatch loop never
+    # writes to objects of many classes.
+    @property
+    def ticks(self):
+        """Times the engine ticked this component."""
+        engine = self._engine
+        return 0 if engine is None \
+            else engine._tick_counts[self._engine_order]
+
+    @property
+    def wakes(self):
+        """Times a wake() or a channel commit armed this component
+        (matured timers are not counted)."""
+        engine = self._engine
+        return 0 if engine is None \
+            else engine._wake_counts[self._engine_order]
 
     def request_wake(self):
         """Ask to be ticked next cycle (no-op before registration).
@@ -106,23 +124,22 @@ class Engine:
     deterministic.
     """
 
-    # Optional no-progress monitor (repro.faults.watchdog.Watchdog);
-    # the run loop pays a single "is None" test per step when unset.
+    # The polled hooks.  Each exposes a due cycle and a poll method and
+    # never mutates simulated state.  The run loop keeps the earliest
+    # due cycle of those set and tests only that once per step; the due
+    # hooks are then polled in this fixed order.
+    # - watchdog (repro.faults.watchdog.Watchdog): ``next_check``,
+    #   ``check(engine)``, a no-progress monitor.
+    # - sampler (repro.telemetry.Telemetry): ``next_sample``,
+    #   ``sample(engine)``.  Sampling happens after a simulated step
+    #   only; fast-forwarded idle windows hold no state changes, so the
+    #   skipped rows would have duplicated the previous one.
+    # - checkpointer (repro.checkpoint.Checkpointer): ``next_checkpoint``,
+    #   ``poll(engine)``.  Polled *last* so a snapshot captures the
+    #   step's watchdog/sampler effects: a run resumed from the snapshot
+    #   then continues exactly where the uninterrupted run's loop would.
     watchdog = None
-    # Optional telemetry sampler (repro.telemetry.Telemetry): same
-    # contract as the watchdog -- exposes ``next_sample`` and
-    # ``sample(engine)``, costs one "is None" test per step when unset,
-    # and never mutates simulated state (cycle results are identical
-    # with sampling on or off).  Sampling happens after a simulated
-    # step only; fast-forwarded idle windows hold no state changes, so
-    # the skipped rows would have duplicated the previous one.
     sampler = None
-    # Optional periodic checkpointer (repro.checkpoint.Checkpointer):
-    # same hook contract again -- exposes ``next_checkpoint`` and
-    # ``poll(engine)``, costs one "is None" test per step when unset.
-    # Polled *last* among the hooks so a snapshot captures the step's
-    # watchdog/sampler effects: a run resumed from the snapshot then
-    # continues exactly where the uninterrupted run's loop would.
     checkpointer = None
     # The probe installed on the components (repro.sim.probe.Probe).
     # Unlike the three hooks above it is purely event-driven and the
@@ -137,6 +154,12 @@ class Engine:
         self.component_ticks = 0
         self.component_wakes = 0
         self._components = []
+        # Dispatch state, indexed by registration order: the bound tick
+        # methods and each component's tick and wake counts.  Plain lists
+        # keep every per-tick load, increment and call site monomorphic.
+        self._ticks = []
+        self._tick_counts = []
+        self._wake_counts = []
         self._channels = []
         self._time_sources = []
         self._dirty_channels = []
@@ -146,10 +169,35 @@ class Engine:
     # -- registration -------------------------------------------------------
 
     def add_component(self, component):
+        """Register *component*; its ``tick`` is bound here, once.
+
+        A class-level wrapper around ``tick`` (a profiler's timer, a
+        test's counter) must be installed before the component is
+        registered to be the method the engine calls.
+        """
         component._engine_order = len(self._components)
         component._engine = self
         self._components.append(component)
+        self._ticks.append(component.tick)
+        self._tick_counts.append(0)
+        self._wake_counts.append(0)
         return component
+
+    def __getstate__(self):
+        # Bound methods would pickle by name, which a wrapped tick does
+        # not survive; they are rebound from the components on load.
+        state = self.__dict__.copy()
+        del state["_ticks"]
+        return state
+
+    def __setstate__(self, state):
+        if "_tick_counts" not in state:
+            raise ValueError(
+                "engine state has no dispatch counters: the snapshot was "
+                "written by an older code version"
+            )
+        self.__dict__.update(state)
+        self._ticks = [component.tick for component in self._components]
 
     def add_channel(self, channel):
         channel.bind(self)
@@ -174,7 +222,7 @@ class Engine:
         if order not in wake:
             wake[order] = component
             self.component_wakes += 1
-            component.wakes += 1
+            self._wake_counts[order] += 1
 
     def wake_at(self, component, time):
         """Arm *component* to be ticked at cycle *time* (at the latest)."""
@@ -201,18 +249,15 @@ class Engine:
         if timers and timers[0][0] <= self.now:
             self._merge_due_timers()
         wake = self._wake_next
-        self._wake_next = {}
         if wake:
-            if len(wake) == 1:
-                run_list = wake.values()
-            else:
-                run_list = [wake[order] for order in sorted(wake)]
-        else:
-            run_list = ()
-        self.component_ticks += len(run_list)
-        for component in run_list:
-            component.ticks += 1
-            component.tick(self)
+            self._wake_next = {}
+            orders = wake if len(wake) == 1 else sorted(wake)
+            self.component_ticks += len(orders)
+            ticks = self._ticks
+            counts = self._tick_counts
+            for order in orders:
+                counts[order] += 1
+                ticks[order](self)
         # Only channels touched this cycle need an end-of-cycle commit.
         dirty = self._dirty_channels
         if dirty:
@@ -307,8 +352,7 @@ class Engine:
         watchdog = self.watchdog
         if watchdog is not None and not resume:
             watchdog.begin(self)
-        sampler = self.sampler
-        checkpointer = self.checkpointer
+        due = self._next_poll()
         while True:
             if done is not None and done():
                 break
@@ -316,9 +360,10 @@ class Engine:
                 if raise_on_limit:
                     raise self._cycle_limit(max_cycles, start)
                 break
-            self._merge_due_timers()
+            timers = self._timers
+            if timers and timers[0][0] <= self.now:
+                self._merge_due_timers()
             if not self._wake_next:
-                timers = self._timers
                 if not timers:
                     self._raise_idle(done)
                     break
@@ -331,14 +376,41 @@ class Engine:
                 # stepping.
                 continue
             self._step()
-            if watchdog is not None and self.now >= watchdog.next_check:
-                watchdog.check(self)
-            if sampler is not None and self.now >= sampler.next_sample:
-                sampler.sample(self)
-            if checkpointer is not None \
-                    and self.now >= checkpointer.next_checkpoint:
-                checkpointer.poll(self)
+            if self.now >= due:
+                due = self._poll_hooks()
         return self.now - start
+
+    def _next_poll(self):
+        """Earliest cycle at which a polled hook is due (inf if none)."""
+        due = _NEVER
+        watchdog = self.watchdog
+        if watchdog is not None and watchdog.next_check < due:
+            due = watchdog.next_check
+        sampler = self.sampler
+        if sampler is not None and sampler.next_sample < due:
+            due = sampler.next_sample
+        checkpointer = self.checkpointer
+        if checkpointer is not None and checkpointer.next_checkpoint < due:
+            due = checkpointer.next_checkpoint
+        return due
+
+    def _poll_hooks(self):
+        """Poll every due hook in the fixed order; returns the next due.
+
+        The checkpointer goes last, so a snapshot captures this step's
+        watchdog and sampler effects.
+        """
+        now = self.now
+        watchdog = self.watchdog
+        if watchdog is not None and now >= watchdog.next_check:
+            watchdog.check(self)
+        sampler = self.sampler
+        if sampler is not None and now >= sampler.next_sample:
+            sampler.sample(self)
+        checkpointer = self.checkpointer
+        if checkpointer is not None and now >= checkpointer.next_checkpoint:
+            checkpointer.poll(self)
+        return self._next_poll()
 
     # -- statistics ---------------------------------------------------------
 

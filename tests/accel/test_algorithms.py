@@ -1,5 +1,7 @@
 """Tests for algorithm specs, the template interpreter, and references."""
 
+import struct
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from repro.accel.algorithms import (
     DAMPING,
     INFINITY,
     bfs_spec,
+    bits_to_f32,
     get_spec,
     pagerank_spec,
     scc_spec,
@@ -56,6 +59,19 @@ class TestSpecs:
             assert spec.decode(spec.encode(value)) == pytest.approx(
                 value, rel=1e-6
             )
+
+    def test_bits_to_f32_matches_numpy_view(self):
+        """The struct decode gives the numpy scalar view's double on
+        random 32-bit patterns, NaNs compared by their bits."""
+        words = np.random.default_rng(7).integers(
+            0, 1 << 32, size=20_000, dtype=np.uint64).tolist()
+        words += [0x7F800001, 0x7FBFFFFF, 0x7FC00000, 0xFFC00001,
+                  0x7F800000, 0xFF800000, 0x80000000, 0]
+        double = struct.Struct("=d")
+        for word in words:
+            want = float(np.uint32(word).view(np.float32))
+            assert double.pack(bits_to_f32(word)) == double.pack(want), \
+                hex(word)
 
     def test_pagerank_initial_values_normalized(self):
         g = Graph(4, [0, 0, 1], [1, 2, 3])

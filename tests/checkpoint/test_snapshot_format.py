@@ -21,6 +21,7 @@ from repro.checkpoint import (
     save_snapshot,
 )
 from repro.graph import web_graph
+from repro.sim import Engine
 
 
 @pytest.fixture(scope="module")
@@ -228,3 +229,52 @@ class TestSnapshotProtocol:
         finally:
             del system._poison
         assert not list(tmp_path.iterdir())  # failed write left nothing
+
+
+class TestEngineCounters:
+    def test_counters_survive_replay(self, tmp_path):
+        """Every component's ``ticks``/``wakes`` read the engine's
+        per-order counts, after a straight run and after a replay from
+        a mid-run snapshot alike."""
+        graph = web_graph(200, 800, seed=3)
+        config = ArchitectureConfig(
+            _design(2, 2, "shared", "bfs", n_channels=2),
+            **SCALED_DEFAULTS,
+        )
+
+        def counters(system):
+            engine = system.engine
+            components = engine._components
+            assert [c.ticks for c in components] == engine._tick_counts
+            assert [c.wakes for c in components] == engine._wake_counts
+            assert sum(engine._tick_counts) == engine.component_ticks
+            return engine._tick_counts, engine._wake_counts
+
+        straight = AcceleratorSystem(graph, "bfs", config)
+        cycles = straight.run().cycles
+        path = tmp_path / "mid.snap"
+        AcceleratorSystem(graph, "bfs", config,
+                          checkpoint=f"{path}:{cycles * 3 // 5}").run()
+        restored, _ = load_snapshot(str(path))
+        assert 0 < sum(restored.engine._tick_counts) \
+            < straight.engine.component_ticks
+        restored.resume_run()
+        assert counters(restored) == counters(straight)
+
+    def test_snapshot_without_engine_counters_refused(
+            self, system, tmp_path, monkeypatch):
+        """A snapshot written before the engine owned its dispatch
+        counters (they lived on the components) fails to load, naming
+        the code version."""
+
+        def older_state(engine):
+            state = engine.__dict__.copy()
+            for key in ("_ticks", "_tick_counts", "_wake_counts"):
+                del state[key]
+            return state
+
+        monkeypatch.setattr(Engine, "__getstate__", older_state)
+        path = _snap(system, tmp_path)
+        monkeypatch.undo()
+        with pytest.raises(SnapshotError, match="older code version"):
+            load_snapshot(path)

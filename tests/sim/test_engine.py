@@ -147,3 +147,89 @@ class TestEngine:
         engine.add_component(Consumer(ch))
         cycles = engine.run(done=lambda: False, max_cycles=50)
         assert cycles == 50
+
+
+class _Hook:
+    """A polled hook due every *interval* cycles from *first*."""
+
+    def __init__(self, attr, log, name, first, interval):
+        self.attr, self.log, self.name = attr, log, name
+        self.interval = interval
+        setattr(self, attr, first)
+
+    def poll(self, engine):
+        self.log.append((self.name, engine.now))
+        setattr(self, self.attr, engine.now + self.interval)
+
+    check = sample = poll
+
+
+class TestDispatchState:
+    def test_component_counters_read_the_engine(self):
+        engine = Engine()
+        ch = engine.add_channel(Channel(2))
+        components = [engine.add_component(Producer(ch, 20)),
+                      engine.add_component(Consumer(ch))]
+        engine.run()
+        assert [c.ticks for c in components] == engine._tick_counts
+        assert [c.wakes for c in components] == engine._wake_counts
+        assert sum(engine._tick_counts) == engine.component_ticks
+        assert sum(engine._wake_counts) == engine.component_wakes
+        assert all(c.ticks > 0 and c.wakes > 0 for c in components)
+        unregistered = Consumer(Channel(1))
+        assert (unregistered.ticks, unregistered.wakes) == (0, 0)
+        # No counter slot to charge: the wake fails instead of landing
+        # on another component's.
+        with pytest.raises(TypeError):
+            engine.wake(unregistered)
+
+    def test_tick_bound_at_registration(self):
+        """A class-level ``tick`` wrapper installed before a component
+        is registered is what the engine calls; one installed later is
+        not (the engine binds ``tick`` once, in ``add_component``)."""
+
+        class Counted(Consumer):
+            pass
+
+        calls = []
+        original = Counted.tick
+
+        def counted(component, engine):
+            calls.append(engine.now)
+            original(component, engine)
+
+        engine = Engine()
+        ch = engine.add_channel(Channel(2))
+        engine.add_component(Producer(ch, 10))
+        Counted.tick = counted
+        consumer = engine.add_component(Counted(ch))
+        Counted.tick = lambda component, engine: None
+        engine.run()
+        assert consumer.received == list(range(10))
+        assert len(calls) == consumer.ticks > 0
+
+    def test_hooks_share_one_gate(self):
+        """The due hooks are polled after the step on which they fall
+        due, watchdog before sampler before checkpointer, exactly as if
+        each were tested on every step."""
+        log = []
+        engine = Engine()
+        ch = engine.add_channel(Channel(2))
+        engine.add_component(Producer(ch, 40))
+        consumer = engine.add_component(Consumer(ch))
+        engine.watchdog = _Hook("next_check", log, "watchdog", 10, 10)
+        engine.watchdog.begin = lambda engine: None
+        engine.sampler = _Hook("next_sample", log, "sampler", 0, 4)
+        engine.checkpointer = _Hook("next_checkpoint", log, "checkpointer",
+                                    5, 5)
+        engine.run(done=lambda: len(consumer.received) == 40)
+        hooks = (engine.watchdog, engine.sampler, engine.checkpointer)
+        want = []
+        due = {hook.name: first for hook, first in zip(hooks, (10, 0, 5))}
+        for now in range(1, engine.now + 1):
+            for hook in hooks:
+                if now >= due[hook.name]:
+                    want.append((hook.name, now))
+                    due[hook.name] = now + hook.interval
+        assert log == want
+        assert {name for name, _ in log} == {h.name for h in hooks}

@@ -27,6 +27,7 @@ import pytest
 from repro.accel.system import AcceleratorSystem
 from repro.checkpoint import Checkpointer, load_snapshot, read_header
 from repro.core.bank import MomsBank
+from repro.core.mshr import CuckooMshrFile
 from repro.faults import InvariantViolation
 from repro.faults.plan import NAMED_PLANS, FaultPlan
 from repro.telemetry import TelemetryConfig
@@ -122,6 +123,43 @@ class TestAlgorithmOrganizationMatrix:
         slept = _count_settles(monkeypatch)
         _, result = _run("pagerank", "private")
         assert sum(slept) > 0
+        _assert_matches_corpus(result, "pagerank", "private")
+
+
+class TestRespinInPlace:
+    def test_woken_without_a_line_runs_no_retry(self, monkeypatch):
+        """A sleeping bank woken while ``line_in`` is empty (a new
+        request behind the head) commits its retry as one more settled
+        failure: it runs neither the request path nor the dead-end walk,
+        and the run still matches the corpus."""
+        respins = []
+        calls = []
+        tick = MomsBank.tick
+        handle = MomsBank._handle_request
+        dead_end = CuckooMshrFile._dead_end
+
+        def watched_tick(bank, engine):
+            if bank._spin_since is not None and not bank.line_in._visible:
+                respins.append(len(calls))
+                tick(bank, engine)
+                assert len(calls) == respins[-1], calls[respins[-1]:]
+            else:
+                tick(bank, engine)
+
+        def watched_handle(bank):
+            calls.append("_handle_request")
+            return handle(bank)
+
+        def watched_dead_end(mshrs, line_addr):
+            calls.append("_dead_end")
+            return dead_end(mshrs, line_addr)
+
+        monkeypatch.setattr(MomsBank, "tick", watched_tick)
+        monkeypatch.setattr(MomsBank, "_handle_request", watched_handle)
+        monkeypatch.setattr(CuckooMshrFile, "_dead_end", watched_dead_end)
+        _, result = _run("pagerank", "private")
+        assert respins, "no sleeping bank was woken without a line"
+        assert calls, "the watched paths never ran"
         _assert_matches_corpus(result, "pagerank", "private")
 
 
