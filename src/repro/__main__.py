@@ -6,7 +6,6 @@ Usage::
     python -m repro fig11            # quick mode
     python -m repro fig15 --full     # full scaled suite
     python -m repro all              # everything (slow)
-    python -m repro faultsmoke       # fault-injection smoke matrix
     python -m repro trace --graph RV --algorithm bfs \
         --out out/rv                 # observed run: one Perfetto timeline
                                      # plus timeline/summary/span files
@@ -24,7 +23,6 @@ see ``repro.experiments.common.SweepPolicy``)::
 Checkpoint & replay (see ``repro.checkpoint``)::
 
     python -m repro replay out/run.snap   # resume a snapshot to the end
-    python -m repro chaos --kills 3       # SIGKILL/resume bit-identity
 """
 
 import argparse
@@ -47,22 +45,14 @@ EXPERIMENTS = {
 
 
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    # 'chaos' owns its flag set (kills/seed/interval/...), so hand the
-    # rest of the command line to its parser before ours sees it.
-    if argv and argv[0] == "chaos":
-        from repro.checkpoint.chaos import main as chaos_main
-
-        return chaos_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Reproduce the paper's tables and figures.",
     )
     parser.add_argument(
         "experiment",
-        help="experiment key (see 'list'), 'list'/'all', 'faultsmoke', "
-             "'replay', or 'chaos'",
+        help="experiment key (see 'list'), 'list'/'all', 'trace', "
+             "'profile' or 'replay'",
     )
     parser.add_argument(
         "target", nargs="?", default=None,
@@ -97,10 +87,6 @@ def main(argv=None):
         "--checkpoint-interval", type=int, default=None, metavar="CYCLES",
         help="snapshot cadence for --checkpoint-dir (cycles)",
     )
-    parser.add_argument(
-        "--report", default="faultsmoke_report.json", metavar="PATH",
-        help="failure-report path for 'faultsmoke' (the CI artifact)",
-    )
     from repro.telemetry.cli import add_trace_arguments
 
     trace_group = parser.add_argument_group(
@@ -118,11 +104,9 @@ def main(argv=None):
     if args.experiment == "list":
         for key, module in sorted(EXPERIMENTS.items()):
             print(f"{key:10s} repro.experiments.{module}")
-        print(f"{'faultsmoke':10s} repro.faults.smoke")
         print(f"{'trace':10s} repro.telemetry.cli")
         print(f"{'profile':10s} repro.profiling")
         print(f"{'replay':10s} repro.checkpoint.runner")
-        print(f"{'chaos':10s} repro.checkpoint.chaos")
         return 0
 
     if args.experiment == "replay":
@@ -159,12 +143,6 @@ def main(argv=None):
         from repro.profiling import run_profile
 
         return run_profile(args)
-
-    if args.experiment == "faultsmoke":
-        from repro.faults.smoke import run_fault_smoke
-
-        summary = run_fault_smoke(report_path=args.report)
-        return 1 if summary["failures"] else 0
 
     if args.resume and not args.journal:
         parser.error("--resume requires --journal")

@@ -8,7 +8,6 @@ reports functional results plus cycle-accurate statistics converted to
 wall-clock throughput with the design's modeled frequency.
 """
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,14 +162,10 @@ class AcceleratorSystem:
             self.install_probe(observers)
 
         # Opt-in periodic checkpointing (repro.checkpoint): accepts a
-        # Checkpointer, a "path[:interval]" spec string, or nothing --
-        # in which case the REPRO_CHECKPOINT environment spec applies.
-        # Lazily imported like the other robustness hooks; disabled
-        # runs pay only the engine's "is None" gate.
+        # Checkpointer or a "path[:interval]" spec string.  Lazily
+        # imported like the other robustness hooks; disabled runs pay
+        # only the engine's "is None" gate.
         self.checkpointer = None
-        if checkpoint is None:
-            checkpoint = os.environ.get("REPRO_CHECKPOINT", "").strip() \
-                or None
         if checkpoint is not None:
             from repro.checkpoint import Checkpointer
             if isinstance(checkpoint, Checkpointer):
@@ -328,7 +323,7 @@ class AcceleratorSystem:
         """Continue a snapshot-restored run to completion.
 
         Only valid on a system restored mid-run by
-        :func:`repro.checkpoint.restore_system`; the interrupted
+        :func:`repro.checkpoint.load_snapshot`; the interrupted
         iteration finishes first (with the remaining slice of its cycle
         budget), then the outer loop proceeds as if never interrupted.
         The returned RunResult is bit-identical to the uninterrupted

@@ -17,8 +17,8 @@ instead of resuming garbage.
 Writes go to a temporary file in the destination directory, are
 fsynced, and are moved into place with ``os.replace`` -- readers
 therefore only ever observe a complete, valid snapshot, even if the
-writer is SIGKILLed mid-write (the property the chaos harness leans
-on).
+writer is SIGKILLed mid-write (the property a resume after a killed
+run leans on).
 """
 
 import hashlib

@@ -151,13 +151,15 @@ def run_point(graph, algorithm, config, quick=True, use_hashing=True,
     keyed by the point's fingerprint, so it can only ever hold this
     exact point's state.  A ``<snapshot>.resumed`` sentinel records
     that the resume path ran (results are bit-identical either way, so
-    the sentinel is the only observable difference).
+    the sentinel is the only observable difference).  Otherwise the
+    point runs from the start, checkpointing to ``REPRO_CHECKPOINT``
+    (``path[:interval]``) when that is set.
     """
     resume_from = os.environ.get("REPRO_RESUME", "").strip()
     if resume_from and os.path.exists(resume_from):
-        from repro.checkpoint import restore_system
+        from repro.checkpoint import load_snapshot
 
-        system, header = restore_system(resume_from)
+        system, header = load_snapshot(resume_from)
         result = system.resume_run()
         with open(resume_from + ".resumed", "w", encoding="utf-8") as fh:
             json.dump({"from_cycle": header["cycle"],
@@ -171,6 +173,7 @@ def run_point(graph, algorithm, config, quick=True, use_hashing=True,
     system = AcceleratorSystem(
         graph, algorithm, config, use_hashing=use_hashing, use_dbg=use_dbg,
         source=source, telemetry=telemetry, spans=spans,
+        checkpoint=os.environ.get("REPRO_CHECKPOINT", "").strip() or None,
     )
     result = system.run(
         max_iterations=iteration_budget(algorithm, quick)

@@ -17,9 +17,12 @@ makes that conservation *checkable* and *attackable*:
 * :mod:`repro.faults.watchdog` -- a no-progress watchdog for
   ``Engine.run`` that raises a structured stall report (who is waiting
   on which channel or timer) instead of hanging.
-* :mod:`repro.faults.smoke` -- the CI smoke runner: all fault plans on
-  the quick graphs plus the mutation-smoke check that the ledger
-  actually catches seeded corruption.
+
+The test suite holds the package to both promises: every named plan
+must engage and leave BFS and SCC values bit-identical to the no-fault
+run (``tests/faults/test_fault_plans.py``), and a mutation plan that
+corrupts one response ID must be caught by the ledger
+(``tests/faults/test_ledger.py``).
 
 Everything here is strictly opt-in: with no plan installed and checks
 disabled, the hooks in the simulation core reduce to ``is None`` tests

@@ -18,9 +18,9 @@ from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
 from repro.checkpoint import (
     Checkpointer,
+    load_snapshot,
     read_header,
     replay_snapshot,
-    restore_system,
 )
 from repro.faults.plan import FaultPlan, Window
 from repro.graph import web_graph
@@ -68,7 +68,7 @@ def test_replay_matches_straight_run(algorithm, organization, tmp_path):
     assert header["ordinal"] == 1  # one snapshot, mid-run
     assert 0.4 <= header["cycle"] / straight.cycles <= 0.7
 
-    restored, _ = restore_system(path)
+    restored, _ = load_snapshot(path)
     assert restored.ledger.in_flight() > 0
     assert restored.engine.watchdog is not None
     assert restored.fault_state is not None

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import os
+import signal
 
 import numpy as np
 import pytest
 
 from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
+from repro.checkpoint import Checkpointer
 from repro.experiments.common import (
     SweepFailure,
     SweepPoint,
@@ -198,6 +200,11 @@ class TestHardenedRunner:
 # fingerprintable plain dict.
 
 _KILL_GRAPH = (600, 3000, 7)
+_KILL_AT = 6000
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 def _sim_algorithm(algorithm):
@@ -208,16 +215,32 @@ def _sim_algorithm(algorithm):
         "algorithm": algorithm,
         "cycles": result.cycles,
         "iterations": result.iterations,
-        "values_sha": hashlib.sha256(
-            np.ascontiguousarray(result.values).tobytes()
-        ).hexdigest(),
+        "values_sha": _sha256(np.ascontiguousarray(result.values).tobytes()),
+        "stats_sha": _sha256(
+            json.dumps(result.stats, sort_keys=True, default=str).encode()
+        ),
     }
 
 
+def _poll_or_die(poll):
+    """``Checkpointer.poll`` that SIGKILLs its process at the first poll
+    at or after cycle ``_KILL_AT``, once per snapshot path: the marker
+    is written before the signal, so the resumed process sees it and
+    checkpoints on."""
+    def poll_or_die(checkpointer, engine):
+        marker = checkpointer.path + ".killed"
+        if engine.now >= _KILL_AT and not os.path.exists(marker):
+            with open(marker, "w", encoding="utf-8") as fh:
+                fh.write(f"{engine.now}\n")
+            os.kill(os.getpid(), signal.SIGKILL)
+        poll(checkpointer, engine)
+    return poll_or_die
+
+
 class TestCheckpointedSweep:
-    """Satellite of the checkpoint/replay work: a SIGKILLed sweep
-    worker resumes mid-point from its snapshot on retry, and the
-    resumed sweep's rows are identical to an uninterrupted sweep."""
+    """A sweep worker SIGKILLed mid-point resumes from its snapshot on
+    retry, in a fresh process, and the resumed sweep's rows -- cycles,
+    iterations, values and stats -- equal an uninterrupted run's."""
 
     ALGORITHMS = ["pagerank", "bfs", "sssp", "scc"]
 
@@ -226,11 +249,10 @@ class TestCheckpointedSweep:
         # Uninterrupted reference rows (fast path, in-process).
         expected = [_sim_algorithm(a) for a in self.ALGORITHMS]
 
-        # Chaos hook: the first worker to reach cycle 6000 takes a real
-        # SIGKILL (the marker makes it one-shot, so with jobs=1 exactly
-        # the first point dies; later points see the marker and disarm).
-        marker = str(tmp_path / "kill.marker")
-        monkeypatch.setenv("REPRO_CHAOS_KILL_AT", f"6000:{marker}")
+        # Every point's worker takes a real SIGKILL at its first poll at
+        # or after _KILL_AT; the forked workers inherit the patch.
+        monkeypatch.setattr(Checkpointer, "poll",
+                            _poll_or_die(Checkpointer.poll))
         checkpoint_dir = str(tmp_path / "snaps")
         policy = SweepPolicy(retries=1, backoff=0.01,
                              checkpoint_dir=checkpoint_dir,
@@ -238,14 +260,17 @@ class TestCheckpointedSweep:
         results = run_points(_sim_algorithm, self.ALGORITHMS, jobs=1,
                              policy=policy)
         assert results == expected
-        assert os.path.exists(marker)  # the kill really fired
 
-        # The killed point's retry went through the resume path: its
-        # snapshot carries the .resumed sentinel written by run_point.
-        snap = os.path.join(
-            checkpoint_dir, _fingerprint(self.ALGORITHMS[0]) + ".snap"
-        )
-        assert os.path.exists(snap)
-        sentinel = json.load(open(snap + ".resumed"))
-        assert 0 < sentinel["from_cycle"] < sentinel["final_cycles"]
-        assert sentinel["final_cycles"] == expected[0]["cycles"]
+        for algorithm, row in zip(self.ALGORITHMS, expected):
+            snap = os.path.join(checkpoint_dir,
+                                _fingerprint(algorithm) + ".snap")
+            # The kill really fired, after at least one snapshot...
+            with open(snap + ".killed", encoding="utf-8") as fh:
+                killed_at = int(fh.read())
+            assert _KILL_AT <= killed_at < row["cycles"], algorithm
+            # ...and the retry went through the resume path: the
+            # snapshot carries the .resumed sentinel run_point writes.
+            with open(snap + ".resumed", encoding="utf-8") as fh:
+                sentinel = json.load(fh)
+            assert 0 < sentinel["from_cycle"] <= killed_at, algorithm
+            assert sentinel["final_cycles"] == row["cycles"], algorithm

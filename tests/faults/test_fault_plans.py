@@ -1,9 +1,11 @@
 """System-level fault injection: graceful degradation, never corruption.
 
 BFS and SCC are integer fixpoint algorithms whose converged values are
-independent of timing and response order, so a recoverable fault plan
+independent of timing and response order, so every named fault plan
 must reproduce the no-fault values *bit-identically* -- any divergence
-means a token was lost, duplicated, or misrouted.
+means a token was lost, duplicated, or misrouted.  The ledger checks
+run throughout, and each plan must have engaged: a plan whose windows
+never fired proves nothing.
 """
 
 import pytest
@@ -12,16 +14,10 @@ from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.faults import FaultPlan
-from repro.faults.plan import FaultController, FaultState, Window
+from repro.faults.plan import NAMED_PLANS, FaultController, FaultState, Window
 from repro.graph import web_graph
 
 from tests.core.test_bank import BankHarness
-
-PLANS = {
-    "dram": FaultPlan.dram_plan,
-    "channel": FaultPlan.channel_plan,
-    "mshr": FaultPlan.mshr_plan,
-}
 
 _ENGAGEMENT = {
     "dram": ("latency_spiked_requests", "reorders", "blackout_cycles_entered"),
@@ -40,30 +36,41 @@ def _system(algorithm, **kwargs):
 
 
 @pytest.fixture(scope="module")
-def bfs_baseline():
-    return _system("bfs").run()
+def baselines():
+    return {algorithm: _system(algorithm).run()
+            for algorithm in ("bfs", "scc")}
+
+
+@pytest.fixture(scope="module")
+def bfs_baseline(baselines):
+    return baselines["bfs"]
+
+
+def _assert_recovers(algorithm, plan_name, baseline):
+    system = _system(
+        algorithm, checks=True, fault_plan=NAMED_PLANS[plan_name](),
+    )
+    result = system.run()
+    stats = system.fault_state.stats
+    assert any(stats[key] for key in _ENGAGEMENT[plan_name]), stats
+    assert (result.values == baseline.values).all()
+    return stats
 
 
 class TestFaultPlans:
-    @pytest.mark.parametrize("plan_name", sorted(PLANS))
-    def test_bfs_recovers_bit_identically(self, plan_name, bfs_baseline):
-        system = _system(
-            "bfs", checks=True, fault_plan=PLANS[plan_name](),
-        )
-        result = system.run()
-        stats = system.fault_state.stats
-        # The plan must actually have engaged; a pass with zero injected
-        # faults proves nothing.
-        assert any(stats[key] for key in _ENGAGEMENT[plan_name]), stats
-        assert (result.values == bfs_baseline.values).all()
+    @pytest.mark.parametrize("plan_name", sorted(NAMED_PLANS))
+    def test_bfs_recovers_bit_identically(self, plan_name, baselines):
+        _assert_recovers("bfs", plan_name, baselines["bfs"])
 
-    def test_scc_recovers_under_dram_faults(self):
-        baseline = _system("scc").run()
-        system = _system("scc", checks=True,
-                         fault_plan=FaultPlan.dram_plan())
-        result = system.run()
-        assert system.fault_state.stats["latency_spiked_requests"] > 0
-        assert (result.values == baseline.values).all()
+    def test_scc_recovers_under_dram_faults(self, baselines):
+        stats = _assert_recovers("scc", "dram", baselines["scc"])
+        assert stats["latency_spiked_requests"] > 0
+
+    @pytest.mark.parametrize(
+        "plan_name", sorted(set(NAMED_PLANS) - {"dram"}),  # dram: above
+    )
+    def test_scc_recovers_bit_identically(self, plan_name, baselines):
+        _assert_recovers("scc", plan_name, baselines["scc"])
 
     def test_faults_cost_cycles(self, bfs_baseline):
         """Degradation is visible: the dram plan slows the run down."""

@@ -1,6 +1,7 @@
 """Tests for the `python -m repro` command-line entry point."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,9 +9,31 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import EXPERIMENTS, main
+from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
+from repro.accel.system import AcceleratorSystem
+from repro.checkpoint import Checkpointer, read_header
+from repro.graph import web_graph
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _cli_env():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(SRC), env.get("PYTHONPATH")))
+    )
+    return env
+
+
+def _replay_system(checkpoint=None):
+    config = ArchitectureConfig(
+        _design(4, 4, "shared", "pagerank", n_channels=2),
+        **SCALED_DEFAULTS,
+    )
+    return AcceleratorSystem(web_graph(500, 2500, seed=7), "pagerank",
+                             config, checkpoint=checkpoint)
+
 
 # Runs the CLI with the test-only dependencies made unimportable, then
 # imports every module of the package the same way.
@@ -33,12 +56,8 @@ for info in pkgutil.walk_packages(repro.__path__, "repro."):
 class TestCli:
     def test_runs_without_test_only_dependencies(self):
         """scipy and networkx are test extras; nothing in src needs them."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (str(SRC), env.get("PYTHONPATH")))
-        )
         done = subprocess.run(
-            [sys.executable, "-c", _WITHOUT_TEST_DEPS], env=env,
+            [sys.executable, "-c", _WITHOUT_TEST_DEPS], env=_cli_env(),
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
@@ -61,6 +80,39 @@ class TestCli:
         assert "lint" not in capsys.readouterr().out
         with pytest.raises(SystemExit):
             main(["lint"])
+
+    @pytest.mark.parametrize("command", ["chaos", "faultsmoke"])
+    def test_robustness_harnesses_are_not_commands(self, command, capsys):
+        # Kill/resume and the fault plans are proved by tests:
+        # tests/experiments/test_sweep_hardening.py and
+        # tests/faults/test_fault_plans.py.
+        assert main(["list"]) == 0
+        assert command not in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+
+    def test_replay_resumes_a_snapshot_in_a_fresh_interpreter(
+            self, tmp_path):
+        straight = _replay_system().run(max_iterations=2)
+        path = str(tmp_path / "mid.snap")
+        _replay_system(
+            Checkpointer(path, interval=straight.cycles // 2),
+        ).run(max_iterations=2)
+        header = read_header(path)
+        assert 0 < header["cycle"] < straight.cycles
+
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "replay", path],
+            env=_cli_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert f"from cycle {header['cycle']}" in done.stdout
+        finished = re.search(r"finished at cycle (\d+) after (\d+) "
+                             r"iteration", done.stdout)
+        assert finished, done.stdout
+        assert int(finished.group(1)) == straight.cycles
+        assert int(finished.group(2)) == straight.iterations
 
     def test_runs_a_cheap_experiment(self, capsys):
         assert main(["fig17"]) == 0

@@ -2,7 +2,7 @@
 
 from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
-from repro.checkpoint import Checkpointer, restore_system, save_snapshot
+from repro.checkpoint import Checkpointer, load_snapshot, save_snapshot
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.tracing import SpansConfig
@@ -39,7 +39,7 @@ class TestSnapshotProtocol:
         system.run(max_iterations=1)
         assert system.engine.checkpointer.last_path is not None
 
-        restored, _header = restore_system(path)
+        restored, _header = load_snapshot(path)
         result = restored.resume_run()
         assert result.cycles == straight_result.cycles
         assert spans_jsonl_bytes(restored.tracer) == reference
@@ -50,7 +50,7 @@ class TestSnapshotProtocol:
         system = _traced_system()
         path = str(tmp_path / "fresh.snap")
         save_snapshot(system, path)
-        restored, _header = restore_system(path)
+        restored, _header = load_snapshot(path)
         tracer = restored.tracer
         for bank in restored.hierarchy.banks:
             assert tracer._line_owner.get(bank.line_in) == bank.name
