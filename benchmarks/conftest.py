@@ -21,8 +21,12 @@ RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 def run_experiment(benchmark, module, **kwargs):
     """Run one experiment module under pytest-benchmark and record it."""
+    from repro.experiments.common import reset_sweep_activity
+    from repro.report import engine_summary_line
+
     quick = os.environ.get("REPRO_FULL_SUITE", "") in ("", "0")
     holder = {}
+    reset_sweep_activity()
 
     def once():
         holder["result"] = module.run(quick=quick, **kwargs)
@@ -31,7 +35,6 @@ def run_experiment(benchmark, module, **kwargs):
     benchmark.pedantic(once, rounds=1, iterations=1)
     rows, text = holder["result"]
     print("\n" + text)
-    from repro.report import engine_summary_line
     print(engine_summary_line())
     RESULTS_DIR.mkdir(exist_ok=True)
     name = module.__name__.rsplit(".", 1)[-1]

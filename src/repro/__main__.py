@@ -12,8 +12,10 @@ Usage::
     python -m repro profile --graph RV --org two-level \
                                      # cProfile one point, component table
 
-Resilience flags (any of them activates the hardened sweep runner;
-see ``repro.experiments.common.SweepPolicy``)::
+Sweeps run one forked process per point, ``REPRO_JOBS`` at a time
+(``REPRO_JOBS=1`` runs them in-process).  Any resilience flag sends
+even a serial sweep through the forked runner (see
+``repro.experiments.common.SweepPolicy``)::
 
     python -m repro fig11 --timeout 600 --retries 2 --journal fig11.jsonl
     python -m repro fig11 --journal fig11.jsonl --resume

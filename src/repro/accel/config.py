@@ -46,7 +46,6 @@ class ArchitectureConfig:
     dma_queue_beats: int = 64
     init_nodes_per_cycle: int = 4
     dram_timings: DramTimings = field(default_factory=DramTimings)
-    use_floorplan: bool = True
     # Interval clamp: keep at least this many jobs per PE on small
     # graphs (dynamic balancing needs job surplus).  Set to 1 to study
     # the scarce-job regime where hash relabeling becomes critical.

@@ -209,8 +209,7 @@ class AcceleratorSystem:
             self.engine, mem_bytes, n_channels=design.n_channels,
             timings=config.dram_timings,
         )
-        floorplan = AWS_F1_FLOORPLAN if config.use_floorplan else None
-        self.floorplan = floorplan
+        floorplan = AWS_F1_FLOORPLAN
         self.hierarchy = build_hierarchy(
             self.engine, self.mem, design, scale=config.structure_scale,
             cache_scale=config.cache_scale, floorplan=floorplan,
@@ -220,18 +219,15 @@ class AcceleratorSystem:
 
         # Burst interconnect: per-PE DMA ports into per-channel arbiters,
         # with die crossings where PE and controller sit on different SLRs.
-        pe_dies = (floorplan.assign_pes(design.n_pes)
-                   if floorplan is not None else [None] * design.n_pes)
+        pe_dies = floorplan.assign_pes(design.n_pes)
         burst_ports = [[None] * design.n_channels
                        for _ in range(design.n_pes)]
         for channel_index, channel in enumerate(self.mem.channels):
             inputs = []
             for pe in range(design.n_pes):
-                hops = 0
-                if floorplan is not None:
-                    hops = floorplan.hops(
-                        pe_dies[pe], floorplan.die_of_channel(channel_index)
-                    )
+                hops = floorplan.hops(
+                    pe_dies[pe], floorplan.die_of_channel(channel_index)
+                )
                 near, far = cross_link(
                     self.engine, 4, hops,
                     name=f"burst.pe{pe}.ch{channel_index}",

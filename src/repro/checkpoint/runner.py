@@ -45,9 +45,8 @@ class Checkpointer:
     def from_spec(cls, spec):
         """Build from a ``path`` or ``path:interval`` string.
 
-        This is the ``REPRO_CHECKPOINT`` environment syntax; a trailing
-        ``:<digits>`` is the interval, anything else is part of the
-        path.
+        A trailing ``:<digits>`` is the interval, anything else is
+        part of the path.
         """
         path, _, tail = str(spec).rpartition(":")
         if path and tail.isdigit():

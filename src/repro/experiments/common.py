@@ -1,12 +1,14 @@
 """Shared plumbing for the per-figure experiment modules.
 
-Besides graph/budget helpers, this module hosts the **parallel sweep
-runner**: every figure is a list of independent (graph, algorithm,
-architecture) points, so :func:`run_points` evaluates them over a
-``ProcessPoolExecutor`` with ``REPRO_JOBS`` workers (serial with
-``REPRO_JOBS=1``), preserving the serial row order exactly -- each
-point simulates the same deterministic system either way, so results
-are identical, only wall-clock changes.
+Besides graph/budget helpers, this module hosts the **sweep runner**:
+every figure is a list of independent (graph, algorithm, architecture)
+points, so :func:`run_points` evaluates them either in-process or one
+forked process per point, at most ``REPRO_JOBS`` at a time, preserving
+the serial row order exactly -- each point simulates the same
+deterministic system either way, so results are identical, only
+wall-clock changes.  A point's settings, its snapshot path included,
+travel as arguments; nothing here reads the environment except
+:func:`default_jobs`.
 """
 
 import base64
@@ -17,17 +19,15 @@ import pickle
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
+from repro.checkpoint import DEFAULT_INTERVAL, Checkpointer, load_snapshot
 from repro.core.stats import EngineActivity
 from repro.graph.datasets import BENCHMARKS, load_benchmark
 from repro.records import Record
-
-
-def full_suite_requested():
-    return os.environ.get("REPRO_FULL_SUITE", "") not in ("", "0")
 
 
 QUICK_SHRINK = 6
@@ -76,113 +76,47 @@ def cli_point(args, organization, **observers):
     return graph, system, iteration_budget(args.algorithm, quick)
 
 
-def telemetry_from_env():
-    """Opt-in telemetry config from the environment, else None.
+class PointCheckpoint(NamedTuple):
+    """Snapshot settings the sweep runner hands one point's worker.
 
-    ``REPRO_TELEMETRY=1`` enables collection for every sweep point
-    (each journal row then carries the compact summary in
-    ``result.stats["telemetry"]``); ``REPRO_TELEMETRY_INTERVAL``
-    overrides the sampling period in cycles.
+    The point snapshots itself to ``path`` every ``interval`` cycles.
+    With ``resume`` (a retry attempt) it continues from the snapshot at
+    ``path``, when there is one, instead of starting over.
     """
-    enabled = os.environ.get("REPRO_TELEMETRY", "").strip()
-    if enabled in ("", "0"):
-        return None
-    from repro.telemetry import TelemetryConfig
 
-    interval = os.environ.get("REPRO_TELEMETRY_INTERVAL", "").strip()
-    if interval:
-        return TelemetryConfig(sample_interval=int(interval))
-    return TelemetryConfig()
-
-
-def spans_from_env():
-    """Opt-in span-tracer config from the environment, else None.
-
-    ``REPRO_SPANS=1`` attaches the request span tracer to every sweep
-    point with the default sampling rate (journal rows then carry the
-    compact summary in ``result.stats["spans"]``); ``REPRO_SPANS=<N>``
-    with N > 1 also sets the rate to 1-in-N.  ``REPRO_SPANS_DEPTH``
-    overrides the flight-recorder ring depth.
-    """
-    enabled = os.environ.get("REPRO_SPANS", "").strip()
-    if enabled in ("", "0"):
-        return None
-    from repro.tracing import SpansConfig
-
-    kwargs = {}
-    try:
-        rate = int(enabled)
-    except ValueError:
-        rate = 1
-    if rate > 1:
-        kwargs["sample_rate"] = rate
-    depth = os.environ.get("REPRO_SPANS_DEPTH", "").strip()
-    if depth:
-        kwargs["recorder_depth"] = int(depth)
-    return SpansConfig(**kwargs)
-
-
-def _normalize_observability_stats(result):
-    """Make journal rows explicit about requested-but-absent summaries.
-
-    When the environment asked for telemetry or span tracing but the
-    run produced no summary (e.g. a ``REPRO_RESUME`` point restored
-    from a snapshot taken without the hook attached), record the key
-    as an explicit ``null`` rather than omitting it -- consumers can
-    then tell "collection was off" apart from "collection was
-    requested but unavailable" without re-deriving the environment.
-    """
-    stats = getattr(result, "stats", None)
-    if stats is None:
-        return
-    if os.environ.get("REPRO_TELEMETRY", "").strip() not in ("", "0"):
-        stats.setdefault("telemetry", None)
-    if os.environ.get("REPRO_SPANS", "").strip() not in ("", "0"):
-        stats.setdefault("spans", None)
+    path: str
+    interval: int
+    resume: bool = False
 
 
 def run_point(graph, algorithm, config, quick=True, use_hashing=True,
-              use_dbg=False, source=0, telemetry=None, spans=None):
+              use_dbg=False, source=0, checkpoint=None):
     """One (graph, algorithm, architecture) measurement.
 
-    When ``REPRO_RESUME`` names an existing snapshot (the hardened
-    sweep runner sets it on retry attempts), the point resumes from
-    that snapshot instead of starting over -- the snapshot path is
-    keyed by the point's fingerprint, so it can only ever hold this
-    exact point's state.  A ``<snapshot>.resumed`` sentinel records
-    that the resume path ran (results are bit-identical either way, so
-    the sentinel is the only observable difference).  Otherwise the
-    point runs from the start, checkpointing to ``REPRO_CHECKPOINT``
-    (``path[:interval]``) when that is set.
+    ``checkpoint`` is a :class:`PointCheckpoint` or None.  When it asks
+    to resume and its snapshot exists, the point continues from that
+    snapshot -- the sweep runner keys the path by the point's
+    fingerprint, so it can only ever hold this exact point's state, and
+    the results are bit-identical either way.  Otherwise the point runs
+    from the start, snapshotting to the checkpoint's path if it has one.
     """
-    resume_from = os.environ.get("REPRO_RESUME", "").strip()
-    if resume_from and os.path.exists(resume_from):
-        from repro.checkpoint import load_snapshot
-
-        system, header = load_snapshot(resume_from)
-        result = system.resume_run()
-        with open(resume_from + ".resumed", "w", encoding="utf-8") as fh:
-            json.dump({"from_cycle": header["cycle"],
-                       "final_cycles": result.cycles}, fh)
-        _normalize_observability_stats(result)
-        return system, result
-    if telemetry is None:
-        telemetry = telemetry_from_env()
-    if spans is None:
-        spans = spans_from_env()
+    if (checkpoint is not None and checkpoint.resume
+            and os.path.exists(checkpoint.path)):
+        system, _header = load_snapshot(checkpoint.path)
+        return system, system.resume_run()
     system = AcceleratorSystem(
         graph, algorithm, config, use_hashing=use_hashing, use_dbg=use_dbg,
-        source=source, telemetry=telemetry, spans=spans,
-        checkpoint=os.environ.get("REPRO_CHECKPOINT", "").strip() or None,
+        source=source,
+        checkpoint=(None if checkpoint is None
+                    else Checkpointer(checkpoint.path, checkpoint.interval)),
     )
     result = system.run(
         max_iterations=iteration_budget(algorithm, quick)
     )
-    _normalize_observability_stats(result)
     return system, result
 
 
-# -- parallel sweep runner ---------------------------------------------------
+# -- sweep runner ------------------------------------------------------------
 
 
 def default_jobs():
@@ -202,11 +136,12 @@ def default_jobs():
 class SweepPolicy:
     """Resilience policy for :func:`run_points`.
 
-    The default policy is inert and keeps the original fast path (an
-    exception in any point aborts the sweep).  Any of the knobs below
-    activates the hardened runner: one sandbox process per point, so a
-    crash or hang is isolated to that point and the rest of the sweep
-    continues.
+    The default policy is inert: a parallel sweep's forked runner then
+    runs each point once, with no timeout, journal or snapshots.  Any of
+    the knobs below makes the policy active, which sends even a serial
+    sweep through the forked runner.  That runner gives each point its
+    own process, so a crash or hang is isolated to that point and the
+    rest of the sweep continues.
 
     * ``timeout`` -- wall-clock seconds per point attempt; an
       over-budget worker is terminated and the attempt counts as a
@@ -349,23 +284,18 @@ def _load_journal(path):
     return entries
 
 
-def _sweep_child(worker, point, conn, checkpoint=None, resume=False):
-    """Sandbox-process entry: run one point, ship the outcome back.
+def _sweep_child(worker, point, conn, checkpoint=None):
+    """Forked-process entry: run one point, ship the outcome back.
 
-    ``checkpoint`` is a ``(snapshot_path, interval)`` pair: the child
-    exports it as ``REPRO_CHECKPOINT`` so the point's system checkpoints
-    itself, and -- on a retry attempt with a snapshot on disk -- as
-    ``REPRO_RESUME`` so :func:`run_point` continues from the snapshot
-    instead of starting over.  Env mutation happens only here, in the
-    forked child, never in the sweep coordinator.
+    ``checkpoint`` is the point's :class:`PointCheckpoint`, passed on as
+    ``worker(point, checkpoint=...)``; without one the call is
+    ``worker(point)``.
     """
     try:
-        if checkpoint is not None:
-            snapshot_path, interval = checkpoint
-            os.environ["REPRO_CHECKPOINT"] = f"{snapshot_path}:{interval}"
-            if resume and os.path.exists(snapshot_path):
-                os.environ["REPRO_RESUME"] = snapshot_path
-        result = worker(point)
+        if checkpoint is None:
+            result = worker(point)
+        else:
+            result = worker(point, checkpoint=checkpoint)
         conn.send(("ok", result))
     except BaseException as error:  # noqa: BLE001 - isolate everything
         import traceback
@@ -377,7 +307,7 @@ def _sweep_child(worker, point, conn, checkpoint=None, resume=False):
         conn.close()
 
 
-def _run_points_hardened(worker, points, jobs, policy):
+def _run_forked(worker, points, jobs, policy):
     """Crash-isolated, journaled, retrying point runner.
 
     Each point runs in its own forked process; ``jobs`` bounds
@@ -415,17 +345,16 @@ def _run_points_hardened(worker, points, jobs, policy):
     if policy.checkpoint_dir:
         os.makedirs(policy.checkpoint_dir, exist_ok=True)
         if checkpoint_interval is None:
-            from repro.checkpoint import DEFAULT_INTERVAL
-
             checkpoint_interval = DEFAULT_INTERVAL
 
-    def point_checkpoint(index):
+    def point_checkpoint(index, attempt):
         if not policy.checkpoint_dir:
             return None
         snapshot_path = os.path.join(
             policy.checkpoint_dir, _fingerprint(points[index]) + ".snap"
         )
-        return (snapshot_path, checkpoint_interval)
+        return PointCheckpoint(snapshot_path, checkpoint_interval,
+                               resume=attempt > 1)
 
     def journal_write(record):
         if journal_handle is not None:
@@ -474,7 +403,7 @@ def _run_points_hardened(worker, points, jobs, policy):
                 process = ctx.Process(
                     target=_sweep_child,
                     args=(worker, points[index], child_conn,
-                          point_checkpoint(index), attempt > 1),
+                          point_checkpoint(index, attempt)),
                 )
                 process.start()
                 child_conn.close()
@@ -545,31 +474,26 @@ def _run_points_hardened(worker, points, jobs, policy):
 def run_points(worker, points, jobs=None, policy=None):
     """Evaluate ``worker(point)`` for every point, preserving order.
 
-    With ``jobs > 1`` (default: :func:`default_jobs`) the points run in
-    a ``ProcessPoolExecutor``; ``worker`` must be a module-level
-    callable and both points and results must pickle.  The returned
+    The points run in-process when the :class:`SweepPolicy` (``policy``
+    argument, else the process-wide :func:`configure_sweep` policy) is
+    inert and either ``jobs <= 1`` (default: :func:`default_jobs`) or
+    there is only one point.  Otherwise each point runs in its own
+    forked process, at most ``jobs`` at a time, under the policy's
+    timeouts, retries, journal and snapshots; results must pickle, and
+    a point that fails for good raises :class:`SweepFailure` once the
+    others are done.  With a ``checkpoint_dir`` the worker is called as
+    ``worker(point, checkpoint=PointCheckpoint(...))``.  The returned
     list is always in input order, so sweep rows come out identical to
-    the serial path.  ``REPRO_JOBS=1`` (or a single point) keeps
-    everything in-process.
-
-    When a :class:`SweepPolicy` is active (``policy`` argument or the
-    process-wide :func:`configure_sweep` policy), points instead run in
-    the hardened per-point sandbox runner with timeouts, retries, and a
-    checkpoint journal; see :class:`SweepPolicy`.
+    the serial path.
     """
     points = list(points)
     if policy is None:
         policy = _POLICY
     if jobs is None:
         jobs = default_jobs()
-    if policy.active:
-        return _run_points_hardened(worker, points, max(1, jobs), policy)
-    if jobs <= 1 or len(points) <= 1:
+    if not policy.active and (jobs <= 1 or len(points) <= 1):
         return [worker(point) for point in points]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(jobs, len(points))) as pool:
-        return list(pool.map(worker, points))
+    return _run_forked(worker, points, max(1, jobs), policy)
 
 
 @dataclass
@@ -614,7 +538,7 @@ class SweepPoint:
         return bench_graph(self.graph_key, self.quick)
 
 
-def simulate_point(point):
+def simulate_point(point, checkpoint=None):
     """Module-level sweep worker: returns (RunResult, activity dict)."""
     budget_quick = point.budget_quick
     if budget_quick is None:
@@ -622,7 +546,7 @@ def simulate_point(point):
     system, result = run_point(
         point.load_graph(), point.algorithm, point.config,
         quick=budget_quick, use_hashing=point.use_hashing,
-        use_dbg=point.use_dbg, source=point.source,
+        use_dbg=point.use_dbg, source=point.source, checkpoint=checkpoint,
     )
     return result, EngineActivity.from_engine(system.engine).as_dict()
 
@@ -644,7 +568,7 @@ def reset_sweep_activity():
 
 
 def run_sweep(points, jobs=None):
-    """Run a figure's points (possibly in parallel); list of RunResults.
+    """Run a figure's points (see :func:`run_points`); list of RunResults.
 
     Engine-activity counters from every point -- local or from worker
     processes -- are merged into the process-wide tally.

@@ -19,10 +19,10 @@ import copy
 
 from repro.accel.config import named_architectures
 from repro.experiments.common import (
-    bench_graph,
+    SweepPoint,
     quick_benchmarks,
     quick_channels,
-    run_point,
+    run_sweep,
 )
 from repro.report import format_table
 
@@ -40,29 +40,36 @@ def run(quick=True, n_channels=None, arch_name="18/16 two-level 64k"):
     base = named_architectures("pagerank", n_channels)[arch_name]
     scarce = copy.deepcopy(base)
     scarce.min_jobs_per_pe = 0.5  # paper-like job:PE ratios (~1-2x)
-    benchmarks = quick_benchmarks(quick)
+    cells = [
+        (regime, config, key)
+        for regime, config in (("scarce jobs", scarce),
+                               ("plentiful jobs", base))
+        for key in quick_benchmarks(quick)
+    ]
+    points = [
+        SweepPoint(key, "pagerank", config, quick, **options)
+        for _regime, config, key in cells
+        for _label, options in VARIANTS
+    ]
+    results = iter(run_sweep(points))
     rows = []
-    for regime, config in (("scarce jobs", scarce),
-                           ("plentiful jobs", base)):
-        for key in benchmarks:
-            graph = bench_graph(key, quick)
-            row = {"regime": regime, "benchmark": key}
-            lines = {}
-            for label, options in VARIANTS:
-                _, result = run_point(graph, "pagerank", config, quick,
-                                      **options)
-                row[label] = result.gteps
-                lines[label] = result.stats["dram_lines_single"]
-            row["hash speedup"] = (
-                row["hash"] / row["none"] if row["none"] else 0
-            )
-            row["dbg+hash speedup"] = (
-                row["dbg+hash"] / row["none"] if row["none"] else 0
-            )
-            row["dbg line ratio"] = (
-                lines["dbg+hash"] / lines["hash"] if lines["hash"] else 0
-            )
-            rows.append(row)
+    for regime, _config, key in cells:
+        row = {"regime": regime, "benchmark": key}
+        lines = {}
+        for label, _options in VARIANTS:
+            result = next(results)
+            row[label] = result.gteps
+            lines[label] = result.stats["dram_lines_single"]
+        row["hash speedup"] = (
+            row["hash"] / row["none"] if row["none"] else 0
+        )
+        row["dbg+hash speedup"] = (
+            row["dbg+hash"] / row["none"] if row["none"] else 0
+        )
+        row["dbg line ratio"] = (
+            lines["dbg+hash"] / lines["hash"] if lines["hash"] else 0
+        )
+        rows.append(row)
     text = format_table(
         rows,
         title=f"Fig. 13 -- PageRank GTEPS by preprocessing ({arch_name})",

@@ -1,9 +1,9 @@
 """Opt-in cycle-resolved telemetry: timelines, histograms, stalls.
 
 Everything here is off unless a run passes ``telemetry=`` to
-:class:`repro.accel.system.AcceleratorSystem` (or sets
-``REPRO_TELEMETRY=1`` for sweeps); the disabled hooks are single
-``is None`` tests on class attributes.  The counters and PE phases
+:class:`repro.accel.system.AcceleratorSystem` (``python -m repro
+trace`` does); the disabled hooks are single ``is None`` tests on
+class attributes.  The counters and PE phases
 are drawn on the run's one Perfetto timeline by :mod:`repro.timeline`.
 """
 

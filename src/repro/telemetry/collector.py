@@ -76,20 +76,23 @@ BANK_REASONS = (BUSY, WAIT_MEM, BACKPRESSURE, MSHR_FULL, SUBENTRY_FULL,
                 DOWNSTREAM_FULL, IDLE)
 
 
+# Memory bounds of one collection.  Past MAX_SAMPLES rows the collector
+# decimates its samples (drops every other row) and doubles the sampling
+# interval, so arbitrarily long runs stay bounded; past MAX_SPANS phase
+# spans, further spans are counted, not stored.
+MAX_SAMPLES = 1 << 16
+MAX_SPANS = 250_000
+
+
 @dataclass(frozen=True)
 class TelemetryConfig:
     """Knobs of one telemetry collection.
 
-    ``sample_interval`` is the gauge-sampling period in cycles; when the
-    sample buffer exceeds ``max_samples`` the collector decimates it
-    (drops every other row) and doubles the interval, bounding memory
-    on arbitrarily long runs.  ``max_spans`` bounds the phase-span list
-    the same way (further spans are counted, not stored).
+    ``sample_interval`` is the gauge-sampling period in cycles (doubled
+    each time the rows pass :data:`MAX_SAMPLES`).
     """
 
     sample_interval: int = 256
-    max_samples: int = 1 << 16
-    max_spans: int = 250_000
 
 
 class LatencyHistogram:
@@ -465,7 +468,7 @@ class Telemetry:
             channel.pending for channel in engine._channels
         )
         self.samples.append(row)
-        if len(self.samples) > self.config.max_samples:
+        if len(self.samples) > MAX_SAMPLES:
             # Bound memory on long runs: halve resolution, keep coverage.
             self.samples_dropped += len(self.samples) - \
                 len(self.samples[::2])
@@ -504,7 +507,7 @@ class Telemetry:
     # -- span hooks ----------------------------------------------------------
 
     def _add_span(self, track, track_id, label, start, end):
-        if len(self.spans) >= self.config.max_spans:
+        if len(self.spans) >= MAX_SPANS:
             self.spans_dropped += 1
             return
         self.spans.append((track, track_id, label, start, end))

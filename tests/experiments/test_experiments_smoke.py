@@ -4,8 +4,12 @@ The heavy sweeps live in benchmarks/; here we check each experiment
 module produces consistent, schema-stable output on minimal inputs.
 """
 
+import json
+import pathlib
+
 from repro.experiments import (
     fig01_motivation,
+    fig13_preprocessing,
     fig17_resources,
     table2_datasets,
     table3_preprocessing_time,
@@ -15,6 +19,8 @@ from repro.experiments.common import (
     iteration_budget,
     quick_benchmarks,
     quick_channels,
+    reset_sweep_activity,
+    sweep_activity,
 )
 from repro.experiments.fig16_sota import table4_rows
 
@@ -70,3 +76,24 @@ class TestCheapExperiments:
         rows = table4_rows()
         assert len(rows) == 3
         assert any("64 GB/s" in r["ext. bandwidth"] for r in rows)
+
+
+RESULTS_DIR = pathlib.Path(__file__).resolve().parents[2] / "results"
+
+
+class TestSweptExperiments:
+    def test_fig13_points_run_through_the_sweep(self, monkeypatch):
+        """Fig. 13's points are sweep points: the engine tally counts
+        every one, and the rows equal the committed table's rows for
+        the same graph."""
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setattr(fig13_preprocessing, "quick_benchmarks",
+                            lambda quick: ("24",))
+        reset_sweep_activity()
+        rows, _text = fig13_preprocessing.run(quick=True)
+        activity = sweep_activity()
+        assert activity.runs == 2 * len(fig13_preprocessing.VARIANTS)
+        assert activity.cycles_simulated > 0
+        committed = json.loads(
+            (RESULTS_DIR / "fig13_preprocessing.json").read_text())
+        assert rows == [row for row in committed if row["benchmark"] == "24"]

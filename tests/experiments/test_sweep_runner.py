@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.stats import EngineActivity, component_breakdown
-from repro.experiments.common import default_jobs, run_points
+from repro.experiments.common import (
+    SweepFailure,
+    SweepPolicy,
+    default_jobs,
+    run_points,
+)
 from repro.report import engine_summary_line
 from repro.sim import Channel
 from repro.sim.engine import Engine
@@ -13,6 +18,12 @@ def _square(x):
     return x * x
 
 
+def _fail_on_two(x):
+    if x == 2:
+        raise ValueError("injected failure at two")
+    return x
+
+
 class TestRunPoints:
     def test_preserves_order_serial(self):
         assert run_points(_square, [3, 1, 2], jobs=1) == [9, 1, 4]
@@ -20,9 +31,21 @@ class TestRunPoints:
     def test_preserves_order_parallel(self):
         assert run_points(_square, [4, 2, 5, 3], jobs=2) == [16, 4, 25, 9]
 
+    def test_failing_point_is_named_after_the_others_finish(self):
+        """With an inert policy a parallel sweep still isolates a
+        failing point: the other points complete, then the sweep raises
+        naming the failed point's index."""
+        with pytest.raises(SweepFailure) as excinfo:
+            run_points(_fail_on_two, [1, 2, 3], jobs=2,
+                       policy=SweepPolicy())
+        failure = excinfo.value
+        assert list(failure.failures) == [1]
+        assert "injected failure at two" in failure.failures[1]
+        assert failure.completed == 2
+
     def test_single_point_stays_in_process(self):
-        # One point never pays process-pool startup (worker identity is
-        # observable through a non-picklable closure).
+        # One point never pays a fork (the closure's side effect is only
+        # visible when it ran in this process).
         seen = []
 
         def local_worker(x):

@@ -13,7 +13,7 @@ from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
-from repro.telemetry import LatencyHistogram, TelemetryConfig
+from repro.telemetry import LatencyHistogram, TelemetryConfig, collector
 from repro.telemetry.collector import BANK_REASONS, PE_REASONS
 
 
@@ -92,6 +92,47 @@ class TestTimelines:
         assert held > 0
         assert telemetry.summary()["mshr_mean"] == round(
             held / result.cycles, 2)
+
+    def test_sample_cap_decimates(self, monkeypatch):
+        """Past ``MAX_SAMPLES`` rows the sampler keeps every other row,
+        doubles its interval and counts the rows it dropped."""
+        monkeypatch.setattr(collector, "MAX_SAMPLES", 8)
+        sample = collector.Telemetry.sample
+        calls = []
+
+        def recording_sample(telemetry, engine):
+            before = (list(telemetry.samples), telemetry.sample_interval,
+                      telemetry.samples_dropped)
+            sample(telemetry, engine)
+            calls.append((before, (list(telemetry.samples),
+                                   telemetry.sample_interval,
+                                   telemetry.samples_dropped)))
+
+        monkeypatch.setattr(collector.Telemetry, "sample", recording_sample)
+        graph = web_graph(300, 1500, seed=5)
+        config = ArchitectureConfig(
+            _design(2, 2, MOMS_TWO_LEVEL, "pagerank", n_channels=1),
+            **SCALED_DEFAULTS,
+        )
+        system = AcceleratorSystem(
+            graph, "pagerank", config,
+            telemetry=TelemetryConfig(sample_interval=1),
+        )
+        system.run(max_iterations=1)
+        decimations = [(before, after) for before, after in calls
+                       if len(after[0]) <= len(before[0])]
+        assert len(decimations) >= 2
+        for (rows, interval, dropped), (kept, new_interval,
+                                        new_dropped) in decimations:
+            assert len(rows) == 8
+            assert len(kept) == 5
+            assert kept[:-1] == rows[::2]
+            assert new_interval == 2 * interval
+            assert new_dropped == dropped + 4
+        telemetry = system.telemetry
+        assert telemetry.samples_dropped == len(calls) - len(telemetry.samples)
+        assert telemetry.summary()["samples_dropped"] == \
+            telemetry.samples_dropped
 
     def test_samples_cover_run_and_are_monotonic(self, traced_run):
         system, result = traced_run

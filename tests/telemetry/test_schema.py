@@ -134,17 +134,3 @@ class TestJournalSchema:
         )
         assert results == [8]
 
-
-class TestTelemetryEnvWiring:
-    def test_sweep_env_enables_telemetry(self, monkeypatch):
-        from repro.experiments.common import telemetry_from_env
-
-        monkeypatch.delenv("REPRO_TELEMETRY", raising=False)
-        assert telemetry_from_env() is None
-        monkeypatch.setenv("REPRO_TELEMETRY", "0")
-        assert telemetry_from_env() is None
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        monkeypatch.setenv("REPRO_TELEMETRY_INTERVAL", "128")
-        config = telemetry_from_env()
-        assert config is not None
-        assert config.sample_interval == 128
