@@ -35,7 +35,9 @@ def run_experiment(benchmark, module, **kwargs):
     benchmark.pedantic(once, rounds=1, iterations=1)
     rows, text = holder["result"]
     print("\n" + text)
-    print(engine_summary_line())
+    line = engine_summary_line()
+    if line:
+        print(line)
     RESULTS_DIR.mkdir(exist_ok=True)
     name = module.__name__.rsplit(".", 1)[-1]
     with open(RESULTS_DIR / f"{name}.json", "w") as fh:

@@ -7,8 +7,8 @@ Usage::
     python -m repro fig15 --full     # full scaled suite
     python -m repro all              # everything (slow)
     python -m repro trace --graph RV --algorithm bfs \
-        --out out/rv                 # observed run: one Perfetto timeline
-                                     # plus timeline/summary/span files
+        --out out/rv                 # observed run: writes the one file
+                                     # out/rv.trace.json (Perfetto)
     python -m repro profile --graph RV --org two-level \
                                      # cProfile one point, component table
 
@@ -192,10 +192,9 @@ def main(argv=None):
                       f"only the failures")
             return 1
         print(text)
-        print(engine_summary_line())
-        breakdown = component_breakdown_table()
-        if breakdown:
-            print(breakdown)
+        for line in (engine_summary_line(), component_breakdown_table()):
+            if line:
+                print(line)
         print()
     return 0
 

@@ -462,9 +462,6 @@ class AcceleratorSystem:
         stats["mshr_merge_rate_by_bank"] = merge_by_bank
         if self.telemetry is not None:
             stats["telemetry"] = self.telemetry.summary()
-        # getattr: systems restored from pre-tracing snapshots have no
-        # tracer attribute (older snapshots are accepted, DESIGN 6.7).
-        tracer = getattr(self, "tracer", None)
-        if tracer is not None:
-            stats["spans"] = tracer.summary()
+        if self.tracer is not None:
+            stats["spans"] = self.tracer.summary()
         return stats

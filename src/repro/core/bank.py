@@ -112,8 +112,8 @@ class MomsBank(Component):
     # unfaulted path pays one "is None" test per site.  Observers see
     # the bank through the one ``_probe`` slot (repro.sim.probe).
     _fault = None
-    # Cycle of the hopeless retry this bank sleeps after, or None.  A
-    # class default, so snapshots written before the sleep existed load.
+    # Cycle of the hopeless retry this bank sleeps after, or None (the
+    # class default is its initial value: a new bank is awake).
     _spin_since = None
 
     def __init__(self, params, req_in, resp_out, line_in, downstream,

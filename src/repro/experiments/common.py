@@ -147,7 +147,7 @@ class SweepPolicy:
       over-budget worker is terminated and the attempt counts as a
       failure.
     * ``retries`` -- extra attempts per point after the first failure,
-      spaced by exponential backoff (``backoff * 2**(attempt-1)``
+      spaced by exponential backoff (``RETRY_BACKOFF * 2**(attempt-1)``
       seconds).
     * ``journal`` -- path of a JSON-lines results journal: every
       completed point is appended (fingerprint + pickled payload) as
@@ -164,7 +164,6 @@ class SweepPolicy:
 
     timeout: float = None
     retries: int = 0
-    backoff: float = 1.0
     journal: str = None
     resume: bool = False
     checkpoint_dir: str = None
@@ -179,13 +178,15 @@ class SweepPolicy:
 
 _POLICY = SweepPolicy()
 
+# Seconds before a failed point's first retry; doubled per attempt.
+RETRY_BACKOFF = 1.0
 
-def configure_sweep(timeout=None, retries=0, backoff=1.0, journal=None,
-                    resume=False, checkpoint_dir=None,
-                    checkpoint_interval=None):
+
+def configure_sweep(timeout=None, retries=0, journal=None, resume=False,
+                    checkpoint_dir=None, checkpoint_interval=None):
     """Install the process-wide sweep policy (see :class:`SweepPolicy`)."""
     global _POLICY
-    _POLICY = SweepPolicy(timeout=timeout, retries=retries, backoff=backoff,
+    _POLICY = SweepPolicy(timeout=timeout, retries=retries,
                           journal=journal, resume=resume,
                           checkpoint_dir=checkpoint_dir,
                           checkpoint_interval=checkpoint_interval)
@@ -379,7 +380,7 @@ def _run_forked(worker, points, jobs, policy):
                 pickle.dumps(payload)).decode("ascii"), **shared))
             return
         if attempt < max_attempts:
-            delay = policy.backoff * 2 ** (attempt - 1)
+            delay = RETRY_BACKOFF * 2 ** (attempt - 1)
             backoff_queue.append(
                 (time.monotonic() + delay, index, attempt + 1)
             )

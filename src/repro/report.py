@@ -43,7 +43,8 @@ def engine_summary_line(activity=None, jobs=None):
 
     With no arguments, reports the process-wide sweep tally (every
     point run through ``repro.experiments.common.run_sweep``, local or
-    in worker processes) and the active ``REPRO_JOBS`` worker count.
+    in worker processes) and the active ``REPRO_JOBS`` worker count,
+    or "" when no point ran (an experiment that simulates nothing).
     ``activity`` may be an :class:`repro.core.stats.EngineActivity` or
     its ``as_dict()`` form.
     """
@@ -53,6 +54,8 @@ def engine_summary_line(activity=None, jobs=None):
         from repro.experiments.common import default_jobs, sweep_activity
 
         activity = sweep_activity()
+        if not activity.runs:
+            return ""
         if jobs is None:
             jobs = default_jobs()
     if isinstance(activity, dict):

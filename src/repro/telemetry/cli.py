@@ -1,21 +1,21 @@
 """The ``python -m repro trace`` subcommand.
 
 Runs one (graph, algorithm) point with telemetry and the request span
-tracer attached, and exports everything under one path prefix::
+tracer attached, and writes one file::
 
     python -m repro trace --graph RV --algorithm bfs --interval 64 \
-        --rate 16 --csv --out out/rv
+        --rate 16 --out out/rv
 
-writes ``out/rv.trace.json`` (the one Perfetto timeline of
-:mod:`repro.timeline`: PE phases, bank/DRAM counters, request flows),
-``.timeline.jsonl`` (+ ``.timeline.csv`` with ``--csv``; gauge series),
-``.summary.json`` (histograms, stall tables), ``.spans.jsonl`` (the
-canonical span stream) and ``.spansummary.json`` (stage percentiles,
-merge fan-in).  Every file is re-read and validated before the command
-reports success, so the CI trace-smoke job is just this command.
+writes ``out/rv.trace.json``, the one Perfetto timeline of
+:mod:`repro.timeline`: every gauge series as a counter, the PE phases,
+each sampled request's flow and full span record, and in ``otherData``
+the run identity, the telemetry summary with its stall tables and
+histograms, and the span summary (stage percentiles, merge fan-in).
+The file is re-read and validated, both summaries through their
+records, before the command reports success, so the CI trace-smoke job
+is just this command.
 """
 
-import json
 import os
 
 
@@ -42,29 +42,6 @@ def add_trace_arguments(parser):
         "--out", default="telemetry/trace", metavar="PREFIX",
         help="output path prefix (default telemetry/trace)",
     )
-    parser.add_argument(
-        "--csv", action="store_true",
-        help="also write the timeline as CSV",
-    )
-
-
-def _check_summaries_and_csv(paths, telemetry, rows):
-    """The two summaries must carry their record's version and keys
-    (and the run's cycle count); the CSV must read back whole."""
-    from repro.telemetry.collector import TELEMETRY_SUMMARY
-    from repro.tracing.spans import SPAN_SUMMARY
-
-    with open(paths["summary.json"]) as handle:
-        summary = TELEMETRY_SUMMARY.check(json.load(handle),
-                                          paths["summary.json"])
-    if summary["cycles"] != telemetry.cycles:
-        raise ValueError(f"{paths['summary.json']}: cycles mismatch")
-    with open(paths["spansummary.json"]) as handle:
-        SPAN_SUMMARY.check(json.load(handle), paths["spansummary.json"])
-    if "timeline.csv" in paths:
-        with open(paths["timeline.csv"]) as handle:
-            if sum(1 for _ in handle) != rows + 1:
-                raise ValueError(f"{paths['timeline.csv']}: row count")
 
 
 def run_trace(args, log=print):
@@ -76,13 +53,8 @@ def run_trace(args, log=print):
     from repro.report import format_table, telemetry_summary_line
     from repro.telemetry.collector import (BANK_REASONS, PE_REASONS,
                                            TelemetryConfig)
-    from repro.telemetry.export import (
-        validate_timeline_jsonl, write_summary_json, write_timeline_csv,
-        write_timeline_jsonl)
     from repro.timeline import validate_trace, write_trace
     from repro.tracing.analyze import STAGE_ORDER
-    from repro.tracing.export import (
-        validate_spans_jsonl, write_span_summary, write_spans_jsonl)
     from repro.tracing.spans import SpansConfig
 
     graph, system, budget = cli_point(
@@ -106,28 +78,13 @@ def run_trace(args, log=print):
     parent = os.path.dirname(args.out)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    suffixes = ["trace.json", "timeline.jsonl", "summary.json",
-                "spans.jsonl", "spansummary.json"]
-    if args.csv:
-        suffixes.append("timeline.csv")
-    paths = {suffix: f"{args.out}.{suffix}" for suffix in suffixes}
+    path = f"{args.out}.trace.json"
     run = {"graph": args.graph, "algorithm": args.algorithm,
            "run_cycles": result.cycles, "gteps": result.gteps}
-
-    events = write_trace(paths["trace.json"], telemetry, tracer)
-    rows = write_timeline_jsonl(telemetry, paths["timeline.jsonl"])
-    write_summary_json(telemetry, paths["summary.json"], extra=run)
-    write_spans_jsonl(tracer, paths["spans.jsonl"])
-    write_span_summary(dict(spans, **run), paths["spansummary.json"])
-    if args.csv:
-        write_timeline_csv(telemetry, paths["timeline.csv"])
-
-    # Self-validate every export; a violation is a command failure
-    # (this is the CI gate).
-    trace_counts = validate_trace(paths["trace.json"])
-    timeline_info = validate_timeline_jsonl(paths["timeline.jsonl"])
-    spans_info = validate_spans_jsonl(paths["spans.jsonl"])
-    _check_summaries_and_csv(paths, telemetry, rows)
+    events = write_trace(path, telemetry, tracer, run=run)
+    # Self-validate the export; a violation is a command failure (this
+    # is the CI gate).
+    counts = validate_trace(path)
 
     stages = spans["stages"]
     for table, columns, title in (
@@ -152,10 +109,9 @@ def run_trace(args, log=print):
     log(f"[trace] critical path: {queueing:,} queueing vs "
         f"{service:,} service cycles ({split:.0%} queueing) | "
         f"mshr merge rate {result.stats['mshr_merge_rate']:.1%}")
-    log(f"[trace] validated {events} trace events {trace_counts}, "
-        f"{rows} timeline rows ({len(timeline_info['meta']['series'])} "
-        f"series), {spans_info['spans']} spans")
-    log(f"[trace] wrote {', '.join(paths.values())}")
+    log(f"[trace] validated {events} trace events {counts}: "
+        f"{len(telemetry.samples)} gauge rows, {len(tracer.spans)} spans")
+    log(f"[trace] wrote {path}")
     log("[trace] open the trace at https://ui.perfetto.dev "
         "(arrows follow sampled requests across PE/bank/DRAM tracks)")
     return 0

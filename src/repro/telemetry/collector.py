@@ -45,6 +45,7 @@ from repro.accel.pe import (
     STREAM,
     WRITEBACK,
 )
+from repro.mem.dram import LINE_BYTES
 from repro.records import Record
 
 # v3 dropped v2's "fusion" block (the engine no longer fuses cycles);
@@ -319,10 +320,6 @@ class Telemetry:
     simulated structure.
     """
 
-    # MSHR residency summed over the misses drained in the run window.
-    # A class default, so snapshots written before it existed load.
-    _mshr_cycles = 0
-
     def __init__(self, config=None):
         self.config = config or TelemetryConfig()
         self.sample_interval = max(1, int(self.config.sample_interval))
@@ -341,8 +338,14 @@ class Telemetry:
         self.moms_latency = {}  # pe_index -> LatencyHistogram
         self.miss_latency = {}  # bank name -> LatencyHistogram
         self.dram_latency = {}  # channel name -> LatencyHistogram
-        self._moms_issue_times = {}  # (pe_index, req_id) -> deque of cycles
+        # (pe_index, req_id, line_addr) -> deque of issue cycles.  The
+        # line is in the key as in the span tracer: unweighted kernels
+        # reuse a req_id across lines, and a hit for one line can
+        # overtake a miss for another (DESIGN 6.8).
+        self._moms_issue_times = {}
         self._miss_issue_times = {}  # (bank name, line_addr) -> cycle
+        # MSHR residency summed over the misses drained in the run window.
+        self._mshr_cycles = 0
         # Spans.
         self.spans = []  # (track, track_id, label, start, end)
         self.spans_dropped = 0
@@ -523,14 +526,14 @@ class Telemetry:
     # -- latency hooks -------------------------------------------------------
 
     def pe_issue(self, pe, req_id, addr, now):
-        key = (pe.pe_index, req_id)
+        key = (pe.pe_index, req_id, addr // LINE_BYTES)
         times = self._moms_issue_times.get(key)
         if times is None:
             times = self._moms_issue_times[key] = deque()
         times.append(now)
 
     def pe_retire(self, pe, req_id, addr, now):
-        key = (pe.pe_index, req_id)
+        key = (pe.pe_index, req_id, addr // LINE_BYTES)
         times = self._moms_issue_times.get(key)
         if not times:
             return  # issued before telemetry attached; drop silently

@@ -1,40 +1,41 @@
-"""One Perfetto timeline per run: PE phases, bank and DRAM counters and
-sampled request flows in one Chrome ``trace_event`` JSON file (load it
-at https://ui.perfetto.dev; 1 simulated cycle = 1 us).  Three
-processes hold the tracks:
+"""One Perfetto timeline per run: every gauge, PE phase and sampled
+request flow, plus the run's summaries, in one Chrome ``trace_event``
+JSON file (load it at https://ui.perfetto.dev; 1 simulated cycle =
+1 us).  It is the only file an observed run writes.  Four processes
+hold the tracks:
 
-* **PEs** -- per PE, a track of telemetry phase slices (init /
-  pointers / stream / writeback), then lanes of its sampled requests
-  from issue to retire;
-* **MOMS banks** -- the ``mshr in flight`` and ``subentries live``
-  counters (a series per bank), then per bank, lanes of each sampled
-  request's bank residency from outcome to replay;
-* **DRAM** -- the ``dram queue depth`` and ``dram bandwidth B/cycle``
-  counters (a series per channel), then per channel, lanes of each
-  request's line fetch from accept to last beat.
+* **PEs** -- the per-PE gauge counters; per PE, a track of telemetry
+  phase slices (init / pointers / stream / writeback), then lanes of
+  its sampled requests from issue to retire, each slice carrying the
+  request's full span record (observations, ``events``, ``stages``);
+* **MOMS banks** -- the per-bank gauge counters, then per bank, lanes
+  of each sampled request's bank residency from outcome to replay;
+* **DRAM** -- the per-channel gauge counters, then per channel, lanes
+  of each request's line fetch from accept to last beat;
+* **totals** -- the run-wide gauges (``mshr_total``, ...).
 
 Flow arrows (``s``/``t``/``f``) chain each request's PE, bank and DRAM
 slices.  Perfetto needs the ``X`` slices of one track to nest, and a PE
 keeps many requests in flight, so in ``(issue, pe, seq)`` order each
 request slice takes the first lane of its PE, bank or channel whose
 last slice ended before it starts.
+
+``otherData`` carries the run identity (``run``), the telemetry block
+(``telemetry``: the :data:`TELEMETRY_SUMMARY` row plus stall tables,
+per-component histograms, bank structures and DRAM channels) and the
+span summary (``spans``, a :data:`SPAN_SUMMARY` row).
 """
 
 import json
 
+from repro.telemetry.collector import TELEMETRY_SUMMARY
 from repro.tracing.analyze import decompose
-from repro.tracing.spans import SPAN_SCHEMA_VERSION
+from repro.tracing.spans import SPAN_SUMMARY
 
-PID_PES, PID_BANKS, PID_DRAM = 1, 2, 3
-PROCESSES = {PID_PES: "PEs", PID_BANKS: "MOMS banks", PID_DRAM: "DRAM"}
-
-# Gauge-row key ``<kind>.<owner>.<series>`` -> (pid, counter name).
-_COUNTERS = {
-    ("bank", "mshr"): (PID_BANKS, "mshr in flight"),
-    ("bank", "subentries"): (PID_BANKS, "subentries live"),
-    ("dram", "queue"): (PID_DRAM, "dram queue depth"),
-    ("dram", "bw_bytes_per_cycle"): (PID_DRAM, "dram bandwidth B/cycle"),
-}
+PID_PES, PID_BANKS, PID_DRAM, PID_TOTALS = 1, 2, 3, 4
+PROCESSES = {PID_PES: "PEs", PID_BANKS: "MOMS banks", PID_DRAM: "DRAM",
+             PID_TOTALS: "totals"}
+_KIND_PIDS = {"pe": PID_PES, "bank": PID_BANKS, "dram": PID_DRAM}
 _PHASES = ("M", "X", "C", "s", "t", "f")
 
 
@@ -49,23 +50,53 @@ def _phase_events(telemetry):
 
 
 def _counter_events(telemetry):
+    """Every gauge of every sample row as a counter value: gauge
+    ``<kind>.<owner>.<series>`` is series *owner* of counter ``<kind>
+    <series>`` in its kind's process, and a run-wide gauge such as
+    ``mshr_total`` is series ``value`` of its own counter under
+    ``totals``."""
     events = []
     for row in telemetry.samples:
-        values = {name: {} for _pid, name in _COUNTERS.values()}
-        values["mshr in flight"]["total"] = row.get("mshr_total", 0)
-        values["subentries live"]["total"] = row.get("subentries_total", 0)
+        counters = {}
         for key, value in row.items():
-            kind, _, rest = key.partition(".")
-            owner, _, series = rest.partition(".")
-            counter = _COUNTERS.get((kind, series))
-            if counter is not None:
-                values[counter[1]][owner] = value
-        for pid, name in _COUNTERS.values():
-            if values[name]:
-                events.append({"ph": "C", "pid": pid, "tid": 0,
-                               "name": name, "ts": row["cycle"],
-                               "args": values[name]})
+            if key == "cycle":
+                continue
+            if key.count(".") == 2:
+                kind, owner, series = key.split(".")
+                counter = (_KIND_PIDS[kind], f"{kind} {series}")
+            else:
+                counter, owner = (PID_TOTALS, key), "value"
+            counters.setdefault(counter, {})[owner] = value
+        events += [{"ph": "C", "pid": pid, "tid": 0, "name": name,
+                    "ts": row["cycle"], "args": args}
+                   for (pid, name), args in sorted(counters.items())]
     return events
+
+
+def _telemetry_block(telemetry):
+    """``summary()`` plus the per-component tables behind it."""
+    block = telemetry.summary()
+    block["pe_stall_table"] = telemetry.pe_stall_table()
+    block["bank_stall_table"] = telemetry.bank_stall_table()
+    for key, histograms in (
+            ("moms_latency_per_pe", telemetry.moms_latency),
+            ("miss_latency_per_bank", telemetry.miss_latency),
+            ("dram_latency_per_channel", telemetry.dram_latency)):
+        block[key] = {str(owner): histogram.as_dict()
+                      for owner, histogram in sorted(histograms.items())}
+    block["bank_structures"] = {
+        bank.name: {
+            "mshr": bank.mshrs.stats.as_dict(),
+            "subentries": bank.subentries.stats.as_dict(),
+            "cache": bank.cache.stats.as_dict(),
+        }
+        for bank in telemetry.banks
+    }
+    block["dram_channels"] = {
+        channel.name: channel.stats.as_dict()
+        for channel in telemetry.dram_channels
+    }
+    return block
 
 
 def _flow(ph, flow_id, track, ts):
@@ -97,10 +128,11 @@ def _request_events(tracer):
                    key=lambda s: (s["issue"], s["pe"], s["seq"]))
     for flow_id, span in enumerate(spans):
         name = f"pe{span['pe']}#{span['seq']}"
+        record = {key: value for key, value in span.items()
+                  if key != "sampled"}
+        record["stages"] = decompose(span)
         pe_track = hop(events, "s", flow_id, PID_PES, span["pe"], name,
-                       span["issue"], span["retire"],
-                       {"outcome": span.get("outcome", "?"),
-                        "stages": decompose(span)})
+                       span["issue"], span["retire"], record)
         if "outcome_cycle" in span and "bank" in span:
             hop(events, "t", flow_id, PID_BANKS, span["bank"], name,
                 span["outcome_cycle"],
@@ -133,22 +165,26 @@ def _name_tracks(events):
     return meta
 
 
-def write_trace(path, telemetry=None, tracer=None):
+def write_trace(path, telemetry=None, tracer=None, run=None):
     """Write one run's timeline to *path*; returns the event count.
 
-    *telemetry* contributes the PE phases and the counters, *tracer*
-    the request slices and flows; either may be ``None``.
+    *telemetry* contributes the PE phases, the counters and the
+    telemetry block, *tracer* the request slices, flows and span
+    summary; either may be ``None``.  *run* (graph, algorithm, ...)
+    is stored as the run identity.
     """
     events = []
     other = {"source": "repro"}
+    if run:
+        other["run"] = run
     if telemetry is not None:
         events += _phase_events(telemetry) + _counter_events(telemetry)
         other.update(start_cycle=telemetry.start_cycle,
-                     end_cycle=telemetry.end_cycle)
+                     end_cycle=telemetry.end_cycle,
+                     telemetry=_telemetry_block(telemetry))
     if tracer is not None:
         events += _request_events(tracer)
-        other.update(schema=SPAN_SCHEMA_VERSION,
-                     sample_rate=tracer.config.sample_rate)
+        other["spans"] = tracer.summary()
     meta = [{"ph": "M", "pid": pid, "name": "process_name",
              "args": {"name": name}} for pid, name in PROCESSES.items()]
     meta += _name_tracks(events)
@@ -172,8 +208,11 @@ def _partial_overlap(slices):
 
 
 def validate_trace(path):
-    """Check a trace file's events, flows (``s ... f``) and slice
-    nesting (no partial overlap on a ``(pid, tid)`` track).
+    """Check a trace file's events, counters (cycles increase along
+    each), flows (``s ... f``), slice nesting (no partial overlap on a
+    ``(pid, tid)`` track) and summaries: counters need a
+    :data:`TELEMETRY_SUMMARY` telemetry block and flows a
+    :data:`SPAN_SUMMARY` span summary in ``otherData``.
 
     Raises ``ValueError`` on the first violation; returns the event
     count per phase type on success.
@@ -183,7 +222,7 @@ def validate_trace(path):
     events = payload.get("traceEvents") if isinstance(payload, dict) else None
     if not isinstance(events, list) or not events:
         raise ValueError(f"{path}: traceEvents must be a non-empty list")
-    counts, flows, slices = {}, {}, {}
+    counts, flows, slices, counter_ts = {}, {}, {}, {}
     for index, event in enumerate(events):
         where = f"{path}: event {index}"
         ph = event.get("ph") if isinstance(event, dict) else None
@@ -208,6 +247,11 @@ def validate_trace(path):
             if not args or not isinstance(args, dict) or not all(
                     isinstance(v, (int, float)) for v in args.values()):
                 raise ValueError(f"{where} (C) has no or non-numeric args")
+            counter = (event["pid"], event["name"])
+            if event["ts"] <= counter_ts.get(counter, -1):
+                raise ValueError(f"{where} (C) repeats or rewinds the "
+                                 f"cycle of counter {event['name']!r}")
+            counter_ts[counter] = event["ts"]
         elif "id" not in event:
             raise ValueError(f"{where} ({ph}) flow event has no id")
         else:
@@ -221,4 +265,9 @@ def validate_trace(path):
         if crossing is not None:
             raise ValueError(f"{path}: slice at ts {crossing[0]} on pid "
                              f"{pid} tid {tid} partially overlaps another")
+    other = payload.get("otherData") or {}
+    for block, record, phase in (("telemetry", TELEMETRY_SUMMARY, "C"),
+                                 ("spans", SPAN_SUMMARY, "s")):
+        if block in other or phase in counts:
+            record.check(other.get(block), f"{path}: otherData.{block}")
     return counts

@@ -16,10 +16,11 @@ dram_svc   service   DRAM accept -> last beat delivered
 ========== ========= ====================================================
 
 ``queue + miss_wait + drain + return == total`` for misses and
-``queue + return == total`` for hits -- an exact accounting the tests
-pin.  The DRAM stages describe the span's *line fetch* (shared by
-every request that merged into the same MSHR), so they are aggregated
-separately rather than summed into ``total``.
+``queue + return == total`` for hits -- an exact accounting that
+:func:`analyze_spans` checks on every span it aggregates.  The DRAM
+stages describe the span's *line fetch* (shared by every request that
+merged into the same MSHR), so they are aggregated separately rather
+than summed into ``total``.
 
 Percentiles are **exact** (nearest-rank over the stored per-stage
 samples), unlike the telemetry histograms' log2-bucket upper bounds:
@@ -33,6 +34,7 @@ QUEUEING_STAGES = ("queue", "miss_wait", "dram_queue")
 SERVICE_STAGES = ("drain", "return", "dram_svc")
 STAGE_ORDER = ("queue", "miss_wait", "drain", "return",
                "dram_queue", "dram_svc", "total")
+_ON_REQUEST = ("queue", "miss_wait", "drain", "return")
 
 
 def decompose(span):
@@ -93,12 +95,19 @@ def analyze_spans(spans):
     Returns ``{stage: {count, p50, p99, p999, max, mean, kind}}`` in
     the fixed :data:`STAGE_ORDER`, plus queueing/service cycle totals
     under ``"_totals"`` so reports can state the critical-path split
-    in one line.
+    in one line.  Raises ``ValueError`` on a span whose on-request
+    stages do not sum to its total (an event missing or out of order).
     """
     samples = {stage: [] for stage in STAGE_ORDER}
     queueing = service = 0
     for span in spans:
-        for stage, duration in decompose(span).items():
+        stages = decompose(span)
+        parts = sum(stages.get(stage, 0) for stage in _ON_REQUEST)
+        if "total" in stages and parts != stages["total"]:
+            raise ValueError(
+                f"span pe{span['pe']}#{span['seq']}: stage sum {parts} "
+                f"!= total {stages['total']}")
+        for stage, duration in stages.items():
             samples[stage].append(duration)
             if stage in QUEUEING_STAGES:
                 queueing += duration

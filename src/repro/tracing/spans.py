@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from repro.faults.plan import _MASK64, _splitmix64
 from repro.records import Record
 
-# Also versions the span JSONL header (repro.tracing.export).
 SPAN_SCHEMA_VERSION = 1
 SPAN_SUMMARY = Record(
     "span summary", "schema", SPAN_SCHEMA_VERSION, (
@@ -54,11 +53,6 @@ SPAN_SUMMARY = Record(
     ))
 
 LINE_BYTES = 64
-
-# Span-record keys that are bookkeeping or timeline placement, not
-# observations; stripped from the exported JSONL (see
-# repro.tracing.export) so the canonical stream keeps its bytes.
-INTERNAL_KEYS = ("sampled", "dram_channel")
 
 
 def sample_hash(pe, seq):

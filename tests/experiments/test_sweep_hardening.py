@@ -24,6 +24,13 @@ from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 
 
+@pytest.fixture(autouse=True)
+def fast_retries(monkeypatch):
+    """Retry after 10 ms, not 1 s: the runner reads the constant when a
+    point fails, in this (the parent) process."""
+    monkeypatch.setattr(common, "RETRY_BACKOFF", 0.01)
+
+
 def _config(algorithm="bfs"):
     return ArchitectureConfig(
         _design(4, 4, MOMS_TWO_LEVEL, algorithm, n_channels=2),
@@ -83,7 +90,7 @@ class TestHardenedRunner:
 
     def test_crash_and_exception_are_isolated(self, tmp_path):
         journal = str(tmp_path / "sweep.jsonl")
-        policy = SweepPolicy(journal=journal, backoff=0.01)
+        policy = SweepPolicy(journal=journal)
         with pytest.raises(SweepFailure) as excinfo:
             run_points(_flaky, [1, "crash", 2, "raise", 3], jobs=2,
                        policy=policy)
@@ -96,7 +103,7 @@ class TestHardenedRunner:
     def test_retry_recovers_transient_crash(self, tmp_path):
         global _RETRY_MARKER
         _RETRY_MARKER = str(tmp_path / "fail.marker")
-        policy = SweepPolicy(retries=1, backoff=0.01)
+        policy = SweepPolicy(retries=1)
         results = run_points(_fails_once, [1, 5, 9], jobs=2, policy=policy)
         assert results == [2, 10, 18]
         assert os.path.exists(_RETRY_MARKER)  # first attempt did crash
@@ -108,7 +115,7 @@ class TestHardenedRunner:
                 time.sleep(120)
             return x
 
-        policy = SweepPolicy(timeout=1.0, backoff=0.01)
+        policy = SweepPolicy(timeout=1.0)
         with pytest.raises(SweepFailure) as excinfo:
             run_points(hang, ["ok", "hang"], jobs=2, policy=policy)
         assert "timed out" in excinfo.value.failures[1]
@@ -131,7 +138,7 @@ class TestHardenedRunner:
                 os._exit(11)
             return x * 2
 
-        policy = SweepPolicy(journal=journal, backoff=0.01)
+        policy = SweepPolicy(journal=journal)
         with pytest.raises(SweepFailure) as excinfo:
             run_points(crash_on_5, points, jobs=3, policy=policy)
         assert excinfo.value.completed == len(points) - 1
@@ -144,7 +151,7 @@ class TestHardenedRunner:
                 handle.write(f"{x}\n")
             return x * 2
 
-        resume = SweepPolicy(journal=journal, resume=True, backoff=0.01)
+        resume = SweepPolicy(journal=journal, resume=True)
         results = run_points(logging_worker, points, jobs=3, policy=resume)
         assert results == expected
         reran = [int(line) for line in open(ran).read().split()]
@@ -269,8 +276,7 @@ class TestCheckpointedSweep:
         monkeypatch.setattr(common, "load_snapshot",
                             _load_and_record(common.load_snapshot))
         checkpoint_dir = str(tmp_path / "snaps")
-        policy = SweepPolicy(retries=1, backoff=0.01,
-                             checkpoint_dir=checkpoint_dir,
+        policy = SweepPolicy(retries=1, checkpoint_dir=checkpoint_dir,
                              checkpoint_interval=2000)
         results = run_points(_sim_algorithm, self.ALGORITHMS, jobs=1,
                              policy=policy)

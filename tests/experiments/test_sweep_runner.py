@@ -7,6 +7,7 @@ from repro.experiments.common import (
     SweepFailure,
     SweepPolicy,
     default_jobs,
+    reset_sweep_activity,
     run_points,
 )
 from repro.report import engine_summary_line
@@ -105,6 +106,10 @@ class TestEngineActivity:
         assert "10.0% of all-tick" in line
         assert "jobs=4" in line
         assert "2 runs" in line
+
+    def test_summary_line_empty_when_no_point_ran(self):
+        reset_sweep_activity()
+        assert engine_summary_line() == ""
 
     def test_report_summary_accepts_dict(self):
         line = engine_summary_line(

@@ -39,9 +39,7 @@ from repro.experiments.common import (
 from repro.graph import web_graph
 from repro.telemetry import TelemetryConfig
 from repro.telemetry.collector import TELEMETRY_SUMMARY
-from repro.telemetry.export import TIMELINE_META, write_timeline_jsonl
 from repro.tracing import SpansConfig
-from repro.tracing.export import SPAN_HEADER, spans_jsonl_bytes
 from repro.tracing.spans import SPAN_SUMMARY
 
 # name -> (the record's key table in src, opaque map paths).
@@ -50,10 +48,8 @@ RECORDS = {
         ACTIVITY_RECORD, ("by_kind",)),
     "telemetry-summary": (
         TELEMETRY_SUMMARY, ("pe_stalls", "bank_stalls")),
-    "telemetry-timeline-meta": (TIMELINE_META, ()),
     "journal-row-ok": (JOURNAL_OK, ()),
     "journal-row-fail": (JOURNAL_FAIL, ()),
-    "span-jsonl-header": (SPAN_HEADER, ()),
     "span-summary": (SPAN_SUMMARY, ("stages", "merge_fanin")),
 }
 
@@ -71,9 +67,6 @@ PINS = {
     "journal-row-ok": (2, [
         "attempt", "fingerprint", "index", "payload", "point", "schema",
         "status",
-    ]),
-    "span-jsonl-header": (1, [
-        "kind", "requests_seen", "sample_rate", "schema", "spans",
     ]),
     "span-summary": (1, [
         "merge_fanin", "recorder", "recorder.depth",
@@ -93,10 +86,6 @@ PINS = {
         "mshr_mean", "mshr_peak", "pe_stalls", "sample_interval",
         "samples", "samples_dropped", "spans", "spans_dropped",
         "version",
-    ]),
-    "telemetry-timeline-meta": (2, [
-        "end_cycle", "sample_interval", "samples", "samples_dropped",
-        "series", "start_cycle", "type", "version",
     ]),
 }
 
@@ -151,7 +140,7 @@ def _journal_rows(path):
     run_points(_double, [2], jobs=1, policy=SweepPolicy(journal=path))
     with pytest.raises(SweepFailure):
         run_points(_fail_on_odd, [3], jobs=1,
-                   policy=SweepPolicy(journal=path, backoff=0.01))
+                   policy=SweepPolicy(journal=path))
     with open(path, encoding="utf-8") as handle:
         rows = [json.loads(line) for line in handle]
     by_status = {row["status"]: row for row in rows}
@@ -171,20 +160,14 @@ def real_rows():
         spans=SpansConfig(sample_rate=4),
     )
     system.run(max_iterations=1)
-    header = json.loads(spans_jsonl_bytes(system.tracer).splitlines()[0])
     with tempfile.TemporaryDirectory() as scratch:
         ok_row, fail_row = _journal_rows(f"{scratch}/journal.jsonl")
-        write_timeline_jsonl(system.telemetry, f"{scratch}/t.jsonl")
-        with open(f"{scratch}/t.jsonl", encoding="utf-8") as handle:
-            meta = json.loads(handle.readline())
     return {
         "engine-activity":
             EngineActivity.from_engine(system.engine).as_dict(),
         "telemetry-summary": system.telemetry.summary(),
-        "telemetry-timeline-meta": meta,
         "journal-row-ok": ok_row,
         "journal-row-fail": fail_row,
-        "span-jsonl-header": header,
         "span-summary": system.tracer.summary(),
     }
 

@@ -20,7 +20,6 @@ from repro.graph import web_graph
 from repro.sim.probe import EVENTS, EventCounter, Probe
 from repro.telemetry import TelemetryConfig
 from repro.tracing import SpansConfig
-from repro.tracing.export import spans_jsonl_bytes
 
 GRAPH = web_graph(600, 3000, seed=9)
 
@@ -169,7 +168,7 @@ class TestSnapshot:
 
         straight = build()
         reference = straight.run(max_iterations=2)
-        reference_spans = spans_jsonl_bytes(straight.tracer)
+        reference_spans = straight.tracer.spans
 
         path = str(tmp_path / "probe.snap")
         checkpointed = build(checkpoint=Checkpointer(path, interval=5000))
@@ -184,4 +183,4 @@ class TestSnapshot:
         resumed = restored.resume_run()
         assert resumed.cycles == reference.cycles
         assert resumed.stats == reference.stats
-        assert spans_jsonl_bytes(restored.tracer) == reference_spans
+        assert restored.tracer.spans == reference_spans

@@ -1,5 +1,6 @@
-"""Export round-trips: every writer's output passes its validator,
-and corrupted files are rejected with a useful error.
+"""Telemetry on the run's one timeline: every gauge series is a counter,
+the summary block rides in ``otherData``, and the validator rejects a
+trace that breaks either.
 """
 
 import json
@@ -10,14 +11,7 @@ from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
-from repro.telemetry import (
-    TelemetryConfig,
-    validate_timeline_jsonl,
-    write_summary_json,
-    write_timeline_csv,
-    write_timeline_jsonl,
-)
-from repro.telemetry.export import TIMELINE_META
+from repro.telemetry import TelemetryConfig
 from repro.timeline import validate_trace, write_trace
 
 
@@ -34,6 +28,19 @@ def telemetry():
     )
     system.run(max_iterations=3)
     return system.telemetry
+
+
+@pytest.fixture
+def trace(telemetry, tmp_path):
+    """A telemetry-only trace of the run: (path, parsed document)."""
+    path = tmp_path / "run.trace.json"
+    write_trace(path, telemetry)
+    return path, json.loads(path.read_text())
+
+
+def _rewrite(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestChromeTrace:
@@ -59,71 +66,75 @@ class TestChromeTrace:
 
 
 class TestTimelineJsonl:
-    def test_written_timeline_validates(self, telemetry, tmp_path):
-        path = tmp_path / "run.timeline.jsonl"
-        rows = write_timeline_jsonl(telemetry, path)
-        info = validate_timeline_jsonl(path)
-        assert info["samples"] == rows == len(telemetry.samples)
-        assert "mshr_total" in info["meta"]["series"]
+    """The gauge timeline, as the trace's counters carry it."""
 
-    def test_rejects_missing_meta_header(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            json.dumps({"type": "sample", "cycle": 1}) + "\n"
-        )
-        with pytest.raises(ValueError, match="meta"):
-            validate_timeline_jsonl(path)
+    def test_written_timeline_validates(self, telemetry, trace):
+        path, doc = trace
+        validate_trace(path)
+        plotted = {
+            (event["ts"], event["name"], owner): value
+            for event in doc["traceEvents"] if event["ph"] == "C"
+            for owner, value in event["args"].items()
+        }
+        # Gauge <kind>.<owner>.<series> is series <owner> of counter
+        # "<kind> <series>"; a run-wide gauge is its own counter.
+        expected = {}
+        for row in telemetry.samples:
+            for key, value in row.items():
+                if key == "cycle":
+                    continue
+                if key.count(".") == 2:
+                    kind, owner, series = key.split(".")
+                    expected[row["cycle"], f"{kind} {series}", owner] = value
+                else:
+                    expected[row["cycle"], key, "value"] = value
+        assert plotted == expected
+        names = {name for _ts, name, _owner in plotted}
+        assert {"bank line_in", "dram burst_lines", "dram single_lines",
+                "pe edge_queue", "channel_tokens_total"} <= names
 
-    @pytest.mark.parametrize("version", [TIMELINE_META.version + 97,
-                                         TIMELINE_META.version - 1])
-    def test_rejects_other_schema_version(self, telemetry, tmp_path,
-                                          version):
-        path = tmp_path / "bad.jsonl"
-        write_timeline_jsonl(telemetry, path)
-        lines = path.read_text().splitlines()
-        meta = json.loads(lines[0])
-        meta["version"] = version
-        path.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+    def test_rejects_missing_meta_header(self, trace, tmp_path):
+        _path, doc = trace
+        del doc["otherData"]["telemetry"]
+        with pytest.raises(ValueError, match="telemetry summary"):
+            validate_trace(_rewrite(tmp_path / "bad.json", doc))
+
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_rejects_other_schema_version(self, trace, tmp_path, version):
+        _path, doc = trace
+        doc["otherData"]["telemetry"]["version"] = version
         with pytest.raises(ValueError, match="version"):
-            validate_timeline_jsonl(path)
+            validate_trace(_rewrite(tmp_path / "bad.json", doc))
 
-    def test_rejects_non_monotonic_cycles(self, telemetry, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        write_timeline_jsonl(telemetry, path)
-        lines = path.read_text().splitlines()
-        lines.append(lines[1])  # replay an old cycle
-        path.write_text("\n".join(lines) + "\n")
+    def test_rejects_non_monotonic_cycles(self, trace, tmp_path):
+        _path, doc = trace
+        events = doc["traceEvents"]
+        # Replay a counter value at a cycle its counter already passed.
+        events.append(next(e for e in events if e["ph"] == "C"))
         with pytest.raises(ValueError, match="cycle"):
-            validate_timeline_jsonl(path)
+            validate_trace(_rewrite(tmp_path / "bad.json", doc))
 
-    def test_rejects_unknown_series(self, telemetry, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        write_timeline_jsonl(telemetry, path)
-        lines = path.read_text().splitlines()
-        rogue = json.loads(lines[-1])
-        rogue["cycle"] += 1
-        rogue["not_a_series"] = 1
-        lines.append(json.dumps(rogue))
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match="series"):
-            validate_timeline_jsonl(path)
+    def test_rejects_unknown_series(self, telemetry, tmp_path, monkeypatch):
+        """A gauge of a kind no process plots fails the write instead
+        of being dropped from the timeline."""
+        rogue = dict(telemetry.samples[-1], cycle=telemetry.end_cycle + 1)
+        rogue["cache.0.depth"] = 1
+        monkeypatch.setattr(telemetry, "samples",
+                            telemetry.samples + [rogue])
+        with pytest.raises(KeyError, match="cache"):
+            write_trace(tmp_path / "bad.json", telemetry)
 
 
 class TestCsvAndSummary:
-    def test_csv_has_header_and_all_rows(self, telemetry, tmp_path):
-        path = tmp_path / "run.timeline.csv"
-        write_timeline_csv(telemetry, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("cycle,")
-        assert len(lines) == 1 + len(telemetry.samples)
-
     def test_summary_json_contents(self, telemetry, tmp_path):
-        path = tmp_path / "run.summary.json"
-        write_summary_json(telemetry, path, extra={"graph": "unit"})
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert doc["graph"] == "unit"
-        assert doc["cycles"] == telemetry.cycles
-        assert doc["pe_stall_table"]
-        assert doc["bank_stall_table"]
-        assert doc["moms_latency_per_pe"]
+        path = tmp_path / "run.trace.json"
+        write_trace(path, telemetry, run={"graph": "unit"})
+        other = json.loads(path.read_text())["otherData"]
+        assert other["run"] == {"graph": "unit"}
+        block = other["telemetry"]
+        assert block["cycles"] == telemetry.cycles
+        assert block["pe_stall_table"]
+        assert block["bank_stall_table"]
+        assert block["moms_latency_per_pe"]
+        assert block["bank_structures"]
+        assert block["dram_channels"]

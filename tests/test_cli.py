@@ -1,5 +1,6 @@
 """Tests for the `python -m repro` command-line entry point."""
 
+import json
 import os
 import re
 import subprocess
@@ -119,6 +120,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Fig. 17" in out
         assert "freq MHz" in out
+        # Fig. 17 simulates nothing, so it prints no engine line.
+        assert "engine:" not in out
 
     def test_table4_style_experiment(self, capsys):
         assert main(["table3"]) == 0
@@ -133,19 +136,26 @@ class TestCli:
         prefix = str(tmp_path / "out" / "run")
         assert main([
             "trace", "--graph", "RV", "--algorithm", "bfs",
-            "--interval", "128", "--out", prefix, "--csv",
+            "--interval", "128", "--out", prefix,
         ]) == 0
         out = capsys.readouterr().out
         assert "PE cycle accounting" in out
         assert "per-stage latency decomposition" in out
         assert "validated" in out
-        for suffix in (".trace.json", ".timeline.jsonl", ".timeline.csv",
-                       ".summary.json", ".spans.jsonl",
-                       ".spansummary.json"):
-            assert (tmp_path / "out" / f"run{suffix}").exists()
-        # The trace command subsumed the old spans command.
+        # One observed run, one file.
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "run.trace.json"]
+        other = json.loads((tmp_path / "out" / "run.trace.json")
+                           .read_text())["otherData"]
+        assert other["run"]["graph"] == "RV"
+        assert {"telemetry", "spans"} <= set(other)
+        # The trace command subsumed the old spans command and the CSV
+        # side export.
         with pytest.raises(SystemExit):
             main(["spans"])
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--out", prefix, "--csv"])
+        assert exit_info.value.code == 2
 
     def test_profile_subcommand_prints_its_tables(self, capsys):
         assert main(["profile", "--graph", "24", "--algorithm", "pagerank",

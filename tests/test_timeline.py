@@ -62,8 +62,9 @@ class TestTimeline:
                      if track == "pe" and label != "idle")
         assert phases > 0
         assert counts["X"] == phases + counts["s"] + counts["t"]
-        # mshr, subentries, DRAM queue and DRAM bandwidth per sample.
-        assert counts["C"] == 4 * len(system.telemetry.samples)
+        # Per sample: 3 bank, 4 DRAM and 4 PE gauge families, and the
+        # 3 run-wide totals.
+        assert counts["C"] == 14 * len(system.telemetry.samples)
 
     def test_tracks_keep_requests_off_phases(self, trace):
         path, _events = trace

@@ -6,7 +6,6 @@ from repro.checkpoint import Checkpointer, load_snapshot, save_snapshot
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.tracing import SpansConfig
-from repro.tracing.export import spans_jsonl_bytes
 
 GRAPH = web_graph(900, 4500, seed=11)
 
@@ -26,12 +25,12 @@ class TestSnapshotProtocol:
         """A traced run snapshotted mid-flight resumes bit-identically.
 
         The resumed half must keep matching in-flight spans (deque
-        identity across pickle) and produce the same byte stream as an
+        identity across pickle) and produce the same span records as an
         uninterrupted run.
         """
         straight = _traced_system()
         straight_result = straight.run(max_iterations=1)
-        reference = spans_jsonl_bytes(straight.tracer)
+        reference = straight.tracer.spans
 
         system = _traced_system()
         path = str(tmp_path / "traced.snap")
@@ -42,7 +41,8 @@ class TestSnapshotProtocol:
         restored, _header = load_snapshot(path)
         result = restored.resume_run()
         assert result.cycles == straight_result.cycles
-        assert spans_jsonl_bytes(restored.tracer) == reference
+        assert reference
+        assert restored.tracer.spans == reference
 
     def test_save_restore_keeps_line_owner_identity(self, tmp_path):
         """The fill-channel -> bank map must survive pickling by

@@ -2,11 +2,11 @@
 
 Three contracts from DESIGN 6.8:
 
-* the exported span JSONL is **byte-identical** whether or not banks
-  sleep through hopeless MSHR retries (sampling depends only on
-  schedule-determined (pe, seq) coordinates), and pinned by the
-  SHA-256 that the retired all-tick engine and scalar kernels produced
-  too;
+* the sampled span stream (``tracer.spans``, every record equal) is
+  identical whether or not banks sleep through hopeless MSHR retries
+  (sampling depends only on schedule-determined (pe, seq)
+  coordinates), and pinned by the SHA-256 of its canonical JSON, the
+  stream the retired all-tick engine and scalar kernels produced too;
 * that identity survives an active fault plan (a DRAM-spike plan
   shifts every timestamp, but shifts them identically either way);
 * attaching a tracer changes nothing the model computes.
@@ -14,6 +14,7 @@ Three contracts from DESIGN 6.8:
 
 import contextlib
 import hashlib
+import json
 
 import pytest
 
@@ -23,21 +24,20 @@ from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.faults.plan import FaultPlan, install_faults
 from repro.graph import web_graph
 from repro.tracing import SpansConfig
-from repro.tracing.export import spans_jsonl_bytes
 from tests.sim.per_cycle import retry_every_cycle
 
 GRAPH = web_graph(900, 4500, seed=11)
 
-#: SHA-256 of the canonical span JSONL of each pinned run; the
-#: demand and all-tick engines under the vector and scalar kernels all
+#: SHA-256 of each pinned run's span stream (:func:`_sha`); the demand
+#: and all-tick engines under the vector and scalar kernels all
 #: produced these streams before the latter three were retired.
 PINNED_SHA = {
     "pagerank":
-        "ed47b4fd8316f502ac9b7b68a154f21db224311e0fcbb8ab900ed078808171ca",
+        "34228c97728aa8dc66eac71f2217d3ebefbcd5724dea43b6f2d072db2870949c",
     "bfs":
-        "9678e8f1f549a262049d53f6ca4e74f6b012fa7ae8dc7f269d2c34dca0a24080",
+        "a9e1a70ab01c6e30cf738f80eef9c69564790c5a3d90e0af14166b5e905c63c0",
     "pagerank+dram":
-        "5cf0b6fca5d35ce184ad86c2eb82eb5d8880944118df7ad644d7026c8e266cd7",
+        "9c62b0cc66dc4f9548091eeeb232b156e41fcd339cce87cb786068541f2c9818",
 }
 
 
@@ -67,8 +67,10 @@ def _fingerprint(result):
     }
 
 
-def _sha(stream):
-    return hashlib.sha256(stream).hexdigest()
+def _sha(spans):
+    """SHA-256 of the span records as canonical (key-sorted) JSON."""
+    blob = json.dumps(spans, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
 class TestSpanStreamDeterminism:
@@ -79,19 +81,17 @@ class TestSpanStreamDeterminism:
                               ("per-cycle", retry_every_cycle())):
             with schedule:
                 system, result = _run(algorithm)
-            streams[leg] = (result.cycles,
-                            spans_jsonl_bytes(system.tracer))
+            streams[leg] = (result.cycles, system.tracer.spans)
         # Not vacuous: the stream carries actual sampled spans.
-        assert streams["sleeping"][1].count(b"\n") > 10
+        assert len(streams["sleeping"][1]) > 10
         assert streams["sleeping"] == streams["per-cycle"]
         assert _sha(streams["sleeping"][1]) == PINNED_SHA[algorithm]
 
     def test_byte_identical_under_dram_fault_plan(self):
         system, _result = _run("pagerank",
                                fault_plan=FaultPlan.dram_plan(seed=1))
-        stream = spans_jsonl_bytes(system.tracer)
-        assert stream.count(b"\n") > 10
-        assert _sha(stream) == PINNED_SHA["pagerank+dram"]
+        assert len(system.tracer.spans) > 10
+        assert _sha(system.tracer.spans) == PINNED_SHA["pagerank+dram"]
 
     def test_fault_plan_actually_shifts_the_stream(self):
         """The fault-plan test above must not be comparing no-op runs."""
@@ -99,8 +99,7 @@ class TestSpanStreamDeterminism:
         faulty_sys, _ = _run(
             "pagerank", fault_plan=FaultPlan.dram_plan(seed=1),
         )
-        assert spans_jsonl_bytes(clean_sys.tracer) \
-            != spans_jsonl_bytes(faulty_sys.tracer)
+        assert clean_sys.tracer.spans != faulty_sys.tracer.spans
 
 
 class TestTracerNeverPerturbs:

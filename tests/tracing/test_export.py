@@ -1,4 +1,6 @@
-"""Exporters emit what their validators accept -- and only that."""
+"""The span stream as the run's one timeline carries it: each sampled
+request's PE slice holds its full span record, ``otherData`` holds the
+span summary, and the validator rejects a trace that breaks either."""
 
 import json
 
@@ -8,15 +10,9 @@ from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
-from repro.tracing import SpansConfig
-from repro.tracing.export import (
-    spans_jsonl_bytes,
-    validate_spans_jsonl,
-    write_span_summary,
-    write_spans_jsonl,
-)
+from repro.timeline import PID_PES, validate_trace, write_trace
+from repro.tracing import SpansConfig, decompose
 from repro.tracing.spans import SPAN_SUMMARY
-from repro.timeline import validate_trace, write_trace
 
 GRAPH = web_graph(900, 4500, seed=11)
 
@@ -34,59 +30,67 @@ def traced():
     return system, result
 
 
+@pytest.fixture
+def trace(traced, tmp_path):
+    """A tracer-only trace of the run: (path, parsed document)."""
+    system, _ = traced
+    path = tmp_path / "f.json"
+    write_trace(path, tracer=system.tracer)
+    return path, json.loads(path.read_text())
+
+
+def _request_slices(doc):
+    """The PE request slices (a tracer-only trace has no phases)."""
+    return [event for event in doc["traceEvents"]
+            if event["ph"] == "X" and event["pid"] == PID_PES]
+
+
+def _rewrite(path, doc):
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestSpansJsonl:
-    def test_roundtrip_validates(self, traced, tmp_path):
-        system, _ = traced
-        path = write_spans_jsonl(system.tracer, tmp_path / "s.jsonl")
-        info = validate_spans_jsonl(path)
-        assert info["spans"] == len(system.tracer.spans)
-        assert info["meta"]["requests_seen"] == system.tracer.requests_seen
+    """The span records, as the PE request slices carry them."""
 
-    def test_stream_is_ascii_and_sorted(self, traced):
+    def test_roundtrip_validates(self, traced, trace):
         system, _ = traced
-        blob = spans_jsonl_bytes(system.tracer)
-        text = blob.decode("ascii")  # raises on non-ascii
-        spans = [json.loads(line) for line in text.splitlines()[1:]]
-        keys = [(s["issue"], s["pe"], s["seq"]) for s in spans]
+        path, doc = trace
+        validate_trace(path)
+        records = {event["name"]: event["args"]
+                   for event in _request_slices(doc)}
+        assert len(records) == len(system.tracer.spans) > 10
+        for span in system.tracer.spans:
+            record = records[f"pe{span['pe']}#{span['seq']}"]
+            for key, value in span.items():
+                if key != "sampled":
+                    assert record[key] == value, key
+            assert record["stages"] == decompose(span)
+
+    def test_stream_is_ascii_and_sorted(self, trace):
+        path, doc = trace
+        path.read_bytes().decode("ascii")  # raises on non-ascii
+        records = [event["args"] for event in _request_slices(doc)]
+        keys = [(r["issue"], r["pe"], r["seq"]) for r in records]
         assert keys == sorted(keys)
-        # Internal bookkeeping must not leak into the export.
-        assert all("sampled" not in s for s in spans)
-        assert all("stages" in s for s in spans)
+        # Tracer bookkeeping does not leak into the records.
+        assert all("sampled" not in r for r in records)
+        assert all("stages" in r and "events" in r for r in records)
 
-    def test_validator_rejects_corruption(self, traced, tmp_path):
+    def test_validator_rejects_corruption(self, traced, trace, tmp_path,
+                                          monkeypatch):
         system, _ = traced
-        blob = spans_jsonl_bytes(system.tracer).decode("ascii")
-        lines = blob.splitlines()
-
-        truncated = tmp_path / "truncated.jsonl"
-        truncated.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(ValueError, match="spans"):
-            validate_spans_jsonl(truncated)
-
-        bad_header = tmp_path / "badheader.jsonl"
-        bad_header.write_text(
-            "\n".join([json.dumps({"kind": "nope"})] + lines[1:]) + "\n"
-        )
-        with pytest.raises(ValueError, match="meta header"):
-            validate_spans_jsonl(bad_header)
-
-        header = json.loads(lines[0])
-        del header["requests_seen"]
-        no_seen = tmp_path / "noseen.jsonl"
-        no_seen.write_text(
-            "\n".join([json.dumps(header)] + lines[1:]) + "\n"
-        )
-        with pytest.raises(ValueError, match="requests_seen"):
-            validate_spans_jsonl(no_seen)
-
-        span = json.loads(lines[1])
-        span["stages"]["queue"] += 1  # break the exact accounting
-        bad_sum = tmp_path / "badsum.jsonl"
-        bad_sum.write_text("\n".join([lines[0], json.dumps(span)]
-                                     + lines[2:]) + "\n")
-        # Header count is now wrong only if we dropped lines; keep all.
+        # A miss that lost its drain timestamp breaks the exact stage
+        # accounting, which every summary checks.
+        span = next(s for s in system.tracer.spans if "drain_begin" in s)
+        monkeypatch.delitem(span, "drain_begin")
         with pytest.raises(ValueError, match="stage sum"):
-            validate_spans_jsonl(bad_sum)
+            system.tracer.summary()
+
+        path, doc = trace
+        del doc["otherData"]["spans"]
+        with pytest.raises(ValueError, match="span summary"):
+            validate_trace(_rewrite(tmp_path / "nosummary.json", doc))
 
 
 class TestFlowTrace:
@@ -104,33 +108,29 @@ class TestFlowTrace:
 
 
 class TestSpanSummary:
-    @staticmethod
-    def _check(path):
-        with open(path, encoding="ascii") as handle:
-            return SPAN_SUMMARY.check(json.load(handle), path)
+    """The span summary in ``otherData``, checked by ``validate_trace``
+    through :data:`SPAN_SUMMARY`."""
 
-    def test_roundtrip_validates(self, traced, tmp_path):
+    def test_roundtrip_validates(self, traced, trace):
         system, result = traced
-        path = write_span_summary(
-            result.stats["spans"], tmp_path / "sum.json"
-        )
-        summary = self._check(path)
+        path, doc = trace
+        validate_trace(path)
+        summary = SPAN_SUMMARY.check(doc["otherData"]["spans"], path)
+        assert summary == result.stats["spans"]
         assert summary["spans_completed"] == len(system.tracer.spans)
         assert "_totals" in summary["stages"]
 
-    def test_validator_rejects_missing_keys(self, tmp_path):
-        path = tmp_path / "sum.json"
-        path.write_text(json.dumps({"schema": 1}))
+    def test_validator_rejects_missing_keys(self, trace, tmp_path):
+        _path, doc = trace
+        doc["otherData"]["spans"] = {"schema": SPAN_SUMMARY.version}
         with pytest.raises(ValueError, match="missing"):
-            self._check(path)
+            validate_trace(_rewrite(tmp_path / "bad.json", doc))
 
     @pytest.mark.parametrize(
         "key", ["spans_sampled", "spans_completed", "spans_live"])
-    def test_validator_rejects_missing_span_count(self, traced, tmp_path,
+    def test_validator_rejects_missing_span_count(self, trace, tmp_path,
                                                   key):
-        _, result = traced
-        summary = dict(result.stats["spans"])
-        del summary[key]
-        path = write_span_summary(summary, tmp_path / "sum.json")
+        _path, doc = trace
+        del doc["otherData"]["spans"][key]
         with pytest.raises(ValueError, match=key):
-            self._check(path)
+            validate_trace(_rewrite(tmp_path / "bad.json", doc))
