@@ -9,8 +9,9 @@ micro-benchmark (:func:`_gate_cost_ns`), and asserts the implied
 observer-off overhead stays under 3% of the unprobed wall clock.
 
 The same runs interleave one off leg, A B A B, with an on leg per
-observer: invariant checks (ledger + watchdog), telemetry, span
-tracing and periodic checkpointing.  Every run must simulate exactly
+observer: invariant checks (ledger + watchdog), telemetry (the one
+run observer: gauges, stall accounts, request table, sampled spans)
+and periodic checkpointing.  Every run must simulate exactly
 the off leg's cycles -- observers never perturb the model -- and each
 leg's slowdown is printed as the median of its per-round ratios to the
 off leg, with min and max.
@@ -34,7 +35,6 @@ from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.sim.probe import EventCounter
 from repro.telemetry import TelemetryConfig
-from repro.tracing import SpansConfig
 
 REPEATS = 3
 BUDGET = 0.03  # implied disabled-gate cost, as a share of the off wall
@@ -162,8 +162,8 @@ def legs(tmp_path_factory):
     leg_kwargs = {
         "off": {},
         "checks": {"checks": True},
-        "telemetry": {"telemetry": TelemetryConfig(sample_interval=64)},
-        "spans": {"spans": SpansConfig(sample_rate=16)},
+        "telemetry": {"telemetry": TelemetryConfig(sample_interval=64,
+                                                   sample_rate=16)},
         "checkpoint": {"checkpoint": f"{snap}:5000"},
     }
     walls = {leg: [] for leg in leg_kwargs}

@@ -61,20 +61,6 @@ class RunResult:
         return total / self.seconds / 1e9 if self.cycles else 0.0
 
 
-def _observer(name, value, cls, config_cls):
-    """A *cls* observer from an instance, a *config_cls*, or True."""
-    if isinstance(value, cls):
-        return value
-    if value is True:
-        return cls()
-    if isinstance(value, config_cls):
-        return cls(value)
-    raise TypeError(
-        f"{name} must be a {cls.__name__}, {config_cls.__name__}, or "
-        f"True; got {value!r}"
-    )
-
-
 def _round_up_pow2(value):
     power = 1
     while power < value:
@@ -88,7 +74,7 @@ class AcceleratorSystem:
     def __init__(self, graph, algorithm, config, use_hashing=True,
                  use_dbg=False, source=0, seed=0, checks=False,
                  fault_plan=None, watchdog_window=200_000,
-                 telemetry=None, checkpoint=None, spans=None):
+                 telemetry=None, checkpoint=None):
         self.original_graph = graph
         if isinstance(algorithm, AlgorithmSpec):
             self.spec = algorithm
@@ -135,28 +121,21 @@ class AcceleratorSystem:
             from repro.faults import install_faults
             install_faults(self, fault_plan)
 
-        # Opt-in observers: cycle-resolved telemetry (repro.telemetry)
-        # and request-level span tracing (repro.tracing).  Each accepts
-        # its config, an already-built observer, or True for defaults,
+        # The opt-in run observer (repro.telemetry): gauges, stall
+        # accounts, the request table, sampled spans and the flight
+        # recorder.  Accepts a TelemetryConfig, or True for defaults,
         # and is lazily imported; the default path pays only the
         # "is None" probe gates.
         self.telemetry = None
         if telemetry:
-            from repro.telemetry import Telemetry, TelemetryConfig
-            self.telemetry = _observer(
-                "telemetry", telemetry, Telemetry, TelemetryConfig,
-            ).attach(self)
-        self.tracer = None
-        if spans:
-            from repro.tracing import SpanTracer, SpansConfig
-            self.tracer = _observer(
-                "spans", spans, SpanTracer, SpansConfig,
-            ).attach(self)
+            from repro.telemetry import Telemetry
+            self.telemetry = Telemetry(
+                None if telemetry is True else telemetry).attach(self)
         # One probe fans every component event out to the observers,
         # ledger first: its checks must run before anyone records the
         # event.
         observers = [observer for observer in (
-            self.ledger, self.telemetry, self.tracer,
+            self.ledger, self.telemetry,
         ) if observer is not None]
         if observers:
             self.install_probe(observers)
@@ -176,13 +155,8 @@ class AcceleratorSystem:
             self.checkpointer = checkpointer
 
     def install_probe(self, observers):
-        """Give every event-reporting component one probe over *observers*.
-
-        The probe also hangs on the engine so stall reports can reach
-        the tracer's flight recorder.
-        """
+        """Give every event-reporting component one probe over *observers*."""
         probe = Probe(observers)
-        self.engine.probe = probe
         for component in (*self.pes, *self.hierarchy.banks,
                           *self.hierarchy.crossbars, *self.mem.channels):
             component._probe = probe
@@ -462,6 +436,5 @@ class AcceleratorSystem:
         stats["mshr_merge_rate_by_bank"] = merge_by_bank
         if self.telemetry is not None:
             stats["telemetry"] = self.telemetry.summary()
-        if self.tracer is not None:
-            stats["spans"] = self.tracer.summary()
+            stats["spans"] = self.telemetry.span_summary()
         return stats

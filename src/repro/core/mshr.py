@@ -268,7 +268,7 @@ class CuckooMshrFile:
     def peek(self, line_addr):
         """The entry for *line_addr* or None, with no lookup/hit stats.
 
-        For observers (the span tracer), which must not bump the
+        For observers (telemetry), which must not bump the
         counters the bank's own lookups account for.
         """
         for table, slot in zip(self._tables, self._slots(line_addr)):

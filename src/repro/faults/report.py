@@ -3,7 +3,8 @@
 Built purely by introspecting an :class:`~repro.sim.engine.Engine` at
 diagnosis time, so the running simulation pays nothing for the ability
 to produce one.  Consumed by the engine's deadlock path, the watchdog,
-and the fault-smoke harness (which uploads them as CI artifacts).
+the cycle-budget error, and ``python -m repro replay`` when a restored
+snapshot stalls.
 """
 
 
@@ -80,16 +81,13 @@ def build_stall_report(engine, reason=""):
             "replay": checkpointer.replay_command(),
         }
     flight_recorder = None
-    probe = getattr(engine, "probe", None)
-    for observer in probe.observers if probe is not None else ():
-        recorder = getattr(observer, "recorder", None)  # the span tracer's
-        if recorder is not None:
-            flight_recorder = {
-                "depth": recorder.depth,
-                "recorded": recorder.recorded,
-                "tail": recorder.tail(32),
-            }
-            break
+    if engine.sampler is not None:  # telemetry, with its flight recorder
+        recorder = engine.sampler.recorder
+        flight_recorder = {
+            "depth": recorder.depth,
+            "recorded": recorder.recorded,
+            "tail": recorder.tail(32),
+        }
     return {
         "reason": reason,
         "cycle": engine.now,

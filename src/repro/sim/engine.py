@@ -141,11 +141,6 @@ class Engine:
     watchdog = None
     sampler = None
     checkpointer = None
-    # The probe installed on the components (repro.sim.probe.Probe).
-    # Unlike the three hooks above it is purely event-driven and the
-    # run loop never polls it; it hangs here so stall/fault reports can
-    # reach its observers (see repro.faults.report.build_stall_report).
-    probe = None
 
     def __init__(self):
         self.now = 0

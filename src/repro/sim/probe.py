@@ -5,8 +5,7 @@ Every component that reports events carries a single ``_probe`` slot
 ``if probe is not None: probe.bank_alloc(bank, req_id, port, line, now)``,
 so an unobserved run pays exactly one ``is None`` test per event.  A
 :class:`Probe` feeds that call to every attached observer (the
-invariant ledger, the telemetry collector, the span tracer) in attach
-order.
+invariant ledger, then the telemetry collector) in attach order.
 
 Observers define only the events they use, as methods named after
 :data:`EVENTS`.  The probe binds each event once, at construction:

@@ -1,7 +1,7 @@
 """The ``python -m repro trace`` subcommand.
 
-Runs one (graph, algorithm) point with telemetry and the request span
-tracer attached, and writes one file::
+Runs one (graph, algorithm) point with its one run observer,
+:class:`~repro.telemetry.Telemetry`, attached, and writes one file::
 
     python -m repro trace --graph RV --algorithm bfs --interval 64 \
         --rate 16 --out out/rv
@@ -13,7 +13,8 @@ the run identity, the telemetry summary with its stall tables and
 histograms, and the span summary (stage percentiles, merge fan-in).
 The file is re-read and validated, both summaries through their
 records, before the command reports success, so the CI trace-smoke job
-is just this command.
+is just this command.  ``--interval`` and ``--rate`` below 1 are
+refused (exit 2) before anything runs.
 """
 
 import os
@@ -51,23 +52,25 @@ def run_trace(args, log=print):
     from repro.experiments.common import cli_point
     from repro.fabric.design import MOMS_TWO_LEVEL
     from repro.report import format_table, telemetry_summary_line
+    from repro.telemetry.analyze import STAGE_ORDER
     from repro.telemetry.collector import (BANK_REASONS, PE_REASONS,
                                            TelemetryConfig)
     from repro.timeline import validate_trace, write_trace
-    from repro.tracing.analyze import STAGE_ORDER
-    from repro.tracing.spans import SpansConfig
 
-    graph, system, budget = cli_point(
-        args, MOMS_TWO_LEVEL,
-        telemetry=TelemetryConfig(sample_interval=args.interval),
-        spans=SpansConfig(sample_rate=args.rate),
-    )
+    try:
+        config = TelemetryConfig(sample_interval=args.interval,
+                                 sample_rate=args.rate)
+    except ValueError as error:
+        log(f"[trace] {error}")
+        return 2
+    graph, system, budget = cli_point(args, MOMS_TWO_LEVEL,
+                                      telemetry=config)
     log(f"[trace] {args.graph} / {args.algorithm}: "
         f"{graph.n_nodes:,} nodes, {graph.n_edges:,} edges, "
         f"sampling every {args.interval} cycles and 1/{args.rate} "
         f"requests")
     result = system.run(max_iterations=budget)
-    telemetry, tracer = system.telemetry, system.tracer
+    telemetry = system.telemetry
     spans = result.stats["spans"]
     log(f"[trace] ran {result.cycles:,} cycles, "
         f"{result.iterations} iteration(s), "
@@ -81,7 +84,7 @@ def run_trace(args, log=print):
     path = f"{args.out}.trace.json"
     run = {"graph": args.graph, "algorithm": args.algorithm,
            "run_cycles": result.cycles, "gteps": result.gteps}
-    events = write_trace(path, telemetry, tracer, run=run)
+    events = write_trace(path, telemetry, run=run)
     # Self-validate the export; a violation is a command failure (this
     # is the CI gate).
     counts = validate_trace(path)
@@ -110,7 +113,7 @@ def run_trace(args, log=print):
         f"{service:,} service cycles ({split:.0%} queueing) | "
         f"mshr merge rate {result.stats['mshr_merge_rate']:.1%}")
     log(f"[trace] validated {events} trace events {counts}: "
-        f"{len(telemetry.samples)} gauge rows, {len(tracer.spans)} spans")
+        f"{len(telemetry.samples)} gauge rows, {len(telemetry.spans)} spans")
     log(f"[trace] wrote {path}")
     log("[trace] open the trace at https://ui.perfetto.dev "
         "(arrows follow sampled requests across PE/bank/DRAM tracks)")

@@ -1,4 +1,5 @@
-"""Cycle-resolved telemetry: gauges, latency histograms, stall accounting.
+"""Cycle-resolved telemetry: gauges, latency histograms, stall
+accounting, request spans and the flight recorder.
 
 The paper's headline argument is about *occupancy over time* -- a
 miss-optimized memory system wins because thousands of misses stay in
@@ -10,15 +11,23 @@ cannot show that shape.  This module records it:
   occupancy per bank, subentry-buffer fill, DRAM queue depths and
   rolling bandwidth (burst vs single split), and PE input/output
   backpressure into a per-run time series.
-* **Latency histograms** -- log2-bucketed issue->response latency per
-  requester (PE MOMS reads), per bank (miss issue -> line return) and
-  per DRAM channel (request accept -> beat delivery).
+* **Request table** -- every MOMS request is followed end to end (PE
+  issue, crossbar hop, bank outcome, line fetch, DRAM accept/deliver,
+  replay, retire) in one in-flight table, and every primary miss's
+  line fetch in another.  Both latency histograms read these records:
+  issue->retire per requester (PE MOMS reads) and fetch issue->line
+  drain per bank; a third, per DRAM channel, is accept->beat delivery.
+* **Sampled spans** -- 1 of every ``sample_rate`` requests per PE keeps
+  its full record, which :mod:`repro.telemetry.analyze` decomposes
+  into exact per-stage latencies (DESIGN 6.8).
+* **Flight recorder** -- a bounded ring of the most recent events of
+  *every* request, embedded in stall reports.
 * **Stall attribution** -- every PE and bank cycle in the run window is
   attributed to exactly one category (busy, pipeline, waiting-on-mem,
   output-backpressure, raw-stall, mshr-full, subentry-full,
   downstream-full, idle); the per-component table sums exactly to the
   run's cycle count by construction.
-* **Spans** -- PE phase intervals (idle/init/pointers/stream/writeback)
+* **Phases** -- PE phase intervals (idle/init/pointers/stream/writeback)
   drawn on the run's Perfetto timeline (:mod:`repro.timeline`).
 
 The per-event hooks are probe events (:mod:`repro.sim.probe`): the
@@ -45,19 +54,30 @@ from repro.accel.pe import (
     STREAM,
     WRITEBACK,
 )
+from repro.faults.plan import _MASK64, _splitmix64
 from repro.mem.dram import LINE_BYTES
 from repro.records import Record
+from repro.telemetry.analyze import analyze_spans
 
 # v3 dropped v2's "fusion" block (the engine no longer fuses cycles);
 # consumers are tolerant of missing keys.
 TELEMETRY_SCHEMA_VERSION = 3
 
+# "spans"/"spans_dropped" count the PE phase intervals; the sampled
+# request spans have their own record, SPAN_SUMMARY.
 TELEMETRY_SUMMARY = Record(
     "telemetry summary", "version", TELEMETRY_SCHEMA_VERSION, (
         "version", "cycles", "sample_interval", "samples",
         "samples_dropped", "spans", "spans_dropped", "mshr_peak",
         "mshr_mean", "pe_stalls", "bank_stalls", "cache",
         "moms_latency", "miss_latency", "dram_latency", "dram",
+    ))
+
+SPAN_SUMMARY = Record(
+    "span summary", "schema", 1, (
+        "schema", "sample_rate", "requests_seen", "spans_sampled",
+        "spans_completed", "spans_live", "stages", "merge_fanin",
+        "recorder",
     ))
 
 # Stall-attribution categories.  Every accounted cycle lands in exactly
@@ -79,10 +99,10 @@ BANK_REASONS = (BUSY, WAIT_MEM, BACKPRESSURE, MSHR_FULL, SUBENTRY_FULL,
 
 # Memory bounds of one collection.  Past MAX_SAMPLES rows the collector
 # decimates its samples (drops every other row) and doubles the sampling
-# interval, so arbitrarily long runs stay bounded; past MAX_SPANS phase
-# spans, further spans are counted, not stored.
+# interval, so arbitrarily long runs stay bounded; past MAX_PHASES phase
+# intervals, further ones are counted, not stored.
 MAX_SAMPLES = 1 << 16
-MAX_SPANS = 250_000
+MAX_PHASES = 250_000
 
 
 @dataclass(frozen=True)
@@ -90,10 +110,64 @@ class TelemetryConfig:
     """Knobs of one telemetry collection.
 
     ``sample_interval`` is the gauge-sampling period in cycles (doubled
-    each time the rows pass :data:`MAX_SAMPLES`).
+    each time the rows pass :data:`MAX_SAMPLES`); ``sample_rate`` keeps
+    the full span of 1 of every N requests per PE (1 = every request).
     """
 
     sample_interval: int = 256
+    sample_rate: int = 16
+
+    def __post_init__(self):
+        for knob in ("sample_interval", "sample_rate"):
+            if getattr(self, knob) < 1:
+                raise ValueError(f"{knob} must be >= 1")
+
+
+def sample_hash(pe, seq):
+    """The sampling hash for request *seq* issued by PE *pe*.
+
+    Mixes the two coordinates into one 64-bit lane and runs the same
+    splitmix64 finalizer the fault plans use.  Everything feeding it
+    is schedule-determined, which is the whole determinism story.
+    """
+    _state, value = _splitmix64(((pe + 1) << 40) ^ seq)
+    return value & _MASK64
+
+
+class FlightRecorder:
+    """Always-on bounded ring of the most recent request events.
+
+    Unlike the sampled spans this sees *every* request event, so its
+    tail is the "what just happened" evidence embedded in watchdog
+    stall reports and failed-replay output.  Events are stored as
+    compact tuples and only formatted when a report is actually built.
+    """
+
+    def __init__(self, depth=256):
+        self.depth = depth
+        self.events = deque(maxlen=depth)
+        self.recorded = 0
+
+    def record(self, cycle, kind, where, detail):
+        self.recorded += 1
+        self.events.append((cycle, kind, where, detail))
+
+    def tail(self, limit=None):
+        """The last *limit* events, oldest first, as plain dicts."""
+        events = list(self.events)
+        if limit is not None and limit < len(events):
+            events = events[len(events) - limit:]
+        return [
+            {"cycle": cycle, "event": kind, "where": where, "detail": detail}
+            for cycle, kind, where, detail in events
+        ]
+
+    def format_tail(self, limit=16):
+        """The tail as aligned report lines (oldest first)."""
+        return [
+            "[{cycle:>10}] {event:<12} {where:<16} {detail}".format(**event)
+            for event in self.tail(limit)
+        ]
 
 
 class LatencyHistogram:
@@ -311,18 +385,29 @@ def _gap_reason(tick_reason, wait_reason):
 
 
 class Telemetry:
-    """One run's telemetry collection, attached to an AcceleratorSystem.
+    """The one run observer, attached to an AcceleratorSystem.
 
-    The engine drives the sampler (``engine.sampler``); PEs, banks and
-    DRAM channels report events through their probe, which the
-    accelerator system installs with this collector among its
+    The engine drives the sampler (``engine.sampler``); PEs, banks,
+    crossbars and DRAM channels report events through their probe,
+    which the accelerator system installs with this collector among its
     observers.  Everything here observes -- no method mutates any
-    simulated structure.
+    simulated structure -- and is plain data, so it pickles with a
+    snapshot and a resumed run continues every table exactly.
+
+    Request identity (DESIGN 6.8): ``req_id`` values are *reused*
+    (unweighted requests use the destination offset, weighted ones
+    recycle a per-PE free list), so spans are keyed ``(pe, per-PE
+    issue seq)`` and in-flight matching uses FIFO deques per ``(pe,
+    req_id, line_addr)``.  The line is part of the key because
+    responses are only issue-ordered *per line*: a hit for one line can
+    overtake a miss for another that shares its ``req_id``.  Line
+    fetches are tracked for **every** primary miss, because a sampled
+    secondary miss merges into whatever fetch its line already has.
     """
 
     def __init__(self, config=None):
         self.config = config or TelemetryConfig()
-        self.sample_interval = max(1, int(self.config.sample_interval))
+        self.sample_interval = self.config.sample_interval
         self.next_sample = 0  # read by the engine run loop
         self.samples = []
         self.samples_dropped = 0
@@ -338,17 +423,19 @@ class Telemetry:
         self.moms_latency = {}  # pe_index -> LatencyHistogram
         self.miss_latency = {}  # bank name -> LatencyHistogram
         self.dram_latency = {}  # channel name -> LatencyHistogram
-        # (pe_index, req_id, line_addr) -> deque of issue cycles.  The
-        # line is in the key as in the span tracer: unweighted kernels
-        # reuse a req_id across lines, and a hit for one line can
-        # overtake a miss for another (DESIGN 6.8).
-        self._moms_issue_times = {}
-        self._miss_issue_times = {}  # (bank name, line_addr) -> cycle
-        # MSHR residency summed over the misses drained in the run window.
-        self._mshr_cycles = 0
-        # Spans.
-        self.spans = []  # (track, track_id, label, start, end)
-        self.spans_dropped = 0
+        # Request and line-fetch tables, sampled spans, flight recorder.
+        self.recorder = FlightRecorder()
+        self.spans = []  # completed sampled request records
+        self.requests_seen = 0
+        self.sampled = 0
+        self.fanin = {}  # bank name -> {merge fan-in -> drains}
+        self._seq = {}  # pe -> requests issued so far
+        self._inflight = {}  # (pe, req_id, line_addr) -> request deque
+        self._fetches = {}  # (bank name, line_addr) -> deque of fetches
+        self._line_owner = {}  # fill channel -> DRAM-facing bank name
+        # PE phase intervals.
+        self.phases = []  # (track, track_id, label, start, end)
+        self.phases_dropped = 0
         self._open_phase = {}  # pe_index -> (phase, start)
         # Rolling-bandwidth baselines per DRAM channel.
         self._dram_prev = {}  # name -> (cycle, bytes, burst_lines, single_lines)
@@ -375,6 +462,7 @@ class Telemetry:
             self._banks.append(bank)
             self._bank_accounts[bank] = _Account(bank.name)
             self.miss_latency[bank.name] = LatencyHistogram()
+            self._line_owner[bank.line_in] = bank.name
         for channel in system.mem.channels:
             self._dram.append(channel)
             self.dram_latency[channel.name] = LatencyHistogram()
@@ -399,10 +487,9 @@ class Telemetry:
         """Mark the start of the accounted run window."""
         self.start_cycle = engine.now
         self.next_sample = engine.now
-        self._mshr_cycles = 0
 
     def finalize(self, engine):
-        """Close the run window: settle trailing ticks, gaps and spans."""
+        """Close the run window: settle trailing ticks, gaps and phases."""
         end = engine.now
         self.end_cycle = end
         for rules, accounts in ((_PE_RULES, self._pe_accounts),
@@ -417,7 +504,7 @@ class Telemetry:
                 account.snapshot = None
         for pe_index, (phase, start) in list(self._open_phase.items()):
             if end > start:
-                self._add_span("pe", pe_index, phase, start, end)
+                self._add_phase(pe_index, phase, start, end)
             self._open_phase[pe_index] = (phase, end)
 
     # -- sampler (driven by Engine.run) --------------------------------------
@@ -507,53 +594,240 @@ class Telemetry:
         """Settle the bank's previous tick and sleep gap."""
         self._settle(self._bank_accounts[bank], bank, now, _BANK_RULES)
 
-    # -- span hooks ----------------------------------------------------------
+    # -- phase hooks ---------------------------------------------------------
 
-    def _add_span(self, track, track_id, label, start, end):
-        if len(self.spans) >= MAX_SPANS:
-            self.spans_dropped += 1
+    def _add_phase(self, pe_index, label, start, end):
+        if len(self.phases) >= MAX_PHASES:
+            self.phases_dropped += 1
             return
-        self.spans.append((track, track_id, label, start, end))
+        self.phases.append(("pe", pe_index, label, start, end))
 
     def pe_phase(self, pe, new_phase, now):
-        """PE phase transition: close the open span, open the next."""
+        """PE phase transition: close the open interval, open the next."""
         pe_index = pe.pe_index
         phase, start = self._open_phase[pe_index]
         if now > start:
-            self._add_span("pe", pe_index, phase, start, now)
+            self._add_phase(pe_index, phase, start, now)
         self._open_phase[pe_index] = (new_phase, now)
 
-    # -- latency hooks -------------------------------------------------------
+    # -- request and line-fetch tables ---------------------------------------
+
+    @staticmethod
+    def _first(queue, present, absent):
+        """Oldest record in *queue* with *present* set and *absent* not.
+
+        FIFO matching: requests sharing a ``(pe, req_id, line_addr)``
+        key target the same line, so they move through the same bank
+        and back in issue order and the oldest un-annotated record is
+        always the one the event belongs to.
+        """
+        if not queue:
+            return None
+        for record in queue:
+            if absent in record:
+                continue
+            if present is not None and present not in record:
+                continue
+            return record
+        return None
+
+    def _request_record(self, pe, req_id, line_addr, present, absent):
+        return self._first(self._inflight.get((pe, req_id, line_addr)),
+                           present, absent)
+
+    def _fetch_record(self, bank, line_addr, present, absent):
+        return self._first(self._fetches.get((bank, line_addr)),
+                           present, absent)
+
+    # -- PE request events ---------------------------------------------------
 
     def pe_issue(self, pe, req_id, addr, now):
-        key = (pe.pe_index, req_id, addr // LINE_BYTES)
-        times = self._moms_issue_times.get(key)
-        if times is None:
-            times = self._moms_issue_times[key] = deque()
-        times.append(now)
+        pe = pe.pe_index
+        seq = self._seq.get(pe, 0)
+        self._seq[pe] = seq + 1
+        self.requests_seen += 1
+        self.recorder.record(now, "issue", f"pe{pe}", req_id)
+        sampled = sample_hash(pe, seq) % self.config.sample_rate == 0
+        record = {"pe": pe, "seq": seq, "req_id": req_id,
+                  "issue": now, "sampled": sampled}
+        if sampled:
+            self.sampled += 1
+            record["events"] = [[now, f"issue@pe{pe}"]]
+        key = (pe, req_id, addr // LINE_BYTES)
+        self._inflight.setdefault(key, deque()).append(record)
 
     def pe_retire(self, pe, req_id, addr, now):
-        key = (pe.pe_index, req_id, addr // LINE_BYTES)
-        times = self._moms_issue_times.get(key)
-        if not times:
-            return  # issued before telemetry attached; drop silently
-        self.moms_latency[pe.pe_index].record(now - times.popleft())
-        if not times:
-            del self._moms_issue_times[key]
+        pe = pe.pe_index
+        self.recorder.record(now, "retire", f"pe{pe}", req_id)
+        key = (pe, req_id, addr // LINE_BYTES)
+        queue = self._inflight.get(key)
+        if not queue:
+            return  # issued before attach, or a fault mutated the id
+        record = queue.popleft()
+        if not queue:
+            del self._inflight[key]
+        self.moms_latency[pe].record(now - record["issue"])
+        if record["sampled"]:
+            record["retire"] = now
+            record["events"].append([now, f"retire@pe{pe}"])
+            self.spans.append(record)
+
+    # -- bank events ---------------------------------------------------------
+
+    def _bank_outcome(self, outcome, bank, req_id, port, line_addr, now):
+        if req_id is None:
+            # Shared-level event serving a private bank's line fetch.
+            fetch = self._fetch_record(f"private{port}", line_addr,
+                                       None, "l2_outcome")
+            if fetch is not None:
+                fetch["l2_outcome"] = outcome
+                fetch["l2_cycle"] = now
+            return
+        record = self._request_record(port, req_id, line_addr,
+                                      None, "outcome")
+        if record is None:
+            return
+        record["outcome"] = outcome
+        record["outcome_cycle"] = now
+        record["bank"] = bank
+        record["line_addr"] = line_addr
+        if record["sampled"]:
+            record["events"].append([now, f"{outcome}@{bank}"])
+
+    def bank_hit(self, bank, req_id, port, line_addr, now):
+        bank = bank.name
+        self.recorder.record(now, "hit", bank,
+                             line_addr if req_id is None else req_id)
+        self._bank_outcome("hit", bank, req_id, port, line_addr, now)
+
+    def bank_merge(self, bank, req_id, port, line_addr, now):
+        """Secondary miss: merged into the line's existing MSHR."""
+        bank = bank.name
+        self.recorder.record(now, "merge", bank,
+                             line_addr if req_id is None else req_id)
+        self._bank_outcome("secondary", bank, req_id, port, line_addr, now)
 
     def bank_alloc(self, bank, req_id, port, line_addr, now):
-        # One MSHR per line per bank, so the key is unique while in flight.
-        self._miss_issue_times[(bank.name, line_addr)] = now
+        """Primary miss: MSHR allocated, line fetch issued downstream."""
+        bank = bank.name
+        self.recorder.record(now, "alloc", bank, line_addr)
+        self._fetches.setdefault((bank, line_addr), deque()).append(
+            {"fetch_issue": now}
+        )
+        self._bank_outcome("primary", bank, req_id, port, line_addr, now)
 
     def bank_drain(self, bank, line_addr, now):
-        issued = self._miss_issue_times.pop((bank.name, line_addr), None)
-        if issued is not None:
-            self.miss_latency[bank.name].record(now - issued)
-            self._mshr_cycles += now - issued
+        """The line arrived; its MSHR's merged requests replay next."""
+        fan_in = bank.mshrs.peek(line_addr).subentry_count
+        bank = bank.name
+        self.recorder.record(now, "drain", bank, line_addr)
+        per_bank = self.fanin.setdefault(bank, {})
+        per_bank[fan_in] = per_bank.get(fan_in, 0) + 1
+        fetch = self._fetch_record(bank, line_addr, None, "drain_begin")
+        if fetch is not None:
+            self.miss_latency[bank].record(now - fetch["fetch_issue"])
+            fetch["drain_begin"] = now
+            fetch["fan_in"] = fan_in
+            fetch["remaining"] = fan_in
+
+    def bank_replay(self, bank, req_id, port, line_addr, now):
+        bank = bank.name
+        self.recorder.record(now, "replay", bank,
+                             line_addr if req_id is None else req_id)
+        fetch = self._fetch_record(bank, line_addr, "drain_begin", None)
+        if fetch is not None:
+            fetch["remaining"] -= 1
+            if fetch["remaining"] <= 0:
+                queue = self._fetches[(bank, line_addr)]
+                queue.remove(fetch)
+                if not queue:
+                    del self._fetches[(bank, line_addr)]
+        if req_id is None:
+            # Shared-level fill dispatch towards a private bank: carry
+            # the DRAM timing down into the private fetch record.
+            target = self._fetch_record(f"private{port}", line_addr,
+                                        "l2_outcome", "dram_accept")
+            if target is not None and fetch is not None:
+                for key in ("dram_accept", "dram_deliver", "dram_channel"):
+                    if key in fetch:
+                        target[key] = fetch[key]
+            return
+        record = self._request_record(port, req_id, line_addr,
+                                      "outcome", "replay")
+        if record is None:
+            return
+        record["replay"] = now
+        if fetch is not None:
+            for key in ("fetch_issue", "drain_begin", "fan_in",
+                        "dram_accept", "dram_deliver", "dram_channel",
+                        "l2_outcome", "l2_cycle"):
+                if key in fetch:
+                    record[key] = fetch[key]
+        if record["sampled"]:
+            record["events"].append([now, f"replay@{bank}"])
+
+    # -- fabric and DRAM events ----------------------------------------------
+
+    def xbar_hop(self, xbar, token, now):
+        name = xbar.name
+        req_id = getattr(token, "req_id", None)
+        port = getattr(token, "port", 0)
+        addr = getattr(token, "addr", None)
+        is_response = hasattr(token, "data")
+        self.recorder.record(now, "xbar", name,
+                             addr if req_id is None else req_id)
+        if addr is None:
+            return
+        line_addr = addr // LINE_BYTES
+        if req_id is None:
+            if is_response:
+                fetch = self._fetch_record(f"private{port}", line_addr,
+                                           "l2_outcome", "hop_fill")
+                if fetch is not None:
+                    fetch["hop_fill"] = now
+            else:
+                fetch = self._fetch_record(f"private{port}", line_addr,
+                                           None, "l2_outcome")
+                if fetch is not None:
+                    fetch["hop_req"] = now
+            return
+        if is_response:
+            record = self._request_record(port, req_id, line_addr,
+                                          "outcome", "hop_resp")
+            key, label = "hop_resp", "resp"
+        else:
+            record = self._request_record(port, req_id, line_addr,
+                                          None, "outcome")
+            key, label = "hop_req", "req"
+        if record is None or key in record:
+            return
+        record[key] = now
+        if record["sampled"]:
+            record["events"].append([now, f"xbar[{label}]@{name}"])
+
+    def dram_accept(self, channel, request, now):
+        self.recorder.record(now, "dram_accept", channel.name, request.addr)
+        owner = self._line_owner.get(request.respond_to)
+        if owner is None:
+            return  # burst/write traffic, not a MOMS line fetch
+        fetch = self._fetch_record(owner, request.addr // LINE_BYTES,
+                                   None, "dram_accept")
+        if fetch is not None:
+            fetch["dram_accept"] = now
+            fetch["dram_channel"] = channel.name
 
     def dram_deliver(self, channel, respond_to, addr, issued_at, now):
+        """A beat delivered; for a line fetch the last beat wins."""
+        self.recorder.record(now, "dram_deliver", channel.name, addr)
         if issued_at >= 0:
             self.dram_latency[channel.name].record(now - issued_at)
+        owner = self._line_owner.get(respond_to)
+        if owner is None:
+            return
+        fetch = self._fetch_record(owner, addr // LINE_BYTES,
+                                   "dram_accept", "drain_begin")
+        if fetch is not None:
+            fetch["dram_deliver"] = now
 
     # -- results -------------------------------------------------------------
 
@@ -619,19 +893,21 @@ class Telemetry:
         lines_total = sum(s.lines_total for s in dram_stats)
         busy = sum(s.busy_cycles for s in dram_stats)
         beats = sum(s.total_beats for s in dram_stats)
+        misses = self.merged_latency(self.miss_latency)
+        phases = {"spans": len(self.phases),
+                  "spans_dropped": self.phases_dropped}
         return TELEMETRY_SUMMARY.row(
+            **phases,
             cycles=self.cycles,
             sample_interval=self.sample_interval,
             samples=len(self.samples),
             samples_dropped=self.samples_dropped,
-            spans=len(self.spans),
-            spans_dropped=self.spans_dropped,
             mshr_peak=max(mshr, default=0),
-            # A run ends with every MSHR drained, so the residencies sum
-            # the occupancy over every cycle, fast-forwarded ones too:
-            # unlike the gauge rows (DESIGN 6.3), it is the per-cycle
-            # mean whatever the schedule.
-            mshr_mean=round(self._mshr_cycles / self.cycles, 2)
+            # A run ends with every MSHR drained, so the miss residencies
+            # sum the occupancy over every cycle, fast-forwarded ones
+            # too: unlike the gauge rows (DESIGN 6.3), it is the
+            # per-cycle mean whatever the schedule.
+            mshr_mean=round(misses.sum / self.cycles, 2)
             if self.cycles else 0.0,
             pe_stalls=self._bucket_totals(self._pe_accounts),
             bank_stalls=self._bucket_totals(self._bank_accounts),
@@ -647,12 +923,47 @@ class Telemetry:
                 ) if secondary + primary else 0.0,
             },
             moms_latency=self.merged_latency(self.moms_latency).compact(),
-            miss_latency=self.merged_latency(self.miss_latency).compact(),
+            miss_latency=misses.compact(),
             dram_latency=self.merged_latency(self.dram_latency).compact(),
             dram={
                 "single_line_fraction": round(
                     lines_single / lines_total, 4) if lines_total else 0.0,
                 "effective_bw_ratio": round(
                     beats / busy, 4) if busy else 1.0,
+            },
+        )
+
+    def live_spans(self):
+        """Sampled spans still in flight (not retired) at this cycle."""
+        return sum(
+            1
+            for queue in self._inflight.values()
+            for record in queue
+            if record["sampled"]
+        )
+
+    def merge_fanin(self):
+        """Per-bank {fan-in: drains} with deterministic key order."""
+        return {
+            bank: {
+                str(fan_in): self.fanin[bank][fan_in]
+                for fan_in in sorted(self.fanin[bank])
+            }
+            for bank in sorted(self.fanin)
+        }
+
+    def span_summary(self):
+        """The sampled spans' aggregate, for run stats and the trace."""
+        return SPAN_SUMMARY.row(
+            sample_rate=self.config.sample_rate,
+            requests_seen=self.requests_seen,
+            spans_sampled=self.sampled,
+            spans_completed=len(self.spans),
+            spans_live=self.live_spans(),
+            stages=analyze_spans(self.spans),
+            merge_fanin=self.merge_fanin(),
+            recorder={
+                "depth": self.recorder.depth,
+                "recorded": self.recorder.recorded,
             },
         )

@@ -28,9 +28,8 @@ span summary (``spans``, a :data:`SPAN_SUMMARY` row).
 
 import json
 
-from repro.telemetry.collector import TELEMETRY_SUMMARY
-from repro.tracing.analyze import decompose
-from repro.tracing.spans import SPAN_SUMMARY
+from repro.telemetry.analyze import decompose
+from repro.telemetry.collector import SPAN_SUMMARY, TELEMETRY_SUMMARY
 
 PID_PES, PID_BANKS, PID_DRAM, PID_TOTALS = 1, 2, 3, 4
 PROCESSES = {PID_PES: "PEs", PID_BANKS: "MOMS banks", PID_DRAM: "DRAM",
@@ -43,7 +42,7 @@ def _phase_events(telemetry):
     return [
         {"ph": "X", "pid": PID_PES, "tid": (PID_PES, pe, -1),
          "name": label, "cat": "phase", "ts": start, "dur": end - start}
-        for track, pe, label, start, end in telemetry.spans
+        for track, pe, label, start, end in telemetry.phases
         # Idle gaps read better as empty space on the track.
         if track == "pe" and label != "idle"
     ]
@@ -107,7 +106,7 @@ def _flow(ph, flow_id, track, ts):
     return event
 
 
-def _request_events(tracer):
+def _request_events(telemetry):
     lanes = {}  # (pid, owner) -> cycle each lane's last slice ends
 
     def hop(events, ph, flow_id, pid, owner, name, start, end, args):
@@ -124,7 +123,7 @@ def _request_events(tracer):
         return track
 
     events = []
-    spans = sorted(tracer.spans,
+    spans = sorted(telemetry.spans,
                    key=lambda s: (s["issue"], s["pe"], s["seq"]))
     for flow_id, span in enumerate(spans):
         name = f"pe{span['pe']}#{span['seq']}"
@@ -165,26 +164,21 @@ def _name_tracks(events):
     return meta
 
 
-def write_trace(path, telemetry=None, tracer=None, run=None):
-    """Write one run's timeline to *path*; returns the event count.
+def write_trace(path, telemetry, run=None):
+    """Write *telemetry*'s run to *path*; returns the event count.
 
-    *telemetry* contributes the PE phases, the counters and the
-    telemetry block, *tracer* the request slices, flows and span
-    summary; either may be ``None``.  *run* (graph, algorithm, ...)
-    is stored as the run identity.
+    The run's PE phases, counters, request slices and flows become
+    events; the telemetry block and span summary go in ``otherData``
+    with *run* (graph, algorithm, ...) as the run identity.
     """
-    events = []
-    other = {"source": "repro"}
+    events = (_phase_events(telemetry) + _counter_events(telemetry)
+              + _request_events(telemetry))
+    other = {"source": "repro", "start_cycle": telemetry.start_cycle,
+             "end_cycle": telemetry.end_cycle,
+             "telemetry": _telemetry_block(telemetry),
+             "spans": telemetry.span_summary()}
     if run:
         other["run"] = run
-    if telemetry is not None:
-        events += _phase_events(telemetry) + _counter_events(telemetry)
-        other.update(start_cycle=telemetry.start_cycle,
-                     end_cycle=telemetry.end_cycle,
-                     telemetry=_telemetry_block(telemetry))
-    if tracer is not None:
-        events += _request_events(tracer)
-        other["spans"] = tracer.summary()
     meta = [{"ph": "M", "pid": pid, "name": "process_name",
              "args": {"name": name}} for pid, name in PROCESSES.items()]
     meta += _name_tracks(events)

@@ -3,10 +3,10 @@
 A snapshot is the pickled system, so it is complete exactly when a run
 resumed from it finishes as the uninterrupted run does.  Each case
 builds the fullest object graph a run can carry -- ledger checks,
-telemetry, spans, a fault plan and a checkpointer -- for one
-organization x algorithm, runs one iteration straight, then runs it
-again with a single snapshot at 60% of those cycles and replays that
-snapshot.  State a class fails to pickle raises ``SnapshotError`` at
+telemetry with its request table, a fault plan and a checkpointer --
+for one organization x algorithm, runs one iteration straight, then
+runs it again with a single snapshot at 60% of those cycles and
+replays that snapshot.  State a class fails to pickle raises ``SnapshotError`` at
 the write; state a class drops or mangles in pickling shows up as a
 replay that diverges or stalls.
 """
@@ -25,7 +25,6 @@ from repro.checkpoint import (
 from repro.faults.plan import FaultPlan, Window
 from repro.graph import web_graph
 from repro.telemetry import TelemetryConfig
-from repro.tracing import SpansConfig
 
 ALGORITHMS = ("pagerank", "bfs", "sssp", "scc")
 ORGANIZATIONS = ("shared", "private", "two-level", "traditional")
@@ -47,8 +46,7 @@ def _fullest_system(algorithm, organization, checkpoint=None):
     )
     return AcceleratorSystem(
         GRAPH, algorithm, config, checks=True, fault_plan=plan,
-        telemetry=TelemetryConfig(sample_interval=64),
-        spans=SpansConfig(sample_rate=4),
+        telemetry=TelemetryConfig(sample_interval=64, sample_rate=4),
         checkpoint=checkpoint,
     )
 
@@ -73,10 +71,8 @@ def test_replay_matches_straight_run(algorithm, organization, tmp_path):
     assert restored.engine.watchdog is not None
     assert restored.fault_state is not None
     assert restored.checkpointer is restored.engine.checkpointer
-    probe = restored.engine.probe
-    assert probe.observers == (
-        restored.ledger, restored.telemetry, restored.tracer,
-    )
+    probe = restored.pes[0]._probe
+    assert probe.observers == (restored.ledger, restored.telemetry)
     assert all(pe._probe is probe for pe in restored.pes)
 
     replayed, _ = replay_snapshot(path)

@@ -1,9 +1,8 @@
 """Byte pin for the one file an observed run writes.
 
 One run on the determinism workload (``web_graph(900, 4500,
-seed=11)``, PageRank, two-level 4x4, two iterations) with both
-observers attached: telemetry sampling every 64 cycles and the span
-tracer at rate 8.  Its Perfetto timeline -- counters, phases, request
+seed=11)``, PageRank, two-level 4x4, two iterations) with telemetry
+attached, sampling gauges every 64 cycles and 1 of 8 requests.  Its Perfetto timeline -- counters, phases, request
 flows and span records, and the summaries in ``otherData`` -- is
 pinned by SHA-256, so a refactor of the exporter cannot silently
 change what it writes.
@@ -23,7 +22,6 @@ from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.telemetry import TelemetryConfig
 from repro.timeline import write_trace
-from repro.tracing import SpansConfig
 
 #: Fixed run identity stored in ``otherData``.
 RUN = {"graph": "web900", "algorithm": "pagerank"}
@@ -41,8 +39,7 @@ def _run():
     )
     system = AcceleratorSystem(
         web_graph(900, 4500, seed=11), "pagerank", config,
-        telemetry=TelemetryConfig(sample_interval=64),
-        spans=SpansConfig(sample_rate=8),
+        telemetry=TelemetryConfig(sample_interval=64, sample_rate=8),
     )
     result = system.run(max_iterations=2)
     return system, result
@@ -52,8 +49,7 @@ def export_digests(directory):
     """SHA-256 of every pinned export, written under *directory*."""
     system, _result = _run()
     paths = {name: directory / name for name in PINS}
-    write_trace(paths["trace.json"], system.telemetry, system.tracer,
-                run=RUN)
+    write_trace(paths["trace.json"], system.telemetry, run=RUN)
     return {
         name: hashlib.sha256(path.read_bytes()).hexdigest()
         for name, path in paths.items()

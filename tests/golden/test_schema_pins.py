@@ -38,9 +38,7 @@ from repro.experiments.common import (
 )
 from repro.graph import web_graph
 from repro.telemetry import TelemetryConfig
-from repro.telemetry.collector import TELEMETRY_SUMMARY
-from repro.tracing import SpansConfig
-from repro.tracing.spans import SPAN_SUMMARY
+from repro.telemetry.collector import SPAN_SUMMARY, TELEMETRY_SUMMARY
 
 # name -> (the record's key table in src, opaque map paths).
 RECORDS = {
@@ -156,8 +154,7 @@ def real_rows():
     )
     system = AcceleratorSystem(
         web_graph(300, 1500, seed=5), "pagerank", config,
-        telemetry=TelemetryConfig(sample_interval=64),
-        spans=SpansConfig(sample_rate=4),
+        telemetry=TelemetryConfig(sample_interval=64, sample_rate=4),
     )
     system.run(max_iterations=1)
     with tempfile.TemporaryDirectory() as scratch:
@@ -168,7 +165,7 @@ def real_rows():
         "telemetry-summary": system.telemetry.summary(),
         "journal-row-ok": ok_row,
         "journal-row-fail": fail_row,
-        "span-summary": system.tracer.summary(),
+        "span-summary": system.telemetry.span_summary(),
     }
 
 

@@ -30,7 +30,6 @@ from repro.core.mshr import CuckooMshrFile
 from repro.faults import InvariantViolation
 from repro.faults.plan import NAMED_PLANS, FaultPlan
 from repro.telemetry import TelemetryConfig
-from repro.tracing import SpansConfig
 from tests.golden.test_corpus import (
     CORPUS,
     _config,
@@ -252,10 +251,13 @@ class TestSpanStream:
 
         def leg(run):
             system, result = run(
-                "pagerank", "two-level", spans=SpansConfig(sample_rate=8),
+                "pagerank", "two-level",
+                telemetry=TelemetryConfig(sample_rate=8),
             )
             assert result.stats.pop("spans")["spans_completed"] > 0
-            return result, system.tracer.spans
+            # Gauge rows fall on simulated cycles only (DESIGN 6.3).
+            del result.stats["telemetry"]
+            return result, system.telemetry.spans
 
         slept, slept_spans = leg(_run)
         per_cycle, per_cycle_spans = leg(_run_per_cycle)
@@ -291,7 +293,7 @@ class TestTelemetry:
 
 class TestObserversTickAlike:
     def test_observed_run_ticks_as_unobserved(self, monkeypatch):
-        """Checks, telemetry and spans observe the bank without waking
+        """Checks and telemetry observe the bank without waking
         it, so an observed starved run makes exactly the unobserved
         run's tick calls, idle skips and wakes."""
         calls = {}
@@ -322,6 +324,6 @@ class TestObserversTickAlike:
         unobserved = leg()
         assert unobserved[0]["MomsBank"] > 0
         observed = leg(checks=True,
-                       telemetry=TelemetryConfig(sample_interval=64),
-                       spans=SpansConfig(sample_rate=8))
+                       telemetry=TelemetryConfig(sample_interval=64,
+                                                 sample_rate=8))
         assert observed == unobserved

@@ -5,7 +5,7 @@
   happened, so a missing or doubled probe call at any event site
   fails here.
 * **Fan-out.**  Observers are called in attach order (ledger, then
-  telemetry, then tracer); a single observer is bound directly.
+  telemetry); a single observer is bound directly.
 * **Snapshots.**  A probed run that checkpoints mid-run and resumes
   reproduces the straight run's stats and span bytes.
 """
@@ -19,7 +19,6 @@ from repro.fabric.design import MOMS_TRADITIONAL, MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.sim.probe import EVENTS, EventCounter, Probe
 from repro.telemetry import TelemetryConfig
-from repro.tracing import SpansConfig
 
 GRAPH = web_graph(600, 3000, seed=9)
 
@@ -135,19 +134,19 @@ class TestFanOut:
 
     def test_system_fans_out_ledger_telemetry_tracer(self):
         system = _system("bfs", MOMS_TWO_LEVEL, checks=True,
-                         telemetry=TelemetryConfig(sample_interval=64),
-                         spans=SpansConfig(sample_rate=8))
-        probe = system.engine.probe
-        assert probe.observers == (system.ledger, system.telemetry,
-                                   system.tracer)
+                         telemetry=TelemetryConfig(sample_interval=64,
+                                                   sample_rate=8))
+        probe = system.pes[0]._probe
+        assert probe.observers == (system.ledger, system.telemetry)
         components = (*system.pes, *system.hierarchy.banks,
                       *system.hierarchy.crossbars, *system.mem.channels)
         assert all(c._probe is probe for c in components)
 
     def test_unobserved_system_has_no_probe(self):
         system = _system("bfs", MOMS_TWO_LEVEL)
-        assert system.engine.probe is None
-        assert all(pe._probe is None for pe in system.pes)
+        components = (*system.pes, *system.hierarchy.banks,
+                      *system.hierarchy.crossbars, *system.mem.channels)
+        assert all(c._probe is None for c in components)
 
     def test_every_event_has_a_binding(self):
         counter = EventCounter()
@@ -162,13 +161,13 @@ class TestSnapshot:
         def build(**kwargs):
             return _system(
                 "pagerank", MOMS_TWO_LEVEL, checks=True,
-                telemetry=TelemetryConfig(sample_interval=64),
-                spans=SpansConfig(sample_rate=8), **kwargs,
+                telemetry=TelemetryConfig(sample_interval=64,
+                                          sample_rate=8), **kwargs,
             )
 
         straight = build()
         reference = straight.run(max_iterations=2)
-        reference_spans = straight.tracer.spans
+        reference_spans = straight.telemetry.spans
 
         path = str(tmp_path / "probe.snap")
         checkpointed = build(checkpoint=Checkpointer(path, interval=5000))
@@ -176,11 +175,10 @@ class TestSnapshot:
         assert checkpointed.checkpointer.writes > 0
 
         restored, _header = load_snapshot(path)
-        probe = restored.engine.probe
-        assert probe.observers == (restored.ledger, restored.telemetry,
-                                   restored.tracer)
+        probe = restored.pes[0]._probe
+        assert probe.observers == (restored.ledger, restored.telemetry)
         assert all(pe._probe is probe for pe in restored.pes)
         resumed = restored.resume_run()
         assert resumed.cycles == reference.cycles
         assert resumed.stats == reference.stats
-        assert restored.tracer.spans == reference_spans
+        assert restored.telemetry.spans == reference_spans

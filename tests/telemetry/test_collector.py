@@ -15,7 +15,6 @@ from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.telemetry import LatencyHistogram, TelemetryConfig, collector
 from repro.telemetry.collector import BANK_REASONS, PE_REASONS
-from repro.tracing import SpansConfig
 
 
 @pytest.fixture(scope="module")
@@ -181,23 +180,22 @@ class TestLatencyHistograms:
 
     def test_moms_latency_pairs_each_retire_with_its_issue(self):
         """BFS reuses a req_id across lines and a hit may overtake a
-        miss, so the histogram must pair issues and retires per line,
-        as the span tracer does: with every request traced, it equals
-        the histogram of the spans' own issue->retire latencies."""
+        miss, so the histogram must pair issues and retires per line:
+        with every request sampled, it equals the histogram of the
+        spans' own issue->retire latencies."""
         config = ArchitectureConfig(
             _design(4, 4, MOMS_TWO_LEVEL, "bfs", n_channels=2),
             **SCALED_DEFAULTS,
         )
         system = AcceleratorSystem(
             web_graph(900, 4500, seed=11), "bfs", config,
-            telemetry=TelemetryConfig(sample_interval=64),
-            spans=SpansConfig(sample_rate=1),
+            telemetry=TelemetryConfig(sample_interval=64, sample_rate=1),
         )
         system.run(max_iterations=2)
         telemetry = system.telemetry
         merged = telemetry.merged_latency(telemetry.moms_latency)
         expected = LatencyHistogram()
-        for span in system.tracer.spans:
+        for span in system.telemetry.spans:
             expected.record(span["retire"] - span["issue"])
         assert expected.total > 1000
         assert merged.as_dict() == expected.as_dict()

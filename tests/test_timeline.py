@@ -11,7 +11,6 @@ from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.telemetry import TelemetryConfig
 from repro.timeline import PID_DRAM, PID_PES, validate_trace, write_trace
-from repro.tracing import SpansConfig
 
 
 @pytest.fixture(scope="module")
@@ -22,8 +21,7 @@ def system():
     )
     system = AcceleratorSystem(
         web_graph(900, 4500, seed=11), "pagerank", config,
-        telemetry=TelemetryConfig(sample_interval=64),
-        spans=SpansConfig(sample_rate=8),
+        telemetry=TelemetryConfig(sample_interval=64, sample_rate=8),
     )
     system.run(max_iterations=2)
     return system
@@ -32,7 +30,7 @@ def system():
 @pytest.fixture
 def trace(system, tmp_path):
     path = tmp_path / "run.trace.json"
-    events = write_trace(path, system.telemetry, system.tracer)
+    events = write_trace(path, system.telemetry)
     return path, events
 
 
@@ -52,13 +50,13 @@ class TestTimeline:
         path, events = trace
         counts = validate_trace(path)
         assert events == sum(counts.values())
-        spans = len(system.tracer.spans)
+        spans = len(system.telemetry.spans)
         assert spans > 10
         # One flow start and one finish per completed span; every
         # bank or DRAM hop is one "t" and one slice.
         assert counts["s"] == counts["f"] == spans
         phases = sum(1 for track, _pe, label, _s, _e
-                     in system.telemetry.spans
+                     in system.telemetry.phases
                      if track == "pe" and label != "idle")
         assert phases > 0
         assert counts["X"] == phases + counts["s"] + counts["t"]

@@ -5,7 +5,7 @@ from repro.accel.system import AcceleratorSystem
 from repro.checkpoint import Checkpointer, load_snapshot, save_snapshot
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
-from repro.tracing import SpansConfig
+from repro.telemetry import TelemetryConfig
 
 GRAPH = web_graph(900, 4500, seed=11)
 
@@ -16,7 +16,8 @@ def _traced_system():
         **SCALED_DEFAULTS,
     )
     return AcceleratorSystem(
-        GRAPH, "pagerank", config, spans=SpansConfig(sample_rate=8)
+        GRAPH, "pagerank", config,
+        telemetry=TelemetryConfig(sample_rate=8),
     )
 
 
@@ -30,7 +31,7 @@ class TestSnapshotProtocol:
         """
         straight = _traced_system()
         straight_result = straight.run(max_iterations=1)
-        reference = straight.tracer.spans
+        reference = straight.telemetry.spans
 
         system = _traced_system()
         path = str(tmp_path / "traced.snap")
@@ -42,7 +43,7 @@ class TestSnapshotProtocol:
         result = restored.resume_run()
         assert result.cycles == straight_result.cycles
         assert reference
-        assert restored.tracer.spans == reference
+        assert restored.telemetry.spans == reference
 
     def test_save_restore_keeps_line_owner_identity(self, tmp_path):
         """The fill-channel -> bank map must survive pickling by
@@ -51,6 +52,6 @@ class TestSnapshotProtocol:
         path = str(tmp_path / "fresh.snap")
         save_snapshot(system, path)
         restored, _header = load_snapshot(path)
-        tracer = restored.tracer
+        telemetry = restored.telemetry
         for bank in restored.hierarchy.banks:
-            assert tracer._line_owner.get(bank.line_in) == bank.name
+            assert telemetry._line_owner.get(bank.line_in) == bank.name

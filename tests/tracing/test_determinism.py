@@ -1,15 +1,15 @@
-"""Span streams are deterministic and the tracer never perturbs.
+"""Span streams are deterministic and telemetry never perturbs.
 
 Three contracts from DESIGN 6.8:
 
-* the sampled span stream (``tracer.spans``, every record equal) is
+* the sampled span stream (``telemetry.spans``, every record equal) is
   identical whether or not banks sleep through hopeless MSHR retries
   (sampling depends only on schedule-determined (pe, seq)
   coordinates), and pinned by the SHA-256 of its canonical JSON, the
   stream the retired all-tick engine and scalar kernels produced too;
 * that identity survives an active fault plan (a DRAM-spike plan
   shifts every timestamp, but shifts them identically either way);
-* attaching a tracer changes nothing the model computes.
+* attaching telemetry changes nothing the model computes.
 """
 
 import contextlib
@@ -23,7 +23,7 @@ from repro.accel.system import AcceleratorSystem
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.faults.plan import FaultPlan, install_faults
 from repro.graph import web_graph
-from repro.tracing import SpansConfig
+from repro.telemetry import TelemetryConfig
 from tests.sim.per_cycle import retry_every_cycle
 
 GRAPH = web_graph(900, 4500, seed=11)
@@ -41,14 +41,14 @@ PINNED_SHA = {
 }
 
 
-def _run(algorithm, spans=True, fault_plan=None):
+def _run(algorithm, observed=True, fault_plan=None):
     config = ArchitectureConfig(
         _design(4, 4, MOMS_TWO_LEVEL, algorithm, n_channels=2),
         **SCALED_DEFAULTS,
     )
     system = AcceleratorSystem(
         GRAPH, algorithm, config,
-        spans=SpansConfig(sample_rate=8) if spans else None,
+        telemetry=TelemetryConfig(sample_rate=8) if observed else None,
     )
     if fault_plan is not None:
         install_faults(system, fault_plan)
@@ -81,7 +81,7 @@ class TestSpanStreamDeterminism:
                               ("per-cycle", retry_every_cycle())):
             with schedule:
                 system, result = _run(algorithm)
-            streams[leg] = (result.cycles, system.tracer.spans)
+            streams[leg] = (result.cycles, system.telemetry.spans)
         # Not vacuous: the stream carries actual sampled spans.
         assert len(streams["sleeping"][1]) > 10
         assert streams["sleeping"] == streams["per-cycle"]
@@ -90,8 +90,8 @@ class TestSpanStreamDeterminism:
     def test_byte_identical_under_dram_fault_plan(self):
         system, _result = _run("pagerank",
                                fault_plan=FaultPlan.dram_plan(seed=1))
-        assert len(system.tracer.spans) > 10
-        assert _sha(system.tracer.spans) == PINNED_SHA["pagerank+dram"]
+        assert len(system.telemetry.spans) > 10
+        assert _sha(system.telemetry.spans) == PINNED_SHA["pagerank+dram"]
 
     def test_fault_plan_actually_shifts_the_stream(self):
         """The fault-plan test above must not be comparing no-op runs."""
@@ -99,14 +99,14 @@ class TestSpanStreamDeterminism:
         faulty_sys, _ = _run(
             "pagerank", fault_plan=FaultPlan.dram_plan(seed=1),
         )
-        assert clean_sys.tracer.spans != faulty_sys.tracer.spans
+        assert clean_sys.telemetry.spans != faulty_sys.telemetry.spans
 
 
 class TestTracerNeverPerturbs:
     def test_tracing_on_matches_off(self):
-        _off_sys, off_res = _run("pagerank", spans=False)
-        on_sys, on_res = _run("pagerank", spans=True)
+        _off_sys, off_res = _run("pagerank", observed=False)
+        on_sys, on_res = _run("pagerank", observed=True)
         assert _fingerprint(on_res) == _fingerprint(off_res)
         # Not vacuous: the traced run actually collected spans.
-        assert on_sys.tracer.spans
+        assert on_sys.telemetry.spans
         assert on_res.stats["spans"]["spans_completed"] > 0

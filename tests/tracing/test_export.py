@@ -11,8 +11,9 @@ from repro.accel.system import AcceleratorSystem
 from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.graph import web_graph
 from repro.timeline import PID_PES, validate_trace, write_trace
-from repro.tracing import SpansConfig, decompose
-from repro.tracing.spans import SPAN_SUMMARY
+from repro.telemetry import TelemetryConfig
+from repro.telemetry.analyze import decompose
+from repro.telemetry.collector import SPAN_SUMMARY
 
 GRAPH = web_graph(900, 4500, seed=11)
 
@@ -24,7 +25,8 @@ def traced():
         **SCALED_DEFAULTS,
     )
     system = AcceleratorSystem(
-        GRAPH, "pagerank", config, spans=SpansConfig(sample_rate=8)
+        GRAPH, "pagerank", config,
+        telemetry=TelemetryConfig(sample_rate=8),
     )
     result = system.run(max_iterations=2)
     return system, result
@@ -32,17 +34,18 @@ def traced():
 
 @pytest.fixture
 def trace(traced, tmp_path):
-    """A tracer-only trace of the run: (path, parsed document)."""
+    """The run's trace: (path, parsed document)."""
     system, _ = traced
     path = tmp_path / "f.json"
-    write_trace(path, tracer=system.tracer)
+    write_trace(path, system.telemetry)
     return path, json.loads(path.read_text())
 
 
 def _request_slices(doc):
-    """The PE request slices (a tracer-only trace has no phases)."""
+    """The PE request slices (the phase slices are ``cat`` phase)."""
     return [event for event in doc["traceEvents"]
-            if event["ph"] == "X" and event["pid"] == PID_PES]
+            if event["ph"] == "X" and event["pid"] == PID_PES
+            and event.get("cat") != "phase"]
 
 
 def _rewrite(path, doc):
@@ -59,8 +62,8 @@ class TestSpansJsonl:
         validate_trace(path)
         records = {event["name"]: event["args"]
                    for event in _request_slices(doc)}
-        assert len(records) == len(system.tracer.spans) > 10
-        for span in system.tracer.spans:
+        assert len(records) == len(system.telemetry.spans) > 10
+        for span in system.telemetry.spans:
             record = records[f"pe{span['pe']}#{span['seq']}"]
             for key, value in span.items():
                 if key != "sampled":
@@ -73,7 +76,7 @@ class TestSpansJsonl:
         records = [event["args"] for event in _request_slices(doc)]
         keys = [(r["issue"], r["pe"], r["seq"]) for r in records]
         assert keys == sorted(keys)
-        # Tracer bookkeeping does not leak into the records.
+        # The sampling flag does not leak into the records.
         assert all("sampled" not in r for r in records)
         assert all("stages" in r and "events" in r for r in records)
 
@@ -82,10 +85,10 @@ class TestSpansJsonl:
         system, _ = traced
         # A miss that lost its drain timestamp breaks the exact stage
         # accounting, which every summary checks.
-        span = next(s for s in system.tracer.spans if "drain_begin" in s)
+        span = next(s for s in system.telemetry.spans if "drain_begin" in s)
         monkeypatch.delitem(span, "drain_begin")
         with pytest.raises(ValueError, match="stage sum"):
-            system.tracer.summary()
+            system.telemetry.span_summary()
 
         path, doc = trace
         del doc["otherData"]["spans"]
@@ -94,17 +97,17 @@ class TestSpansJsonl:
 
 
 class TestFlowTrace:
-    """A tracer-only run writes a timeline of request slices and flows."""
+    """Each sampled request is a chain of slices joined by one flow."""
 
     def test_roundtrip_validates(self, traced, tmp_path):
         system, _ = traced
         path = tmp_path / "f.json"
-        write_trace(path, tracer=system.tracer)
+        write_trace(path, system.telemetry)
         counts = validate_trace(path)
         # One flow start and one finish per completed span.
-        assert counts["s"] == len(system.tracer.spans)
-        assert counts["f"] == len(system.tracer.spans)
-        assert counts["X"] >= len(system.tracer.spans)
+        assert counts["s"] == len(system.telemetry.spans)
+        assert counts["f"] == len(system.telemetry.spans)
+        assert counts["X"] >= len(system.telemetry.spans)
 
 
 class TestSpanSummary:
@@ -117,7 +120,7 @@ class TestSpanSummary:
         validate_trace(path)
         summary = SPAN_SUMMARY.check(doc["otherData"]["spans"], path)
         assert summary == result.stats["spans"]
-        assert summary["spans_completed"] == len(system.tracer.spans)
+        assert summary["spans_completed"] == len(system.telemetry.spans)
         assert "_totals" in summary["stages"]
 
     def test_validator_rejects_missing_keys(self, trace, tmp_path):

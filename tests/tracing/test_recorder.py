@@ -8,19 +8,19 @@ from repro.fabric.design import MOMS_TWO_LEVEL
 from repro.faults.report import build_stall_report, format_stall_report
 from repro.faults.watchdog import Watchdog, WatchdogError
 from repro.graph import web_graph
-from repro.tracing import FlightRecorder, SpansConfig
+from repro.telemetry import FlightRecorder, TelemetryConfig
 
 GRAPH = web_graph(900, 4500, seed=11)
 
 
-def _traced_system(depth=64):
+def _traced_system(**kwargs):
     config = ArchitectureConfig(
         _design(4, 4, MOMS_TWO_LEVEL, "pagerank", n_channels=2),
         **SCALED_DEFAULTS,
     )
     return AcceleratorSystem(
         GRAPH, "pagerank", config,
-        spans=SpansConfig(sample_rate=8, recorder_depth=depth),
+        telemetry=TelemetryConfig(sample_rate=8), **kwargs,
     )
 
 
@@ -44,10 +44,10 @@ class TestFlightRecorder:
     def test_recorder_sees_every_event_not_just_sampled(self):
         system = _traced_system()
         system.run(max_iterations=1)
-        tracer = system.tracer
+        telemetry = system.telemetry
         # Far more events than the sampled spans alone could produce.
-        assert tracer.recorder.recorded > 2 * tracer.requests_seen
-        assert len(tracer.recorder.events) == tracer.recorder.depth
+        assert telemetry.recorder.recorded > 2 * telemetry.requests_seen
+        assert len(telemetry.recorder.events) == telemetry.recorder.depth
 
 
 class TestStallReportEmbedding:
@@ -56,8 +56,8 @@ class TestStallReportEmbedding:
         system.run(max_iterations=1)
         report = build_stall_report(system.engine, reason="forced")
         flight = report["flight_recorder"]
-        assert flight["depth"] == system.tracer.recorder.depth
-        assert flight["recorded"] == system.tracer.recorder.recorded
+        assert flight["depth"] == system.telemetry.recorder.depth
+        assert flight["recorded"] == system.telemetry.recorder.recorded
         assert len(flight["tail"]) == 32
         text = format_stall_report(report)
         assert "flight recorder (last 32 of" in text
@@ -90,3 +90,20 @@ class TestStallReportEmbedding:
         report = exc.value.report
         assert report["flight_recorder"]["tail"]
         assert "flight recorder (last" in str(exc.value)
+
+    def test_checked_telemetry_run_stall_embeds_the_tail(self):
+        """A watchdog stall on a checked run whose only observer besides
+        the ledger is telemetry embeds telemetry's recorder tail."""
+        system = _traced_system(checks=True)
+        system.run(max_iterations=1)
+        engine = system.engine
+        watchdog = engine.watchdog
+        watchdog.begin(engine)
+        engine.component_ticks += watchdog.min_ticks
+        with pytest.raises(WatchdogError) as exc:
+            watchdog.check(engine)
+        flight = exc.value.report["flight_recorder"]
+        recorder = system.telemetry.recorder
+        assert flight["recorded"] == recorder.recorded > 0
+        assert flight["tail"] == recorder.tail(32)
+        assert "flight recorder (last 32 of" in str(exc.value)

@@ -6,8 +6,8 @@ from repro.accel.config import ArchitectureConfig, SCALED_DEFAULTS, _design
 from repro.accel.system import AcceleratorSystem
 from repro.fabric.design import MOMS_SHARED, MOMS_TWO_LEVEL
 from repro.graph import web_graph
-from repro.tracing import SpansConfig, sample_hash
-from repro.tracing.analyze import (
+from repro.telemetry import TelemetryConfig
+from repro.telemetry.analyze import (
     QUEUEING_STAGES,
     SERVICE_STAGES,
     STAGE_ORDER,
@@ -15,6 +15,7 @@ from repro.tracing.analyze import (
     decompose,
     percentile,
 )
+from repro.telemetry.collector import sample_hash
 
 GRAPH = web_graph(900, 4500, seed=11)
 
@@ -25,7 +26,8 @@ def _run(organization=MOMS_TWO_LEVEL, algorithm="pagerank", rate=8):
         **SCALED_DEFAULTS,
     )
     system = AcceleratorSystem(
-        GRAPH, algorithm, config, spans=SpansConfig(sample_rate=rate)
+        GRAPH, algorithm, config,
+        telemetry=TelemetryConfig(sample_rate=rate),
     )
     result = system.run(max_iterations=2)
     return system, result
@@ -45,45 +47,50 @@ class TestSampling:
     def test_exact_hash_sampling(self, traced):
         """Sampled count is exactly the hash predicate over (pe, seq)."""
         system, _ = traced
-        tracer = system.tracer
-        rate = tracer.config.sample_rate
+        telemetry = system.telemetry
+        rate = telemetry.config.sample_rate
         expected = sum(
             1
-            for pe, issued in tracer._seq.items()
+            for pe, issued in telemetry._seq.items()
             for seq in range(issued)
             if sample_hash(pe, seq) % rate == 0
         )
-        assert tracer.sampled == expected
-        assert tracer.requests_seen == sum(tracer._seq.values())
-        assert 0 < tracer.sampled < tracer.requests_seen
+        assert telemetry.sampled == expected
+        assert telemetry.requests_seen == sum(telemetry._seq.values())
+        assert 0 < telemetry.sampled < telemetry.requests_seen
 
     def test_all_sampled_spans_complete(self, traced):
         system, result = traced
-        tracer = system.tracer
-        assert tracer.live_spans() == 0
-        assert len(tracer.spans) == tracer.sampled
+        telemetry = system.telemetry
+        assert telemetry.live_spans() == 0
+        assert len(telemetry.spans) == telemetry.sampled
         summary = result.stats["spans"]
-        assert summary["spans_completed"] == tracer.sampled
+        assert summary["spans_completed"] == telemetry.sampled
         assert summary["spans_live"] == 0
 
     def test_rate_one_traces_everything(self):
         system, _ = _run(rate=1)
-        tracer = system.tracer
-        assert tracer.sampled == tracer.requests_seen
-        assert len(tracer.spans) == tracer.requests_seen
+        telemetry = system.telemetry
+        assert telemetry.sampled == telemetry.requests_seen
+        assert len(telemetry.spans) == telemetry.requests_seen
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SpansConfig(sample_rate=0)
-        with pytest.raises(ValueError):
-            SpansConfig(recorder_depth=0)
+        """Both sampling knobs share one rule, and the trace command
+        refuses a value below 1 before it runs anything."""
+        from repro.__main__ import main
+
+        for knob, flag in (("sample_interval", "--interval"),
+                           ("sample_rate", "--rate")):
+            with pytest.raises(ValueError, match=knob):
+                TelemetryConfig(**{knob: 0})
+            assert main(["trace", flag, "0"]) == 2
 
 
 class TestSpanStructure:
     def test_stage_sum_invariant(self, traced):
         """queue + miss_wait + drain + return == total, exactly."""
         system, _ = traced
-        for span in system.tracer.spans:
+        for span in system.telemetry.spans:
             stages = decompose(span)
             parts = sum(
                 stages.get(stage, 0)
@@ -94,7 +101,7 @@ class TestSpanStructure:
 
     def test_event_timeline_is_monotonic(self, traced):
         system, _ = traced
-        for span in system.tracer.spans:
+        for span in system.telemetry.spans:
             cycles = [cycle for cycle, _label in span["events"]]
             assert cycles == sorted(cycles), span
             assert span["events"][0][1].startswith("issue@")
@@ -103,7 +110,7 @@ class TestSpanStructure:
     def test_misses_carry_the_miss_path(self, traced):
         system, _ = traced
         misses = [
-            s for s in system.tracer.spans
+            s for s in system.telemetry.spans
             if s.get("outcome") in ("primary", "secondary")
         ]
         assert misses
@@ -117,7 +124,7 @@ class TestSpanStructure:
     def test_hits_skip_the_miss_path(self, traced_shared):
         system, _ = traced_shared
         hits = [
-            s for s in system.tracer.spans if s.get("outcome") == "hit"
+            s for s in system.telemetry.spans if s.get("outcome") == "hit"
         ]
         assert hits  # the shared org does produce request-level hits
         for span in hits:
@@ -129,8 +136,7 @@ class TestSpanStructure:
 class TestMergeFanin:
     def test_fanin_accounts_for_every_drain(self, traced):
         system, _ = traced
-        tracer = system.tracer
-        fanin = tracer.merge_fanin()
+        fanin = system.telemetry.merge_fanin()
         assert fanin  # misses happened
         for bank in system.hierarchy.banks:
             drains = bank.stats.lines_returned
@@ -194,10 +200,10 @@ class TestAnalyzer:
 
     def test_analyze_spans_totals(self, traced):
         system, _ = traced
-        stages = analyze_spans(system.tracer.spans)
+        stages = analyze_spans(system.telemetry.spans)
         totals = stages["_totals"]
         queueing = service = 0
-        for span in system.tracer.spans:
+        for span in system.telemetry.spans:
             for stage, duration in decompose(span).items():
                 if stage in QUEUEING_STAGES:
                     queueing += duration
